@@ -14,10 +14,10 @@ which is also exactly what a resumable checkpoint has to carry.
 
 import math
 import os
+import tempfile
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from typing import NamedTuple
@@ -64,6 +64,8 @@ DEFAULT_CHECKPOINT_SECONDS = 30.0
 
 _DISPLAY_DIGITS = 12
 _READAHEAD_WINDOW = 4096
+# Gaps per block when screening a window for record candidates
+_SUMMARY_BLOCK = 4096
 
 
 class BudgetError(ValueError):
@@ -273,28 +275,30 @@ class _Summary:
 def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     lo, hi, limit, allow_zero = args
     seg = mark_segment(lo, hi, allow_zero=allow_zero)
-    vals = seg.values()
-    if vals.size and vals[0] == 0:
+    offs = np.flatnonzero(seg.bits)
+    if lo == 0 and offs.size and offs[0] == 0:
         # 0 is representable but pairs require positive s
-        vals = vals[1:]
-    if vals.size == 0:
+        offs = offs[1:]
+    if offs.size == 0:
         return _Summary(lo, hi, 0, None, None, ())
-    a = max(lo, 1)
-    b = min(hi, limit + 1)
-    pair_count = int(np.count_nonzero(seg.bits[a - lo : max(b - lo, a - lo)]))
-    candidates: tuple[tuple[int, int], ...] = ()
-    if vals.size >= 2:
-        gaps = np.diff(vals)
-        # a pair can set any kind of record only if its gap strictly exceeds
-        # every earlier gap in the window, so the candidate list is tiny
-        mask = np.empty(gaps.size, dtype=bool)
-        mask[0] = True
-        if gaps.size > 1:
-            mask[1:] = gaps[1:] > np.maximum.accumulate(gaps)[:-1]
-        candidates = tuple(
-            zip(vals[:-1][mask].tolist(), gaps[mask].tolist())
-        )
-    return _Summary(lo, hi, pair_count, int(vals[0]), int(vals[-1]), candidates)
+    # offsets are >= 1 when lo == 0, so everything below limit + 1 - lo is a pair
+    pair_count = int(np.searchsorted(offs, min(hi, limit + 1) - lo))
+    gaps = np.diff(offs)
+    # a pair can set any kind of record only if its gap strictly exceeds
+    # every earlier gap in the window, so the candidate list is tiny; only
+    # blocks whose maximum beats every earlier block can hold one
+    block_max = np.maximum.reduceat(gaps, np.arange(0, gaps.size, _SUMMARY_BLOCK))
+    # prior[k]: the largest gap before block k (gaps are >= 1, so 0 for k = 0)
+    prior = np.concatenate(([0], np.maximum.accumulate(block_max)[:-1]))
+    candidates: list[tuple[int, int]] = []
+    for k in np.flatnonzero(block_max > prior).tolist():
+        # exact prefix maximum inside the block, seeded with every earlier gap
+        base = k * _SUMMARY_BLOCK
+        g = gaps[base : base + _SUMMARY_BLOCK]
+        running = np.maximum.accumulate(np.concatenate(([prior[k]], g)))
+        idx = np.flatnonzero(g > running[:-1]) + base
+        candidates.extend(zip((offs[idx] + lo).tolist(), gaps[idx].tolist()))
+    return _Summary(lo, hi, pair_count, lo + int(offs[0]), lo + int(offs[-1]), tuple(candidates))
 
 
 def _count_window(args: tuple[int, int, tuple[int, ...], bool]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -320,6 +324,9 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
         for a in args_iter:
             yield fn(a)
         return
+    # deferred: importing the process pool costs single-worker runs ~15 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
@@ -600,6 +607,8 @@ def density(
             raise BudgetError(f"density: point {x} exceeds budget {MAX_S}")
     if segment_size < 2:
         raise ValueError(f"segment_size: must be >= 2, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"workers: must be >= 1, got {workers}")
     xs = sorted(set(points))
     top = xs[-1]
     counts: dict[int, int] = {}
@@ -638,7 +647,13 @@ _CHECKPOINT_KEYS = (
 
 
 def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
-    """Serialize atomically: write to a sibling temp file, then rename."""
+    """Serialize durably and atomically.
+
+    The text goes to a uniquely named temp file beside the target, which is
+    fsynced and renamed over it; the directory is fsynced after the rename.
+    Concurrent writers never share a temp file, and a failure leaves the
+    previous checkpoint in place and removes the temp file.
+    """
     records = ",".join(f"{gap}:{s}" for gap, s in cp.gap_records)
     lines = [
         f"version={cp.version}",
@@ -650,10 +665,26 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         f"gap_records={records}",
         f"pairs_scanned={cp.pairs_scanned}",
     ]
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:

@@ -1,7 +1,7 @@
 """Segmented enumeration of sums of two squares.
 
 Marks every value x^2 + y^2 inside a half-open window by walking lattice
-columns with x <= y, then stitches windows into an ordered stream of
+rows y with x <= y, then stitches windows into an ordered stream of
 consecutive representable pairs.  Integer square roots come from
 math.isqrt throughout; flooring a floating-point root is never safe once
 x^2 + y^2 approaches 2^53.
@@ -72,10 +72,13 @@ def mark_segment(
 ) -> Segment:
     """Mark every sum of two squares in [lo, hi).
 
-    For each column x the marked run starts at the least y >= x with
-    x^2 + y^2 >= lo and stops before x^2 + y^2 >= hi.  Enumerating only
-    y >= x halves the lattice work; marking is idempotent so values hit by
-    several columns are harmless.  With allow_zero=False both summands must
+    Enumerates by the larger coordinate: every x^2 + y^2 in the window with
+    x <= y has lo/2 <= y^2 < hi, so rows run from ceil(sqrt(ceil(lo/2))) to
+    isqrt(hi - 1).  Row y marks the run of x <= y with lo <= x^2 + y^2 < hi,
+    which is one scatter of a shared table of x^2 - lo shifted by y^2.  At
+    high windows that is about 0.29 sqrt(hi) rows against the 0.71 sqrt(hi)
+    columns x <= sqrt(hi/2).  Marking is idempotent, so values with several
+    representations are harmless.  With allow_zero=False both summands must
     be at least 1.
     """
     if not isinstance(lo, int) or not isinstance(hi, int):
@@ -89,18 +92,16 @@ def mark_segment(
             f"mark_segment: window of {hi - lo} values exceeds memory cap {memory_cap}"
         )
     bits = np.zeros(hi - lo, dtype=bool)
-    x = 0 if allow_zero else 1
-    while True:
-        x2 = x * x
-        if 2 * x2 >= hi:
-            # columns beyond sqrt(hi/2) only revisit y < x territory
-            break
-        y0 = x if lo <= 2 * x2 else _ceil_sqrt(lo - x2)
-        y1 = math.isqrt(hi - 1 - x2)
-        if y0 <= y1:
-            ys = np.arange(y0, y1 + 1, dtype=np.int64)
-            bits[ys * ys + (x2 - lo)] = True
-        x += 1
+    xmin = 0 if allow_zero else 1
+    # x <= y forces 2 x^2 <= hi - 1; x^2 - lo fits int64 since lo < 2^63
+    xs = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
+    xsq = xs * xs - lo
+    for y in range(max(xmin, _ceil_sqrt(-(-lo // 2))), math.isqrt(hi - 1) + 1):
+        y2 = y * y
+        x0 = max(xmin, _ceil_sqrt(lo - y2))
+        x1 = min(y, math.isqrt(hi - 1 - y2))
+        if x0 <= x1:
+            bits[xsq[x0 : x1 + 1] + y2] = True
     return Segment(lo, hi, bits)
 
 

@@ -1,7 +1,9 @@
+import os
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,10 @@ from twosquares import (
     verify,
     write_checkpoint,
 )
+
+from twosquares import analysis
+from twosquares.analysis import _Summary, _summarize_window
+from twosquares.sieve import mark_segment
 
 from reference import brute_champion, brute_count, brute_records, ratio_fraction
 
@@ -294,6 +300,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             density([])
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            density([100], workers=workers)
+
     def test_invariant_under_segment_size_and_workers(self):
         a = density([10**4, 10**5], segment_size=1 << 12)
         b = density([10**4, 10**5], segment_size=1 << 20, workers=2)
@@ -368,6 +379,28 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    def test_failed_replace_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.txt"
+        old = self.sample()
+        write_checkpoint(old, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_checkpoint(replace(old, position=3 * 10**6), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
+
+    def test_writes_leave_no_temp_files(self, tmp_path):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        write_checkpoint(replace(self.sample(), position=3 * 10**6), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
+        assert read_checkpoint(path).position == 3 * 10**6
+
     def test_verify_rejects_limit_mismatch(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
@@ -433,3 +466,100 @@ class TestSignificant:
 
     def test_zero(self):
         assert significant(Decimal(0)) == "0.00000000000"
+
+
+def naive_summary(lo, hi, limit, allow_zero):
+    """The window digest from the full value list and a full prefix maximum."""
+    bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+    vals = [lo + int(i) for i in np.flatnonzero(bits) if lo + int(i) >= 1]
+    if not vals:
+        return _Summary(lo, hi, 0, None, None, ())
+    candidates, best = [], 0
+    for s, s_next in zip(vals, vals[1:]):
+        if s_next - s > best:
+            best = s_next - s
+            candidates.append((s, best))
+    pair_count = sum(1 for v in vals if v <= limit)
+    return _Summary(lo, hi, pair_count, vals[0], vals[-1], tuple(candidates))
+
+
+class TestSummarizeWindow:
+    @pytest.mark.parametrize("block", [1, 3, 64, analysis._SUMMARY_BLOCK])
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_multi_block_windows_match_naive(self, monkeypatch, block, allow_zero):
+        monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", block)
+        for lo, hi, limit in [(0, 40000, 10**6), (0, 40000, 30000), (25000, 60000, 10**6)]:
+            args = (lo, hi, limit, allow_zero)
+            got = _summarize_window(args)
+            assert got == naive_summary(*args)
+            # the last record (gap 24 at 31657, or 25 at 52393) lies beyond
+            # the first block of gaps
+            last_s = got.candidates[-1][0]
+            bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+            assert np.count_nonzero(bits[: last_s - lo]) > block
+
+    def test_record_in_later_default_block(self):
+        args = (0, 1 << 16, 10**6, True)
+        got = _summarize_window(args)
+        assert got == naive_summary(*args)
+        assert got.candidates[-1] == (52393, 25)
+        # about 13000 values precede it: the fourth block of 4096 gaps
+        assert np.count_nonzero(mark_segment(0, 52393).bits) > 3 * analysis._SUMMARY_BLOCK
+
+    def test_tie_with_earlier_block_maximum_is_not_a_candidate(self, monkeypatch):
+        # with one gap per block a later gap equal to the running maximum
+        # makes its block's maximum tie with every earlier block's
+        monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", 1)
+        got = _summarize_window((0, 100, 10**6, True))
+        assert got == naive_summary(0, 100, 10**6, True)
+        # gaps from 1: 1,2,1,3,1,1,3: the second gap 3 (at 10) ties
+        assert (5, 3) in got.candidates
+        assert all(s != 10 for s, _ in got.candidates)
+        vals = np.flatnonzero(mark_segment(0, 14).bits).tolist()
+        assert vals[-2:] == [10, 13]
+
+    @pytest.mark.parametrize(
+        "lo, hi, expected",
+        [
+            (1494, 1508, _Summary(1494, 1508, 0, None, None, ())),
+            (0, 1, _Summary(0, 1, 0, None, None, ())),
+            (0, 2, _Summary(0, 2, 1, 1, 1, ())),
+            (1493, 1500, _Summary(1493, 1500, 1, 1493, 1493, ())),
+        ],
+    )
+    def test_windows_with_zero_or_one_value(self, lo, hi, expected):
+        args = (lo, hi, 10**6, True)
+        assert _summarize_window(args) == expected == naive_summary(*args)
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_window_starting_at_zero(self, allow_zero):
+        args = (0, 5000, 2000, allow_zero)
+        got = _summarize_window(args)
+        assert got == naive_summary(*args)
+        assert got.first == (1 if allow_zero else 2)
+
+    def test_read_ahead_windows_above_limit(self):
+        for lo in (10**8 + 1, 10**8 + 4097):
+            args = (lo, lo + 4096, 10**8, True)
+            got = _summarize_window(args)
+            assert got == naive_summary(*args)
+            assert got.pair_count == 0 and got.first is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.integers(min_value=0, max_value=10**9),
+        span=st.integers(min_value=1, max_value=20000),
+        limit_offset=st.integers(min_value=-100, max_value=25000),
+        block=st.sampled_from([1, 2, 5, 97, 4096]),
+        allow_zero=st.booleans(),
+    )
+    def test_random_windows_match_naive(self, lo, span, limit_offset, block, allow_zero):
+        limit = max(2, lo + limit_offset)
+        args = (lo, lo + span, limit, allow_zero)
+        saved = analysis._SUMMARY_BLOCK
+        analysis._SUMMARY_BLOCK = block
+        try:
+            got = _summarize_window(args)
+        finally:
+            analysis._SUMMARY_BLOCK = saved
+        assert got == naive_summary(*args)

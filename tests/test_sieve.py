@@ -1,15 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import GapPair, gap_stream, is_sum_of_two_squares, mark_segment
+from twosquares import GapPair, factorize, gap_stream, is_sum_of_two_squares, mark_segment
 
 from reference import brute_is_sum, brute_membership, brute_pairs
 
 
 def set_values(lo, hi, **kwargs):
     return mark_segment(lo, hi, **kwargs).values().tolist()
+
+
+def oracle(n, allow_zero=True):
+    """Per-integer membership from factorization, independent of the sieve."""
+    if n == 0:
+        return allow_zero
+    if not is_sum_of_two_squares(n):
+        return False
+    if allow_zero:
+        return True
+    # only a square k^2 can need a zero summand; it also has a representation
+    # with both summands positive exactly when k has a prime factor 1 mod 4
+    k = math.isqrt(n)
+    return k * k != n or any(p % 4 == 1 for p, _ in factorize(k).factors)
+
+
+# k^2, k^2 +- 1, 2k^2 and 2k^2 +- 1: where a row's run starts or stops, and
+# the diagonal x = y that ends it
+square_edges = st.builds(
+    lambda k, form, delta: max(0, form * k * k + delta),
+    st.one_of(st.integers(0, 3000), st.integers(0, 10**6)),
+    st.sampled_from([1, 2]),
+    st.integers(-1, 1),
+)
 
 
 class TestMarkSegment:
@@ -75,6 +101,18 @@ class TestMarkSegment:
             n = lo + i
             expected = True if n == 0 else brute_is_sum(n)
             assert bool(seg.bits[i]) == expected
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(edge=square_edges, span=st.integers(1, 200), edge_is_lo=st.booleans())
+    def test_square_edge_windows_match_oracle(self, allow_zero, edge, span, edge_is_lo):
+        if edge_is_lo:
+            lo, hi = edge, edge + span
+        else:
+            hi = max(edge, 1)
+            lo = max(0, hi - span)
+        bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+        assert bits.tolist() == [oracle(n, allow_zero) for n in range(lo, hi)]
 
     def test_completeness_counts(self):
         # set bits in [0, x] against the brute count, 0 included
