@@ -34,6 +34,7 @@ from .representability import (
     factorize,
     find_witness,
     is_sum_of_two_squares,
+    representable_mask,
 )
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
@@ -73,6 +74,7 @@ __all__ = [
     "normalized_stats",
     "ratio_less",
     "read_checkpoint",
+    "representable_mask",
     "significant",
     "verify",
     "write_checkpoint",

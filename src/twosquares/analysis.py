@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, mark_segment
+from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
 
 __all__ = [
     "MAX_GAP",
@@ -63,7 +63,6 @@ DEFAULT_CHECKPOINT_EVERY = 1 << 28
 DEFAULT_CHECKPOINT_SECONDS = 30.0
 
 _DISPLAY_DIGITS = 12
-_READAHEAD_WINDOW = 4096
 # Gaps per block when screening a window for record candidates
 _SUMMARY_BLOCK = 4096
 
@@ -339,18 +338,6 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
         finally:
             while pending:
                 pending.popleft().cancel()
-
-
-def _windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    # clamp to limit + 1 first, then read ahead in small windows until the
-    # consumer has seen a representable value beyond limit and stops
-    lo = start
-    while lo <= limit:
-        yield lo, min(lo + segment_size, limit + 1)
-        lo = min(lo + segment_size, limit + 1)
-    while True:
-        yield lo, lo + _READAHEAD_WINDOW
-        lo += _READAHEAD_WINDOW
 
 
 @dataclass

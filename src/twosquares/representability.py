@@ -2,18 +2,23 @@
 
 An integer n >= 1 is a sum of two squares (zero summands allowed) exactly
 when every prime p = 3 (mod 4) divides n to an even power.  Everything here
-decides membership through factoring, independently of the enumeration
-sieve, and produces explicit witnesses for human-readable reports.
+decides membership from that criterion, independently of the enumeration
+sieve: per integer through factoring, or for a whole window at once by
+sieving the primes p = 3 (mod 4).  Explicit witnesses serve human-readable
+reports.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Factorization",
     "Witness",
     "factorize",
     "is_sum_of_two_squares",
+    "representable_mask",
     "find_witness",
 ]
 
@@ -201,6 +206,54 @@ def is_sum_of_two_squares(n: int) -> bool:
         if p & 3 == 3 and e & 1:
             return False
     return True
+
+
+def _primes_3_mod_4(bound: int) -> list[int]:
+    """Primes p = 3 (mod 4) with p <= bound, ascending."""
+    composite = np.zeros(bound + 1, dtype=bool)
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if not composite[p]:
+            composite[p * p :: 2 * p] = True
+    return (np.flatnonzero(~composite[3::4]) * 4 + 3).tolist()
+
+
+def representable_mask(lo: int, hi: int) -> np.ndarray:
+    """Membership of every n in [lo, hi) as a bool array, lo >= 1.
+
+    The even-exponent criterion for a whole window: for each prime
+    p = 3 (mod 4) with p^2 < hi, adding +1, -1, +1, ... over the multiples
+    of p, p^2, p^3, ... leaves 1 exactly where p divides n to an odd power.
+    A prime p = 3 (mod 4) with p^2 >= hi divides n < hi at most once; then
+    the odd part of n is 3 (mod 4), and those n are exactly
+    n = 3 * 2^k (mod 2^(k+2)).  So n is representable exactly when its
+    count is 0 and it lies in none of those classes.  Integer arithmetic
+    only; costs O(hi - lo) bytes plus a sieve up to sqrt(hi).
+    """
+    if not isinstance(lo, int) or not isinstance(hi, int):
+        raise ValueError("representable_mask: lo and hi must be integers")
+    if lo < 1:
+        raise ValueError(f"representable_mask: lo must be >= 1, got {lo}")
+    if hi <= lo:
+        raise ValueError(f"representable_mask: hi must be > lo, got hi={hi}, lo={lo}")
+    if hi - 1 > MAX_N:
+        raise ValueError(f"representable_mask: hi must be <= 2**63, got {hi}")
+    # int8 suffices: each distinct prime leaves at most 1 on n, and no
+    # n < 2^63 has 20 distinct prime factors
+    width = hi - lo
+    count = np.zeros(width, dtype=np.int8)
+    for p in _primes_3_mod_4(math.isqrt(hi - 1)):
+        q, step = p, 1
+        while q < hi:
+            first = -lo % q
+            # skipping empty slices keeps narrow windows high up cheap
+            if first < width:
+                count[first::q] += step
+            q, step = q * p, -step
+    k = 0
+    while 3 << k < hi:
+        count[((3 << k) - lo) % (4 << k) :: 4 << k] = 1
+        k += 1
+    return count == 0
 
 
 def find_witness(n: int) -> Witness | None:

@@ -30,6 +30,9 @@ DEFAULT_MEMORY_CAP = 1 << 30
 
 MAX_VALUE = 2**63 - 1
 
+# Width of the windows that read past limit for the successor of the last pair
+_READAHEAD_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -105,6 +108,18 @@ def mark_segment(
     return Segment(lo, hi, bits)
 
 
+def _windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    # clamp to limit + 1 first, then read ahead in small windows until the
+    # consumer has seen a representable value beyond limit and stops
+    lo = start
+    while lo <= limit:
+        yield lo, min(lo + segment_size, limit + 1)
+        lo = min(lo + segment_size, limit + 1)
+    while True:
+        yield lo, lo + _READAHEAD_WINDOW
+        lo += _READAHEAD_WINDOW
+
+
 def gap_stream(
     start: int,
     limit: int,
@@ -115,9 +130,9 @@ def gap_stream(
 ) -> Iterator[GapPair]:
     """Yield every GapPair with start <= s <= limit, in increasing s order.
 
-    The final pair may have s_next beyond limit; the stream reads ahead into
-    following windows until that successor appears.  Windows with no set
-    bits simply carry the pending predecessor forward.
+    The final pair may have s_next beyond limit; the stream reads ahead in
+    small windows until that successor appears.  Windows with no set bits
+    simply carry the pending predecessor forward.
     """
     if start < 0:
         raise ValueError(f"gap_stream: start must be >= 0, got {start}")
@@ -126,16 +141,13 @@ def gap_stream(
     if segment_size < 2:
         raise ValueError(f"gap_stream: segment_size must be >= 2, got {segment_size}")
     prev = None
-    lo = start
-    while True:
+    for lo, hi in _windows(start, limit, segment_size):
         if lo >= MAX_VALUE:
             raise ValueError("gap_stream: window ran past 2**63 - 1")
-        hi = min(lo + segment_size, MAX_VALUE)
-        seg = mark_segment(lo, hi, allow_zero=allow_zero, memory_cap=memory_cap)
+        seg = mark_segment(lo, min(hi, MAX_VALUE), allow_zero=allow_zero, memory_cap=memory_cap)
         for v in seg.values().tolist():
             if prev is not None and prev >= 1:
                 yield GapPair(prev, v)
             prev = v
             if prev > limit:
                 return
-        lo = hi

@@ -6,16 +6,16 @@ import sys
 
 import pytest
 
-from twosquares import Threshold, verify
+from twosquares import Threshold, cli, verify
 from twosquares.cli import RunConfig, run
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, timeout=300, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "twosquares", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         **kwargs,
     )
 
@@ -209,6 +209,35 @@ class TestCheckCommand:
         assert doc["mismatches"] == 0
         assert doc["checked"] == 20000
         assert doc["passed"] is True
+
+    def test_limit_over_budget_is_usage_error(self):
+        proc = run_cli("check", "--limit", "99999999999999999999", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "limit" in proc.stderr
+
+    def test_mismatch_fails_and_names_first(self, tmp_path, monkeypatch):
+        real = cli.mark_segment
+
+        def flip_3000(lo, hi, **kwargs):
+            seg = real(lo, hi, **kwargs)
+            if lo <= 3000 < hi:
+                seg.bits[3000 - lo] = not seg.bits[3000 - lo]
+            return seg
+
+        monkeypatch.setattr(cli, "mark_segment", flip_3000)
+        config = RunConfig(
+            subcommand="check", limit=5000, threshold=None,
+            segment_size=1024, workers=1, checkpoint_path=None,
+            resume=False, output_format="json",
+            output_path=str(tmp_path / "r.json"),
+        )
+        assert run(config) == 1
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc == {
+            "limit": 5000, "checked": 5000, "mismatches": 1,
+            "passed": False, "first_mismatch": 3000,
+        }
 
 
 class TestRunConfigApi:

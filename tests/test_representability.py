@@ -8,6 +8,8 @@ from twosquares import (
     factorize,
     find_witness,
     is_sum_of_two_squares,
+    mark_segment,
+    representable_mask,
 )
 
 from reference import brute_is_sum, trial_factorize
@@ -109,6 +111,81 @@ class TestIsSumOfTwoSquares:
         # 2^62 - 57 is prime and equals 3 mod 4, as is 2^61 - 1
         assert not is_sum_of_two_squares(2**62 - 57)
         assert not is_sum_of_two_squares(2**61 - 1)
+
+
+def prime_3_mod_4_from(n):
+    """Least prime p = 3 (mod 4) with p >= n, found by factoring."""
+    p = n + (3 - n) % 4
+    while factorize(p).factors != ((p, 1),):
+        p += 4
+    return p
+
+
+def prime_power_below(p, j, bound=10**12):
+    """p^i for the largest i <= j with p^i <= bound (p itself at least)."""
+    q = p
+    while j > 1 and q * p <= bound:
+        q, j = q * p, j - 1
+    return q
+
+
+# where the criterion changes: k^2 and its neighbours, p^j for p = 3 (mod 4)
+# (a stride start, and an exponent whose parity flips), and 3 * 2^k (the
+# smallest member of each bad odd-part class); heights up to 10^12
+mask_edges = st.one_of(
+    st.builds(lambda k, d: k * k + d, st.integers(1, 10**6), st.integers(-1, 1)),
+    st.builds(
+        prime_power_below,
+        st.one_of(
+            st.sampled_from([3, 7, 11, 19, 23, 31, 43]),
+            st.integers(1, 10**6).map(prime_3_mod_4_from),
+        ),
+        st.integers(1, 30),
+    ),
+    st.builds(lambda k: 3 << k, st.integers(0, 38)),
+)
+
+
+class TestRepresentableMask:
+    def test_matches_oracle_on_prefix(self):
+        got = representable_mask(1, 200_001).tolist()
+        assert got == [is_sum_of_two_squares(n) for n in range(1, 200_001)]
+
+    def test_every_small_window(self):
+        # lo = 1, hi = lo + 1, and windows too low to sieve any prime
+        expected = [None] + [is_sum_of_two_squares(n) for n in range(1, 64)]
+        for lo in range(1, 64):
+            for hi in range(lo + 1, 65):
+                assert representable_mask(lo, hi).tolist() == expected[lo:hi], (lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge=mask_edges, before=st.integers(0, 40), after=st.integers(0, 40))
+    def test_edge_windows_match_oracle(self, edge, before, after):
+        # the edge can be lo, hi - 1, just past hi, or anywhere inside
+        lo = max(1, edge - before)
+        hi = max(lo + 1, edge + after)
+        got = representable_mask(lo, hi).tolist()
+        assert got == [is_sum_of_two_squares(n) for n in range(lo, hi)]
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 6, 9, 1493, 1508, 999_983, 999_983**2, 2 * 999_983**2,
+         3 * 999_983**2, 3 << 38, 10**12 - 1, 10**12],
+    )
+    def test_single_value_windows(self, n):
+        assert representable_mask(n, n + 1).tolist() == [is_sum_of_two_squares(n)]
+
+    @pytest.mark.parametrize("lo", [10**8, 10**10, 10**12 - 4096])
+    def test_matches_sieve_high_up(self, lo):
+        assert representable_mask(lo, lo + 4096).tolist() == mark_segment(lo, lo + 4096).bits.tolist()
+
+    @pytest.mark.parametrize(
+        "lo,hi,field",
+        [(0, 10, "lo"), (-5, 10, "lo"), (10, 10, "hi"), (10, 5, "hi"), (1, 2**63 + 1, "hi")],
+    )
+    def test_rejects_bad_windows_naming_the_field(self, lo, hi, field):
+        with pytest.raises(ValueError, match=f"representable_mask: {field} must"):
+            representable_mask(lo, hi)
 
 
 class TestFindWitness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import GapPair, factorize, gap_stream, is_sum_of_two_squares, mark_segment
+from twosquares import GapPair, factorize, gap_stream, is_sum_of_two_squares, mark_segment, sieve
 
 from reference import brute_is_sum, brute_membership, brute_pairs
 
@@ -153,6 +153,18 @@ class TestGapStream:
         # so the final pair must stitch across an empty window
         pairs = list(gap_stream(1400, 1500, segment_size=16))
         assert pairs[-1] == GapPair(1493, 1508)
+
+    def test_windows_are_clamped_to_limit(self, monkeypatch):
+        widths = []
+        real = sieve.mark_segment
+
+        def recording(lo, hi, **kwargs):
+            widths.append(hi - lo)
+            return real(lo, hi, **kwargs)
+
+        monkeypatch.setattr(sieve, "mark_segment", recording)
+        assert len(list(gap_stream(0, 10))) == 7
+        assert widths and max(widths) <= 4096
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
