@@ -10,6 +10,7 @@ from .analysis import (
     BudgetError,
     Checkpoint,
     CheckpointError,
+    CheckReport,
     DensityPoint,
     NormalizedGapStats,
     RatioRecord,
@@ -17,6 +18,7 @@ from .analysis import (
     Threshold,
     VerificationReport,
     critical_constant,
+    cross_check,
     density,
     exceeds_threshold,
     gap_records,
@@ -50,6 +52,7 @@ __all__ = [
     "BudgetError",
     "Checkpoint",
     "CheckpointError",
+    "CheckReport",
     "DEFAULT_SEGMENT_SIZE",
     "DensityPoint",
     "Factorization",
@@ -62,6 +65,7 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "critical_constant",
+    "cross_check",
     "density",
     "exceeds_threshold",
     "factorize",

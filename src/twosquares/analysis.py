@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
+from .representability import representable_mask
+from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _read_ahead_windows, _windows, mark_segment
 
 __all__ = [
     "MAX_GAP",
@@ -39,6 +40,7 @@ __all__ = [
     "NormalizedGapStats",
     "Checkpoint",
     "ScanProgress",
+    "CheckReport",
     "ratio_less",
     "exceeds_threshold",
     "critical_constant",
@@ -47,6 +49,7 @@ __all__ = [
     "normalized_gaps",
     "normalized_stats",
     "density",
+    "cross_check",
     "significant",
     "read_checkpoint",
     "write_checkpoint",
@@ -215,6 +218,16 @@ class Checkpoint:
     pairs_scanned: int
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """Sieve membership against the even-exponent criterion on [1, limit]."""
+
+    limit: int
+    checked: int
+    mismatches: int
+    first_mismatch: int | None
+
+
 class ScanProgress(NamedTuple):
     position: int
     limit: int
@@ -252,6 +265,31 @@ def exceeds_threshold(pair: GapPair, t: Threshold) -> bool:
     """
     _check_pair_budget(pair)
     return pair.gap**4 * t.q**4 >= t.p**4 * pair.s
+
+
+def _champion(records: Iterable[tuple[int, int]]) -> RatioRecord | None:
+    """The pair maximizing gap / s^(1/4) over a (gap, s) record table.
+
+    By the monotonicity fact in the module docstring this is also the
+    maximum over every pair the table was built from.  An exact ratio tie
+    keeps the smaller s; None for an empty table.
+    """
+    best = None
+    for gap, s in records:
+        pair = GapPair(s, s + gap)
+        if best is None or ratio_less(best, pair):
+            best = pair
+    return None if best is None else RatioRecord.of(best.s, best.gap)
+
+
+def _first_offender(records: Iterable[tuple[int, int]], t: Threshold) -> GapPair | None:
+    # the first pair exceeding a threshold must have a gap strictly larger
+    # than every earlier gap, so it appears in the record table
+    for gap, s in records:
+        pair = GapPair(s, s + gap)
+        if exceeds_threshold(pair, t):
+            return pair
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -342,54 +380,68 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
 
 @dataclass
 class _ScanState:
+    """The ordered reduce: the record-gap table plus what stitches windows."""
+
     limit: int
     prev: int | None = None
-    champ_s: int = 0
-    champ_gap: int = 0
     records: list[tuple[int, int]] = field(default_factory=list)
     pairs: int = 0
     done: bool = False
 
-    def absorb_pair(self, s: int, gap: int) -> None:
-        if gap > MAX_GAP:
-            raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
-        if self.champ_gap == 0:
-            self.champ_s, self.champ_gap = s, gap
-        elif gap > self.champ_gap and gap**4 * self.champ_s > self.champ_gap**4 * s:
-            # strict comparison: an exact ratio tie keeps the smaller s
-            self.champ_s, self.champ_gap = s, gap
-        if not self.records or gap > self.records[-1][0]:
-            self.records.append((gap, s))
-
     def absorb_summary(self, sm: _Summary) -> None:
         if sm.first is None:
             return
-        if self.prev is not None and 1 <= self.prev <= self.limit:
-            self.absorb_pair(self.prev, sm.first - self.prev)
-        for s, gap in sm.candidates:
-            if 1 <= s <= self.limit:
-                self.absorb_pair(s, gap)
+        head = () if self.prev is None else ((self.prev, sm.first - self.prev),)
+        for s, gap in head + sm.candidates:
+            if not 1 <= s <= self.limit:
+                continue
+            if gap > MAX_GAP:
+                raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
+            if not self.records or gap > self.records[-1][0]:
+                self.records.append((gap, s))
         self.pairs += sm.pair_count
         self.prev = sm.last
         if sm.last > self.limit:
             self.done = True
 
 
-def _run_scan(
-    state: _ScanState,
-    start: int,
+def _scan(
+    limit: int,
     segment_size: int,
     workers: int,
     allow_zero: bool,
+    resume: Checkpoint | None = None,
     after_window: Callable[[int, _ScanState], None] | None = None,
-) -> None:
-    args = ((lo, hi, state.limit, allow_zero) for lo, hi in _windows(start, state.limit, segment_size))
+) -> _ScanState:
+    """Reduce every pair with s <= limit, from 0 or from a checkpoint.
+
+    after_window(position, state) runs after each window is absorbed, with
+    position the first value not yet scanned.
+    """
+    _validate_scan_args(limit, segment_size, workers)
+    state = _ScanState(limit)
+    start = 0
+    if resume is not None:
+        if resume.version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint: version {resume.version} does not match {CHECKPOINT_VERSION}"
+            )
+        if resume.limit != limit:
+            raise CheckpointError(
+                f"checkpoint: limit {resume.limit} does not match requested {limit}"
+            )
+        start = resume.position
+        state.prev = resume.last_representable
+        state.records = list(resume.gap_records)
+        state.pairs = resume.pairs_scanned
+    args = ((lo, hi, limit, allow_zero) for lo, hi in _read_ahead_windows(start, limit, segment_size))
     for sm in _ordered_map(_summarize_window, args, workers):
         state.absorb_summary(sm)
         if after_window is not None:
             after_window(sm.hi, state)
         if state.done:
-            return
+            break
+    return state
 
 
 def _validate_scan_args(limit: int, segment_size: int, workers: int, floor: int = 2) -> None:
@@ -420,10 +472,7 @@ def critical_constant(
     On an exact ratio tie the smaller s wins, so the result does not depend
     on scan order or window size.
     """
-    _validate_scan_args(limit, segment_size, workers)
-    state = _ScanState(limit)
-    _run_scan(state, 0, segment_size, workers, allow_zero)
-    return RatioRecord.of(state.champ_s, state.champ_gap)
+    return _champion(_scan(limit, segment_size, workers, allow_zero).records)
 
 
 def gap_records(
@@ -438,19 +487,7 @@ def gap_records(
     Returned as (gap, first_s), sorted by gap; only gaps strictly larger
     than every earlier gap appear.
     """
-    _validate_scan_args(limit, segment_size, workers)
-    state = _ScanState(limit)
-    _run_scan(state, 0, segment_size, workers, allow_zero)
-    return list(state.records)
-
-
-def _first_offender(records: Sequence[tuple[int, int]], t: Threshold) -> GapPair | None:
-    # the first pair exceeding a threshold must have a gap strictly larger
-    # than every earlier gap, so it appears in the record table
-    for gap, s in records:
-        if gap**4 * t.q**4 >= t.p**4 * s:
-            return GapPair(s, s + gap)
-    return None
+    return _scan(limit, segment_size, workers, allow_zero).records
 
 
 def verify(
@@ -477,36 +514,20 @@ def verify(
     those checkpoints reproduces the uninterrupted report field for field
     (elapsed excepted, since it measures the actual run).
     """
-    _validate_scan_args(limit, segment_size, workers)
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    state = _ScanState(limit)
-    start = 0
-    if checkpoint is not None:
-        if checkpoint.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint: version {checkpoint.version} does not match {CHECKPOINT_VERSION}"
-            )
-        if checkpoint.limit != limit:
-            raise CheckpointError(
-                f"checkpoint: limit {checkpoint.limit} does not match requested {limit}"
-            )
-        start = checkpoint.position
-        state.prev = checkpoint.last_representable
-        state.records = list(checkpoint.gap_records)
-        state.champ_s = checkpoint.current_max.s
-        state.champ_gap = checkpoint.current_max.gap
-        state.pairs = checkpoint.pairs_scanned
-
-    last_ck_pos = start
+    last_ck_pos = 0 if checkpoint is None else checkpoint.position
     last_ck_time = time.perf_counter()
 
     def after_window(position: int, st: _ScanState) -> None:
         nonlocal last_ck_pos, last_ck_time
+        champ = _champion(st.records)
+        if champ is None:
+            return
         if progress is not None:
-            progress(ScanProgress(position, limit, st.pairs, st.champ_s, st.champ_gap))
-        if checkpoint_path is None or st.done or st.champ_gap == 0:
+            progress(ScanProgress(position, limit, st.pairs, champ.s, champ.gap))
+        if checkpoint_path is None or st.done:
             return
         due = position - last_ck_pos >= checkpoint_every
         if not due and checkpoint_seconds is not None:
@@ -517,7 +538,7 @@ def verify(
                 limit=limit,
                 position=position,
                 last_representable=st.prev,
-                current_max=RatioRecord.of(st.champ_s, st.champ_gap),
+                current_max=champ,
                 gap_records=tuple(st.records),
                 pairs_scanned=st.pairs,
             )
@@ -527,11 +548,11 @@ def verify(
             if on_checkpoint is not None:
                 on_checkpoint(cp)
 
-    _run_scan(state, start, segment_size, workers, allow_zero, after_window)
+    state = _scan(limit, segment_size, workers, allow_zero, checkpoint, after_window)
     offender = _first_offender(state.records, threshold)
     return VerificationReport(
         limit=limit,
-        max_record=RatioRecord.of(state.champ_s, state.champ_gap),
+        max_record=_champion(state.records),
         threshold=threshold,
         passed=offender is None,
         pairs_scanned=state.pairs,
@@ -592,18 +613,11 @@ def density(
             raise ValueError(f"density: each point must be an integer >= 2, got {x}")
         if x > MAX_S:
             raise BudgetError(f"density: point {x} exceeds budget {MAX_S}")
-    if segment_size < 2:
-        raise ValueError(f"segment_size: must be >= 2, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers: must be >= 1, got {workers}")
     xs = sorted(set(points))
-    top = xs[-1]
+    _validate_scan_args(xs[-1], segment_size, workers)
     counts: dict[int, int] = {}
     running = 0
-    args = (
-        (lo, min(lo + segment_size, top + 1), tuple(xs), allow_zero)
-        for lo in range(0, top + 1, segment_size)
-    )
+    args = ((lo, hi, tuple(xs), allow_zero) for lo, hi in _windows(0, xs[-1], segment_size))
     for total, partials in _ordered_map(_count_window, args, workers):
         for x, c in partials:
             counts[x] = running + c
@@ -615,6 +629,23 @@ def density(
             normalized = Decimal(counts[x]) * Decimal(x).ln().sqrt() / Decimal(x)
             out.append(DensityPoint(x, counts[x], +normalized))
     return out
+
+
+def cross_check(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> CheckReport:
+    """Compare sieve membership with the even-exponent criterion for every
+    n in [1, limit], one window at a time."""
+    _validate_scan_args(limit, segment_size, 1)
+    mismatches = 0
+    first = None
+    for lo, hi in _windows(0, limit, segment_size):
+        seg = mark_segment(lo, hi)
+        base = max(lo, 1)
+        diffs = np.flatnonzero(seg.bits[base - lo :] != representable_mask(base, hi))
+        if diffs.size:
+            mismatches += int(diffs.size)
+            if first is None:
+                first = int(diffs[0]) + base
+    return CheckReport(limit=limit, checked=limit, mismatches=mismatches, first_mismatch=first)
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +759,14 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 gap, s = int(gap_txt), int(s_txt)
             except ValueError:
                 raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}") from None
-            if gap < 1 or s < 1:
+            if not (1 <= gap <= MAX_GAP and 1 <= s <= MAX_S):
                 raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}")
             if records and (gap <= records[-1][0] or s <= records[-1][1]):
                 raise CheckpointError("checkpoint: gap_records not strictly increasing")
             records.append((gap, s))
-    # the stored maximum must be the exact argmax over the record table
-    best: tuple[int, int] | None = None
-    for gap, s in records:
-        if best is None or (gap > best[1] and gap**4 * best[0] > best[1] ** 4 * s):
-            best = (s, gap)
-    if best != (max_s, max_gap):
+    # the stored maximum is redundant; a disagreement marks a corrupt file
+    best = _champion(records)
+    if best is None or (best.s, best.gap) != (max_s, max_gap):
         raise CheckpointError(
             f"checkpoint: max_s/max_gap inconsistent with gap_records, got {max_s}/{max_gap}"
         )
@@ -747,7 +775,7 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         limit=limit,
         position=position,
         last_representable=last,
-        current_max=RatioRecord.of(max_s, max_gap),
+        current_max=best,
         gap_records=tuple(records),
         pairs_scanned=pairs,
     )

@@ -2,9 +2,12 @@
 
 Subcommands: verify (threshold scan), records (gap record table), density
 (count statistics), check (sieve vs the bulk even-exponent criterion).
-Reports go to stdout or --output-path; progress and diagnostics go to stderr
-only, so the report stream stays byte-deterministic for a given
-configuration.
+Each validates its arguments, calls one library function through the
+analysis module (verify, gap_records, density, cross_check) and serializes
+what it returns; no scanning happens here.  Reports go to stdout or
+--output-path; progress (position, pair count, rate and the current
+maximum-ratio record) and diagnostics go to stderr only, so the report
+stream stays byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
 exceeded, scientifically interesting), 2 usage or configuration error.
@@ -16,20 +19,18 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analysis
 from .analysis import (
-    BudgetError,
     CheckpointError,
+    CheckReport,
     DensityPoint,
     ScanProgress,
     Threshold,
     VerificationReport,
     significant,
 )
-from .representability import find_witness, representable_mask
-from .sieve import DEFAULT_SEGMENT_SIZE, mark_segment
+from .representability import find_witness
+from .sieve import DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
 
@@ -63,14 +64,6 @@ class RecordRow:
     ratio: str
     erdos_norm: str | None
     cramer_norm: str | None
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    limit: int
-    checked: int
-    mismatches: int
-    first_mismatch: int | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +126,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.limit < 2:
         raise ValueError(f"limit: must be >= 2, got {config.limit}")
-    if config.segment_size < 2 or config.segment_size & (config.segment_size - 1):
-        raise ValueError(f"segment-size: must be a power of two >= 2, got {config.segment_size}")
+    size = config.segment_size
+    if not 2 <= size <= DEFAULT_MEMORY_CAP or size & (size - 1):
+        raise ValueError(
+            f"segment-size: must be a power of two in [2, {DEFAULT_MEMORY_CAP}], got {size}"
+        )
     if config.workers < 1 or config.workers > 256:
         raise ValueError(f"workers: must be in [1, 256], got {config.workers}")
     if config.resume and not config.checkpoint_path:
@@ -317,7 +313,7 @@ def _progress_printer():
         sys.stderr.write(
             f"progress: {position:,}/{p.limit:,} scanned, "
             f"{p.pairs_scanned:,} pairs, {rate:.1f} M/s, "
-            f"max gap {p.champion_gap} at s={p.champion_s:,}\n"
+            f"max ratio at s={p.champion_s:,} gap={p.champion_gap}\n"
         )
         sys.stderr.flush()
 
@@ -333,25 +329,6 @@ def _density_points(limit: int) -> list[int]:
     if not points or points[-1] != limit:
         points.append(limit)
     return points
-
-
-def cross_check(limit: int, segment_size: int) -> CheckReport:
-    """Compare sieve membership with the even-exponent criterion for every
-    n in [1, limit], one window at a time."""
-    if limit > analysis.MAX_S:
-        raise BudgetError(f"limit: {limit} exceeds budget {analysis.MAX_S}")
-    mismatches = 0
-    first = None
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        seg = mark_segment(lo, hi)
-        base = max(lo, 1)
-        diffs = np.flatnonzero(seg.bits[base - lo :] != representable_mask(base, hi))
-        if diffs.size:
-            mismatches += int(diffs.size)
-            if first is None:
-                first = int(diffs[0]) + base
-    return CheckReport(limit=limit, checked=limit, mismatches=mismatches, first_mismatch=first)
 
 
 def run(config: RunConfig) -> int:
@@ -401,7 +378,7 @@ def run(config: RunConfig) -> int:
             _write_output(emit_report(points, config.output_format), config.output_path)
             return EXIT_PASS
         if config.subcommand == "check":
-            report = cross_check(config.limit, config.segment_size)
+            report = analysis.cross_check(config.limit, config.segment_size)
             _write_output(emit_report(report, config.output_format), config.output_path)
             return EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
         raise ValueError(f"subcommand: unknown {config.subcommand!r}")

@@ -180,32 +180,11 @@ def factorize(n: int) -> Factorization:
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff n is x^2 + y^2 for nonnegative integers x, y.
 
-    Applies the even-exponent criterion for primes p = 3 (mod 4) directly
-    during trial division, returning False as soon as an odd-power such
-    prime appears.
+    The even-exponent criterion read off factorize(n): every prime
+    p = 3 (mod 4) divides n to an even power.
     """
     _check_positive(n, "is_sum_of_two_squares")
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    d = 3
-    while d <= _TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                e += 1
-                m //= d
-            if d & 3 == 3 and e & 1:
-                return False
-        d += 2
-    if m == 1:
-        return True
-    if d * d > m:
-        return m & 3 != 3
-    for p, e in _split_large(m).items():
-        if p & 3 == 3 and e & 1:
-            return False
-    return True
+    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
 
 
 def _primes_3_mod_4(bound: int) -> list[int]:

@@ -7,6 +7,7 @@ math.isqrt throughout; flooring a floating-point root is never safe once
 x^2 + y^2 approaches 2^53.
 """
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -66,13 +67,7 @@ def _ceil_sqrt(v: int) -> int:
     return math.isqrt(v - 1) + 1
 
 
-def mark_segment(
-    lo: int,
-    hi: int,
-    *,
-    allow_zero: bool = True,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> Segment:
+def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     """Mark every sum of two squares in [lo, hi).
 
     Enumerates by the larger coordinate: every x^2 + y^2 in the window with
@@ -90,9 +85,9 @@ def mark_segment(
         raise ValueError(
             f"mark_segment: need 0 <= lo < hi <= 2**63 - 1, got lo={lo}, hi={hi}"
         )
-    if hi - lo > memory_cap:
+    if hi - lo > DEFAULT_MEMORY_CAP:
         raise ValueError(
-            f"mark_segment: window of {hi - lo} values exceeds memory cap {memory_cap}"
+            f"mark_segment: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
         )
     bits = np.zeros(hi - lo, dtype=bool)
     xmin = 0 if allow_zero else 1
@@ -109,15 +104,17 @@ def mark_segment(
 
 
 def _windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    # clamp to limit + 1 first, then read ahead in small windows until the
-    # consumer has seen a representable value beyond limit and stops
-    lo = start
-    while lo <= limit:
+    """Windows [lo, hi) covering [start, limit], the last one clamped to limit + 1."""
+    for lo in range(start, limit + 1, segment_size):
         yield lo, min(lo + segment_size, limit + 1)
-        lo = min(lo + segment_size, limit + 1)
-    while True:
+
+
+def _read_ahead_windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    # _windows, then small windows past limit until the consumer has seen
+    # the successor of the last pair and stops
+    yield from _windows(start, limit, segment_size)
+    for lo in itertools.count(max(start, limit + 1), _READAHEAD_WINDOW):
         yield lo, lo + _READAHEAD_WINDOW
-        lo += _READAHEAD_WINDOW
 
 
 def gap_stream(
@@ -126,7 +123,6 @@ def gap_stream(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     allow_zero: bool = True,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> Iterator[GapPair]:
     """Yield every GapPair with start <= s <= limit, in increasing s order.
 
@@ -141,10 +137,10 @@ def gap_stream(
     if segment_size < 2:
         raise ValueError(f"gap_stream: segment_size must be >= 2, got {segment_size}")
     prev = None
-    for lo, hi in _windows(start, limit, segment_size):
+    for lo, hi in _read_ahead_windows(start, limit, segment_size):
         if lo >= MAX_VALUE:
             raise ValueError("gap_stream: window ran past 2**63 - 1")
-        seg = mark_segment(lo, min(hi, MAX_VALUE), allow_zero=allow_zero, memory_cap=memory_cap)
+        seg = mark_segment(lo, min(hi, MAX_VALUE), allow_zero=allow_zero)
         for v in seg.values().tolist():
             if prev is not None and prev >= 1:
                 yield GapPair(prev, v)

@@ -14,8 +14,10 @@ from twosquares import (
     CheckpointError,
     GapPair,
     RatioRecord,
+    CheckReport,
     Threshold,
     critical_constant,
+    cross_check,
     density,
     exceeds_threshold,
     gap_records,
@@ -311,6 +313,32 @@ class TestDensity:
         assert a == b
 
 
+class TestCrossCheck:
+    def test_sieve_agrees_with_criterion(self):
+        assert cross_check(5000, 1024) == CheckReport(5000, 5000, 0, None)
+
+    def test_counts_and_names_mismatches(self, monkeypatch):
+        real = analysis.mark_segment
+
+        def flip(lo, hi, **kwargs):
+            seg = real(lo, hi, **kwargs)
+            for n in (2999, 3000, 4500):
+                if lo <= n < hi:
+                    seg.bits[n - lo] = not seg.bits[n - lo]
+            return seg
+
+        monkeypatch.setattr(analysis, "mark_segment", flip)
+        assert cross_check(5000, 1024) == CheckReport(5000, 5000, 3, 2999)
+
+    @pytest.mark.parametrize(
+        "limit, segment_size, field",
+        [(10**12 + 1, 1024, "limit"), (1, 1024, "limit"), (5000, 1, "segment_size")],
+    )
+    def test_rejects_bad_arguments_naming_the_field(self, limit, segment_size, field):
+        with pytest.raises(ValueError, match=field):
+            cross_check(limit, segment_size)
+
+
 class TestCheckpointIO:
     def sample(self):
         return Checkpoint(
@@ -379,6 +407,14 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    def test_over_budget_record_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        text = path.read_text().replace("max_s=1493", "max_s=16109")
+        path.write_text(text.replace("20:16109", "100001:16109").replace("max_gap=15", "max_gap=100001"))
+        with pytest.raises(CheckpointError, match="gap_records"):
+            read_checkpoint(path)
+
     def test_failed_replace_keeps_old_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "state.txt"
         old = self.sample()
@@ -400,6 +436,20 @@ class TestCheckpointIO:
         write_checkpoint(replace(self.sample(), position=3 * 10**6), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
         assert read_checkpoint(path).position == 3 * 10**6
+
+    def test_exact_tie_keeps_the_smaller_s(self, tmp_path):
+        # 2 / 16^(1/4) == 1 / 1^(1/4): the stored maximum must be (1, 1)
+        path = tmp_path / "state.txt"
+        cp = Checkpoint(
+            version=1, limit=100, position=17, last_representable=16,
+            current_max=RatioRecord.of(1, 1), gap_records=((1, 1), (2, 16)),
+            pairs_scanned=11,
+        )
+        write_checkpoint(cp, path)
+        assert read_checkpoint(path) == cp
+        write_checkpoint(replace(cp, current_max=RatioRecord.of(16, 2)), path)
+        with pytest.raises(CheckpointError, match="max"):
+            read_checkpoint(path)
 
     def test_verify_rejects_limit_mismatch(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -439,6 +489,20 @@ class TestVerifyResume:
         resumed = verify(10**5, t, collected[0], segment_size=1 << 12)
         assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert resumed.first_offender == GapPair(1, 2)
+
+    def test_resume_ignores_a_wrong_current_max(self, tmp_path):
+        # the maximum is a function of the record table; the stored one is
+        # only a fault check and must not seed the resumed scan
+        t = Threshold.parse("2414/1000")
+        collected = []
+        base = verify(10**6, t, segment_size=1 << 16,
+                      checkpoint_path=str(tmp_path / "ck.txt"),
+                      checkpoint_every=1 << 17, on_checkpoint=collected.append)
+        assert collected[0].position == 1 << 17
+        cp = replace(collected[0], current_max=RatioRecord.of(1, 1))
+        resumed = verify(10**6, t, cp, segment_size=1 << 16)
+        assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+        assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
     def test_checkpoint_file_is_replayable_from_disk(self, tmp_path):
         t = Threshold.parse("2414/1000")

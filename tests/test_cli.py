@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from twosquares import Threshold, cli, verify
+from twosquares import ScanProgress, Threshold, analysis, cli, verify
 from twosquares.cli import RunConfig, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, timeout=300, **kwargs):
@@ -44,6 +48,7 @@ class TestExitCodes:
             ("records", "--format", "yaml"),
             ("bogus",),
             (),
+            ("verify", "--limit", "2000", "--segment-size", str(2**31)),
         ],
     )
     def test_usage_errors_are_two(self, args):
@@ -55,6 +60,20 @@ class TestExitCodes:
         assert "threshold" in proc.stderr
         proc = run_cli("verify", "--limit", "2000", "--segment-size", "1000")
         assert "segment-size" in proc.stderr
+        proc = run_cli("verify", "--limit", "2000", "--segment-size", str(2**31))
+        assert "segment-size" in proc.stderr
+
+
+def test_progress_line_labels_the_max_ratio_record(monkeypatch, capsys):
+    ticks = iter([0.0, 1.0, 3.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    printer = cli._progress_printer()
+    printer(ScanProgress(1 << 24, 10**8, 1000, 1493, 15))  # under 2 s: silent
+    printer(ScanProgress(1 << 25, 10**8, 2000, 1493, 15))
+    assert capsys.readouterr().err == (
+        "progress: 33,554,432/100,000,000 scanned, 2,000 pairs, 11.2 M/s, "
+        "max ratio at s=1,493 gap=15\n"
+    )
 
 
 class TestVerifyCommand:
@@ -217,7 +236,7 @@ class TestCheckCommand:
         assert "limit" in proc.stderr
 
     def test_mismatch_fails_and_names_first(self, tmp_path, monkeypatch):
-        real = cli.mark_segment
+        real = analysis.mark_segment
 
         def flip_3000(lo, hi, **kwargs):
             seg = real(lo, hi, **kwargs)
@@ -225,7 +244,7 @@ class TestCheckCommand:
                 seg.bits[3000 - lo] = not seg.bits[3000 - lo]
             return seg
 
-        monkeypatch.setattr(cli, "mark_segment", flip_3000)
+        monkeypatch.setattr(analysis, "mark_segment", flip_3000)
         config = RunConfig(
             subcommand="check", limit=5000, threshold=None,
             segment_size=1024, workers=1, checkpoint_path=None,
@@ -258,3 +277,26 @@ class TestRunConfigApi:
             resume=False, output_format="json", output_path=None,
         )
         assert run(config) == 2
+
+
+# Reports written by the parent of the scan-core refactor; the refactor and
+# any later change must reproduce them byte for byte.
+GOLDEN_RUNS = [
+    ("verify_2414", ["verify", "--threshold", "2414/1000"], 0),
+    ("verify_2413", ["verify", "--threshold", "2413/1000"], 1),
+    ("records", ["records"], 0),
+    ("density", ["density"], 0),
+    ("check", ["check"], 0),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
+def test_reports_match_golden(tmp_path, name, argv, code, workers):
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"{name}.{fmt}"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--limit", "1000000", "--format", fmt, "--workers", workers,
+                      "--segment-size", str(1 << 16), "--output-path", str(out)])
+        assert exit_info.value.code == code
+        assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()

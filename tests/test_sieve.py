@@ -60,7 +60,7 @@ class TestMarkSegment:
 
     def test_rejects_windows_over_memory_cap(self):
         with pytest.raises(ValueError, match="memory cap"):
-            mark_segment(0, 1 << 20, memory_cap=1 << 16)
+            mark_segment(0, sieve.DEFAULT_MEMORY_CAP + 1)
 
     def test_zero_is_representable(self):
         assert mark_segment(0, 1).bits[0]
