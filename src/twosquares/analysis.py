@@ -10,6 +10,18 @@ improve on the current maximum ratio, or exceed a fixed threshold earlier
 than any predecessor, if its gap strictly exceeds every earlier gap.  Record
 tracking therefore reduces to the table of first occurrences of record gaps,
 which is also exactly what a resumable checkpoint has to carry.
+
+Each window is summarized without listing its values.  An exact prefix
+maximum runs over a head of the window until its largest gap m reaches a
+floor of at least 15.  Past the head only a gap above m can be a record,
+and such a pair (s, s + g) has g - 1 >= m zero bytes between its ends in
+the bitmap.  A run of L zero bytes covers at least (L - 7) // 8 whole
+aligned 8-byte words, so the pair covers at least k = (m - 7) // 8 >= 1
+zero words of the bitmap viewed as uint64.  Each maximal run of k or more
+zero words is bounded by nonzero words, so it holds exactly one pair, whose
+ends are the last set byte before the run and the first one after it.
+Those pairs, with a running maximum seeded with m, give exactly the
+window's records.
 """
 
 import math
@@ -66,8 +78,11 @@ DEFAULT_CHECKPOINT_EVERY = 1 << 28
 DEFAULT_CHECKPOINT_SECONDS = 30.0
 
 _DISPLAY_DIGITS = 12
-# Gaps per block when screening a window for record candidates
+# Width of the first head chunk of a window summary, in values
 _SUMMARY_BLOCK = 4096
+# The head ends once its largest gap reaches this; at least 15, so that the
+# zero-word screen past the head looks for runs of at least one word
+_SCREEN_FLOOR = 32
 
 
 class BudgetError(ValueError):
@@ -216,6 +231,7 @@ class Checkpoint:
     current_max: RatioRecord
     gap_records: tuple[tuple[int, int], ...]
     pairs_scanned: int
+    allow_zero: bool = True
 
 
 @dataclass(frozen=True)
@@ -309,33 +325,88 @@ class _Summary:
     candidates: tuple[tuple[int, int], ...]
 
 
+def _new_records(s: np.ndarray, gaps: np.ndarray, best: int) -> tuple[list[tuple[int, int]], int]:
+    # the pairs (s, gap) whose gap exceeds best and every earlier gap, in
+    # order, and the largest gap seen
+    running = np.maximum.accumulate(np.concatenate(([best], gaps)))
+    idx = np.flatnonzero(gaps > running[:-1])
+    return list(zip(s[idx].tolist(), gaps[idx].tolist())), int(running[-1])
+
+
+def _last_set(bits: np.ndarray, stop: int, default: int) -> int:
+    # the last set offset in bits[stop:], scanning back from the end in
+    # chunks that double in width; default when there is none
+    end, width = bits.size, 64
+    while end > stop:
+        begin = max(stop, end - width)
+        found = np.flatnonzero(bits[begin:end])
+        if found.size:
+            return begin + int(found[-1])
+        end, width = begin, 2 * width
+    return default
+
+
 def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     lo, hi, limit, allow_zero = args
-    seg = mark_segment(lo, hi, allow_zero=allow_zero)
-    offs = np.flatnonzero(seg.bits)
-    if lo == 0 and offs.size and offs[0] == 0:
-        # 0 is representable but pairs require positive s
-        offs = offs[1:]
-    if offs.size == 0:
-        return _Summary(lo, hi, 0, None, None, ())
-    # offsets are >= 1 when lo == 0, so everything below limit + 1 - lo is a pair
-    pair_count = int(np.searchsorted(offs, min(hi, limit + 1) - lo))
-    gaps = np.diff(offs)
-    # a pair can set any kind of record only if its gap strictly exceeds
-    # every earlier gap in the window, so the candidate list is tiny; only
-    # blocks whose maximum beats every earlier block can hold one
-    block_max = np.maximum.reduceat(gaps, np.arange(0, gaps.size, _SUMMARY_BLOCK))
-    # prior[k]: the largest gap before block k (gaps are >= 1, so 0 for k = 0)
-    prior = np.concatenate(([0], np.maximum.accumulate(block_max)[:-1]))
+    bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+    n = bits.size
+    # 0 is representable but pairs require positive s
+    start = 1 if lo == 0 else 0
+    pair_count = int(np.count_nonzero(bits[start : max(0, limit + 1 - lo)]))
+    # head: the exact prefix maximum over chunks that double in width,
+    # until the largest gap m reaches the screening floor
     candidates: list[tuple[int, int]] = []
-    for k in np.flatnonzero(block_max > prior).tolist():
-        # exact prefix maximum inside the block, seeded with every earlier gap
-        base = k * _SUMMARY_BLOCK
-        g = gaps[base : base + _SUMMARY_BLOCK]
-        running = np.maximum.accumulate(np.concatenate(([prior[k]], g)))
-        idx = np.flatnonzero(g > running[:-1]) + base
-        candidates.extend(zip((offs[idx] + lo).tolist(), gaps[idx].tolist()))
-    return _Summary(lo, hi, pair_count, lo + int(offs[0]), lo + int(offs[-1]), tuple(candidates))
+    first = last = None
+    m, p, width = 0, start, _SUMMARY_BLOCK
+    while p < n and m < _SCREEN_FLOOR:
+        q = min(n, p + width)
+        offs = np.flatnonzero(bits[p:q]) + p
+        if offs.size:
+            if last is None:
+                first = int(offs[0])
+            else:
+                offs = np.concatenate(([last], offs))
+            found, m = _new_records(offs[:-1] + lo, np.diff(offs), m)
+            candidates.extend(found)
+            last = int(offs[-1])
+        p, width = q, 2 * width
+    if first is None:
+        return _Summary(lo, hi, 0, None, None, ())
+    n8 = n & ~7
+    # screen the rest as whole zero words, from the word holding the head's
+    # last value (so the pair leaving the head is seen); word w0 is nonzero
+    w0 = last // 8
+    if p < n and 8 * w0 < n8:
+        k = (m - 7) // 8
+        zero = bits[8 * w0 : n8].view(np.uint64) == 0
+        # run[i]: words i .. i + k - 1 are all zero
+        run = zero[: max(0, zero.size - k + 1)].copy()
+        for j in range(1, k):
+            run &= zero[j : j + run.size]
+        at = np.flatnonzero(run)
+        if at.size:
+            # each maximal run of k or more zero words holds exactly one pair:
+            # the last value before it and the first value after it
+            new = np.concatenate(([True], np.diff(at) > 1))
+            left = at[new] - 1
+            right = at[np.concatenate((new[1:], [True]))] + k
+            words = bits[8 * w0 : n8].reshape(-1, 8)
+            a = 8 * (w0 + left) + 7 - np.argmax(words[left, ::-1], axis=1)
+            inside = right < zero.size
+            b = 8 * (w0 + right[inside]) + np.argmax(words[right[inside]], axis=1)
+            if not inside[-1]:
+                # the last run reaches the ragged tail, which may hold its end
+                tail = np.flatnonzero(bits[n8:])
+                if tail.size:
+                    b = np.append(b, n8 + tail[0])
+                else:
+                    a = a[:-1]
+            # every other pair past the head has gap at most m, so seeding
+            # the running maximum with m keeps the exact window-local records
+            candidates.extend(_new_records(a + lo, b - a, m)[0])
+    if p < n:
+        last = _last_set(bits, p, last)
+    return _Summary(lo, hi, pair_count, lo + first, lo + last, tuple(candidates))
 
 
 def _count_window(args: tuple[int, int, tuple[int, ...], bool]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -429,6 +500,10 @@ def _scan(
         if resume.limit != limit:
             raise CheckpointError(
                 f"checkpoint: limit {resume.limit} does not match requested {limit}"
+            )
+        if resume.allow_zero != allow_zero:
+            raise CheckpointError(
+                f"checkpoint: allow_zero {resume.allow_zero} does not match requested {allow_zero}"
             )
         start = resume.position
         state.prev = resume.last_representable
@@ -541,6 +616,7 @@ def verify(
                 current_max=champ,
                 gap_records=tuple(st.records),
                 pairs_scanned=st.pairs,
+                allow_zero=allow_zero,
             )
             write_checkpoint(cp, checkpoint_path)
             last_ck_pos = position
@@ -661,6 +737,7 @@ _CHECKPOINT_KEYS = (
     "max_gap",
     "gap_records",
     "pairs_scanned",
+    "allow_zero",
 )
 
 
@@ -682,6 +759,7 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         f"max_gap={cp.current_max.gap}",
         f"gap_records={records}",
         f"pairs_scanned={cp.pairs_scanned}",
+        f"allow_zero={int(cp.allow_zero)}",
     ]
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -723,6 +801,9 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         if key in fields:
             raise CheckpointError(f"checkpoint: duplicate field {key!r}")
         fields[key] = value.strip()
+    # files written before allow_zero was recorded come from scans that
+    # allowed zero summands
+    fields.setdefault("allow_zero", "1")
     missing = [k for k in _CHECKPOINT_KEYS if k not in fields]
     if missing:
         raise CheckpointError(f"checkpoint: missing fields {missing}")
@@ -742,6 +823,10 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     max_s = as_int("max_s")
     max_gap = as_int("max_gap")
     pairs = as_int("pairs_scanned")
+    if fields["allow_zero"] not in ("0", "1"):
+        raise CheckpointError(
+            f"checkpoint: field 'allow_zero' must be 0 or 1, got {fields['allow_zero']!r}"
+        )
     if limit < 2 or position < 0 or pairs < 0 or max_s < 1 or max_gap < 1 or last < 1:
         raise CheckpointError("checkpoint: field out of range")
     if last >= position:
@@ -778,4 +863,5 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         current_max=best,
         gap_records=tuple(records),
         pairs_scanned=pairs,
+        allow_zero=fields["allow_zero"] == "1",
     )

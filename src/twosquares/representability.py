@@ -31,9 +31,6 @@ _TRIAL_LIMIT = 10_000
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Gaps between consecutive integers coprime to 30, starting from 7.
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -55,6 +52,18 @@ class Witness:
 
     x: int
     y: int
+
+
+def _odd_primes(bound: int) -> np.ndarray:
+    """Odd primes p <= bound, ascending."""
+    composite = np.zeros(bound + 1, dtype=bool)
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if not composite[p]:
+            composite[p * p :: 2 * p] = True
+    return np.flatnonzero(~composite[3::2]) * 2 + 3
+
+
+_TRIAL_PRIMES = (2, *_odd_primes(_TRIAL_LIMIT - 1).tolist())
 
 
 def _check_positive(n, op: str) -> None:
@@ -144,33 +153,27 @@ def _split_large(m: int) -> dict[int, int]:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n; empty factor list for n = 1.
 
-    Trial division by 2, 3, 5 and a mod-30 wheel up to 10^4, then
-    deterministic Miller-Rabin and Brent rho for any remaining cofactor, so
-    arbitrary 64-bit inputs complete quickly.  Pure function, no caches.
+    Trial division by the primes below 10^4, then deterministic
+    Miller-Rabin and Brent rho for any remaining cofactor, so arbitrary
+    64-bit inputs complete quickly.  Pure function, no caches.
     """
     _check_positive(n, "factorize")
     m = n
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 e += 1
                 m //= p
             counts[p] = e
-    d, i = 7, 0
-    while d <= _TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                e += 1
-                m //= d
-            counts[d] = e
-        d += _WHEEL[i]
-        i = (i + 1) & 7
     if m > 1:
-        if d * d > m:
-            counts[m] = counts.get(m, 0) + 1
+        # m has no prime factor among the primes tried, and m < p^2 if the
+        # loop stopped early, so a cofactor below _TRIAL_LIMIT^2 is prime
+        if m < _TRIAL_LIMIT**2:
+            counts[m] = 1
         else:
             for p, e in _split_large(m).items():
                 counts[p] = counts.get(p, 0) + e
@@ -185,15 +188,6 @@ def is_sum_of_two_squares(n: int) -> bool:
     """
     _check_positive(n, "is_sum_of_two_squares")
     return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
-
-
-def _primes_3_mod_4(bound: int) -> list[int]:
-    """Primes p = 3 (mod 4) with p <= bound, ascending."""
-    composite = np.zeros(bound + 1, dtype=bool)
-    for p in range(3, math.isqrt(bound) + 1, 2):
-        if not composite[p]:
-            composite[p * p :: 2 * p] = True
-    return (np.flatnonzero(~composite[3::4]) * 4 + 3).tolist()
 
 
 def representable_mask(lo: int, hi: int) -> np.ndarray:
@@ -220,7 +214,8 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
     # n < 2^63 has 20 distinct prime factors
     width = hi - lo
     count = np.zeros(width, dtype=np.int8)
-    for p in _primes_3_mod_4(math.isqrt(hi - 1)):
+    primes = _odd_primes(math.isqrt(hi - 1))
+    for p in primes[primes % 4 == 3].tolist():
         q, step = p, 1
         while q < hi:
             first = -lo % q

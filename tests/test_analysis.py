@@ -2,6 +2,7 @@ import os
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from twosquares import (
 
 from twosquares import analysis
 from twosquares.analysis import _Summary, _summarize_window
-from twosquares.sieve import mark_segment
+from twosquares.sieve import Segment, mark_segment
 
 from reference import brute_champion, brute_count, brute_records, ratio_fraction
 
@@ -451,6 +452,29 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="max"):
             read_checkpoint(path)
 
+    def test_allow_zero_roundtrip(self, tmp_path):
+        path = tmp_path / "state.txt"
+        for allow_zero in (True, False):
+            cp = replace(self.sample(), allow_zero=allow_zero)
+            write_checkpoint(cp, path)
+            assert f"allow_zero={int(allow_zero)}\n" in path.read_text()
+            assert read_checkpoint(path) == cp
+
+    def test_missing_allow_zero_reads_as_allowed(self, tmp_path):
+        # files written before the field existed came from allow_zero=True scans
+        path = tmp_path / "state.txt"
+        write_checkpoint(replace(self.sample(), allow_zero=False), path)
+        path.write_text(path.read_text().replace("allow_zero=0\n", ""))
+        assert read_checkpoint(path) == self.sample()
+
+    @pytest.mark.parametrize("value", ["2", "true", "", "-1"])
+    def test_bad_allow_zero_rejected(self, tmp_path, value):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        path.write_text(path.read_text().replace("allow_zero=1", f"allow_zero={value}"))
+        with pytest.raises(CheckpointError, match="allow_zero"):
+            read_checkpoint(path)
+
     def test_verify_rejects_limit_mismatch(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
@@ -504,6 +528,22 @@ class TestVerifyResume:
         assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
+    def test_resume_refuses_another_allow_zero(self, tmp_path):
+        # resuming an allow_zero=True scan without zero summands used to
+        # report (1493, 15) with 23926 pairs; a fresh run gives (2, 3), 23874
+        t = Threshold.parse("2414/1000")
+        for written in (True, False):
+            collected = []
+            base = verify(10**5, t, segment_size=2**12, allow_zero=written,
+                          checkpoint_path=str(tmp_path / "ck.txt"),
+                          checkpoint_every=2**14, on_checkpoint=collected.append)
+            with pytest.raises(CheckpointError, match="allow_zero"):
+                verify(10**5, t, collected[0], segment_size=2**12, allow_zero=not written)
+            resumed = verify(10**5, t, read_checkpoint(tmp_path / "ck.txt"),
+                             segment_size=2**12, allow_zero=written)
+            assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+        assert (base.max_record.s, base.max_record.gap, base.pairs_scanned) == (2, 3, 23874)
+
     def test_checkpoint_file_is_replayable_from_disk(self, tmp_path):
         t = Threshold.parse("2414/1000")
         path = tmp_path / "ck.txt"
@@ -534,7 +574,11 @@ class TestSignificant:
 
 def naive_summary(lo, hi, limit, allow_zero):
     """The window digest from the full value list and a full prefix maximum."""
-    bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+    return naive_summary_of(lo, mark_segment(lo, hi, allow_zero=allow_zero).bits, limit)
+
+
+def naive_summary_of(lo, bits, limit):
+    hi = lo + bits.size
     vals = [lo + int(i) for i in np.flatnonzero(bits) if lo + int(i) >= 1]
     if not vals:
         return _Summary(lo, hi, 0, None, None, ())
@@ -627,3 +671,132 @@ class TestSummarizeWindow:
         finally:
             analysis._SUMMARY_BLOCK = saved
         assert got == naive_summary(*args)
+
+
+def full_summary_of(lo, bits, limit):
+    """naive_summary_of with numpy in place of its Python loops, for 2^24 windows."""
+    vals = np.flatnonzero(bits) + lo
+    vals = vals[vals >= 1]
+    if not vals.size:
+        return _Summary(lo, lo + bits.size, 0, None, None, ())
+    gaps = np.diff(vals)
+    best = np.maximum.accumulate(np.concatenate(([0], gaps)))
+    idx = np.flatnonzero(gaps > best[:-1])
+    return _Summary(
+        lo, lo + bits.size, int(np.count_nonzero(vals <= limit)), int(vals[0]), int(vals[-1]),
+        tuple(zip(vals[idx].tolist(), gaps[idx].tolist())),
+    )
+
+
+def summarize_bits(lo, bits, limit, floor=None, block=None):
+    """_summarize_window over a given bitmap, optionally with a lower
+    screening floor or a narrower first head chunk (None keeps the
+    module's value); the bitmap must come back unchanged."""
+    seg = Segment(lo, lo + bits.size, bits)
+    before = bits.copy()
+
+    def fake(a, b, allow_zero=True):
+        assert (a, b) == (seg.lo, seg.hi)
+        return seg
+
+    with mock.patch.object(analysis, "mark_segment", fake), \
+            mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
+            mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK):
+        got = _summarize_window((seg.lo, seg.hi, limit, True))
+    assert np.array_equal(bits, before)
+    return got
+
+
+def bitmap(width, offsets):
+    bits = np.zeros(width, dtype=bool)
+    bits[list(offsets)] = True
+    return bits
+
+
+class TestSummaryScreen:
+    """The zero-word screen past the head of each window.
+
+    A lower screening floor (15 is the least allowed) or a one-value first
+    head chunk makes the screen run on small windows and low heights.
+    """
+
+    @pytest.mark.parametrize("floor", [15, 22, 23, 32])
+    def test_long_gaps_at_every_residue_mod_8(self, floor):
+        # the head ends at the gap of exactly floor; gaps of 2 then run past
+        # its last chunk, and one long gap follows, starting at every residue
+        # mod 8 with every length from floor - 1 to floor + 17, its end at
+        # the window's end or inside the ragged tail, or past the window
+        prefix = [1, 1 + floor] + list(range(3 + floor, 4 * floor + 8, 2))
+        for r in range(8):
+            a = prefix[-1] + 1 + (r - prefix[-1] - 1) % 8
+            for gap in range(floor - 1, floor + 18):
+                b = a + gap
+                lo = 0 if gap % 2 else 10**12 - 2**20
+                ends = [(b + 1 + extra, [*range(b, b + 1 + extra, 3)]) for extra in range(10)]
+                ends += [(b - cut, []) for cut in (0, 1, 7, 8, 9)]
+                for width, tail in ends:
+                    bits = bitmap(width, prefix + [a] + tail)
+                    for limit in (lo + a, lo + width + 5):
+                        got = summarize_bits(lo, bits, limit, floor=floor, block=1)
+                        assert got == naive_summary_of(lo, bits, limit), (r, gap, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.integers(min_value=0, max_value=10**12),
+        lead=st.integers(min_value=0, max_value=40),
+        gaps=st.lists(st.one_of(st.integers(1, 12), st.integers(13, 130)), max_size=200),
+        trail=st.integers(min_value=0, max_value=140),
+        limit_at=st.integers(min_value=-5, max_value=30000),
+        floor=st.integers(min_value=15, max_value=64),
+        block=st.sampled_from([1, 2, 7, 64]),
+    )
+    def test_synthetic_bitmaps_match_naive(self, lo, lead, gaps, trail, limit_at, floor, block):
+        offsets = np.cumsum([lead] + gaps)
+        bits = bitmap(int(offsets[-1]) + 1 + trail, offsets.tolist())
+        limit = max(2, lo + limit_at)
+        got = summarize_bits(lo, bits, limit, floor=floor, block=block)
+        assert got == naive_summary_of(lo, bits, limit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lo=st.integers(min_value=0, max_value=12).flatmap(lambda e: st.integers(0, 10**e)),
+        span=st.integers(min_value=1, max_value=20000),
+        limit_offset=st.integers(min_value=-100, max_value=25000),
+        allow_zero=st.booleans(),
+        floor=st.sampled_from([15, 22, 23, None]),
+        block=st.sampled_from([1, 5, None]),
+    )
+    def test_sieve_windows_up_to_budget_match_naive(
+        self, lo, span, limit_offset, allow_zero, floor, block
+    ):
+        hi = min(lo + span, 10**12 + 1)
+        bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+        limit = max(2, lo + limit_offset)
+        got = summarize_bits(lo, bits, limit, floor=floor, block=block)
+        assert got == naive_summary_of(lo, bits, limit)
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @pytest.mark.parametrize("lo", [0, 1493, 10**8 - 3, 10**10 + 1])
+    @pytest.mark.parametrize("span", [2, 3, 5, 7, 9, 15, 17, 4097, 40001])
+    def test_short_ragged_and_past_limit_windows(self, lo, span, allow_zero):
+        # the CLI accepts --segment-size 2; windows past limit are read-ahead
+        bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
+        for limit in (max(2, lo - 1), lo + span // 2, lo + span + 1):
+            got = summarize_bits(lo, bits, limit, floor=15, block=1)
+            assert got == naive_summary(lo, lo + span, limit, allow_zero)
+
+    def test_full_reference_matches_naive(self):
+        for lo, hi in [(0, 40000), (10**8, 10**8 + 40000)]:
+            bits = mark_segment(lo, hi).bits
+            assert full_summary_of(lo, bits, lo + 20000) == naive_summary_of(lo, bits, lo + 20000)
+
+    @pytest.mark.parametrize(
+        "lo, hi, limit, allow_zero",
+        [(lo, min(lo + 2**24, 10**8 + 1), 10**8, True) for lo in range(0, 10**8 + 1, 2**24)]
+        + [(10**8 + 1, 10**8 + 4097, 10**8, True), (0, 2**24, 10**8, False),
+           (10**10, 10**10 + 2**24, 10**12, True), (10**12 - 2**24, 10**12, 10**12, True)],
+    )
+    def test_full_windows_match_reference(self, lo, hi, limit, allow_zero):
+        # the seven windows of the 10^8 scan, and full windows higher up
+        bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
+        assert summarize_bits(lo, bits, limit) == full_summary_of(lo, bits, limit)

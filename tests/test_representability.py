@@ -34,6 +34,15 @@ class TestFactorize:
         for n in range(1, 3000):
             assert factorize(n).factors == tuple(trial_factorize(n))
 
+    @pytest.mark.parametrize(
+        "n",
+        [9973, 10007, 9973**2, 9973 * 10007, 10007**2, 10007 * 10009, 99999989,
+         10**8, 10**8 + 7, 2 * 10007**2, 3**2 * 9973**3, 9967 * 9973 * 10007],
+    )
+    def test_matches_plain_trial_division_at_the_trial_limit(self, n):
+        # 9973 is the last trial prime and 10007 the first prime past it
+        assert factorize(n).factors == tuple(trial_factorize(n))
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):
         f = factorize(n)
