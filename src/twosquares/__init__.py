@@ -4,82 +4,60 @@ The package decides representability through the classical even-exponent
 criterion, enumerates x^2 + y^2 over segmented windows, and tracks the
 critical ratio gap / s^(1/4) between consecutive representable integers
 with exact integer arithmetic.
+
+The public names load on first use, so `import twosquares` imports neither
+numpy nor any submodule, and `python -m twosquares` reaches `__main__`
+before numpy starts.
 """
 
-from .analysis import (
-    BudgetError,
-    Checkpoint,
-    CheckpointError,
-    CheckReport,
-    DensityPoint,
-    NormalizedGapStats,
-    RatioRecord,
-    ScanProgress,
-    Threshold,
-    VerificationReport,
-    critical_constant,
-    cross_check,
-    density,
-    exceeds_threshold,
-    gap_records,
-    normalized_gaps,
-    normalized_stats,
-    ratio_less,
-    read_checkpoint,
-    significant,
-    verify,
-    write_checkpoint,
-)
-from .representability import (
-    Factorization,
-    Witness,
-    factorize,
-    find_witness,
-    is_sum_of_two_squares,
-    representable_mask,
-)
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    GapPair,
-    Segment,
-    gap_stream,
-    mark_segment,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "Checkpoint",
-    "CheckpointError",
-    "CheckReport",
-    "DEFAULT_SEGMENT_SIZE",
-    "DensityPoint",
-    "Factorization",
-    "GapPair",
-    "NormalizedGapStats",
-    "RatioRecord",
-    "ScanProgress",
-    "Segment",
-    "Threshold",
-    "VerificationReport",
-    "Witness",
-    "critical_constant",
-    "cross_check",
-    "density",
-    "exceeds_threshold",
-    "factorize",
-    "find_witness",
-    "gap_records",
-    "gap_stream",
-    "is_sum_of_two_squares",
-    "mark_segment",
-    "normalized_gaps",
-    "normalized_stats",
-    "ratio_less",
-    "read_checkpoint",
-    "representable_mask",
-    "significant",
-    "verify",
-    "write_checkpoint",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "BudgetError": "analysis",
+    "Checkpoint": "analysis",
+    "CheckpointError": "analysis",
+    "CheckReport": "analysis",
+    "DensityPoint": "analysis",
+    "NormalizedGapStats": "analysis",
+    "RatioRecord": "analysis",
+    "ScanProgress": "analysis",
+    "Threshold": "analysis",
+    "VerificationReport": "analysis",
+    "critical_constant": "analysis",
+    "cross_check": "analysis",
+    "density": "analysis",
+    "exceeds_threshold": "analysis",
+    "gap_records": "analysis",
+    "normalized_stats": "analysis",
+    "ratio_less": "analysis",
+    "read_checkpoint": "analysis",
+    "significant": "analysis",
+    "verify": "analysis",
+    "write_checkpoint": "analysis",
+    "Factorization": "representability",
+    "Witness": "representability",
+    "factorize": "representability",
+    "find_witness": "representability",
+    "is_sum_of_two_squares": "representability",
+    "representable_mask": "representability",
+    "DEFAULT_SEGMENT_SIZE": "sieve",
+    "GapPair": "sieve",
+    "Segment": "sieve",
+    "gap_stream": "sieve",
+    "mark_segment": "sieve",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS.values():  # `twosquares.sieve` without importing it first
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

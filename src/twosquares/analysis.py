@@ -58,7 +58,6 @@ __all__ = [
     "critical_constant",
     "verify",
     "gap_records",
-    "normalized_gaps",
     "normalized_stats",
     "density",
     "cross_check",
@@ -519,9 +518,9 @@ def _scan(
     return state
 
 
-def _validate_scan_args(limit: int, segment_size: int, workers: int, floor: int = 2) -> None:
-    if not isinstance(limit, int) or limit < floor:
-        raise ValueError(f"limit: must be an integer >= {floor}, got {limit}")
+def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
+    if not isinstance(limit, int) or limit < 2:
+        raise ValueError(f"limit: must be an integer >= 2, got {limit}")
     if limit > MAX_S:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
     if segment_size < 2:
@@ -585,7 +584,8 @@ def verify(
     the report then names the first such pair.  The maximum-ratio record is
     reported either way.  When checkpoint_path is set, a checkpoint is
     written atomically every checkpoint_every scanned integers or
-    checkpoint_seconds seconds, whichever comes first.  Resuming from one of
+    checkpoint_seconds seconds, whichever comes first; a failed write raises
+    CheckpointError naming checkpoint-path.  Resuming from one of
     those checkpoints reproduces the uninterrupted report field for field
     (elapsed excepted, since it measures the actual run).
     """
@@ -618,7 +618,12 @@ def verify(
                 pairs_scanned=st.pairs,
                 allow_zero=allow_zero,
             )
-            write_checkpoint(cp, checkpoint_path)
+            try:
+                write_checkpoint(cp, checkpoint_path)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
+                ) from exc
             last_ck_pos = position
             last_ck_time = time.perf_counter()
             if on_checkpoint is not None:
@@ -654,20 +659,6 @@ def normalized_stats(records: Iterable[tuple[int, int]]) -> list[NormalizedGapSt
             cramer = Decimal(gap) / (ln_s * ln_s)
             out.append(NormalizedGapStats(s, gap, +erdos, +cramer))
     return out
-
-
-def normalized_gaps(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-    allow_zero: bool = True,
-) -> list[NormalizedGapStats]:
-    """Normalizations of every record gap with 16 <= s <= limit."""
-    _validate_scan_args(limit, segment_size, workers, floor=16)
-    return normalized_stats(
-        gap_records(limit, segment_size=segment_size, workers=workers, allow_zero=allow_zero)
-    )
 
 
 def density(

@@ -15,6 +15,7 @@ exceeded, scientifically interesting), 2 usage or configuration error.
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -135,6 +136,22 @@ def _validate(config: RunConfig) -> None:
         raise ValueError(f"workers: must be in [1, 256], got {config.workers}")
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume: requires --checkpoint-path")
+    # Checked before any scanning.  The report is opened in place, so an
+    # existing file (such as /dev/null) need only be writable; a checkpoint is
+    # renamed into place, so its directory must be writable.
+    for field, path in (("output-path", config.output_path),
+                        ("checkpoint-path", config.checkpoint_path)):
+        if path is None:
+            continue
+        if not path or os.path.isdir(path):
+            raise ValueError(f"{field}: {path!r} is empty or a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if field == "output-path" and os.path.exists(path):
+            writable = os.access(path, os.W_OK)
+        else:
+            writable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+        if not writable:
+            raise ValueError(f"{field}: {path} is not writable or its directory does not exist")
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +408,12 @@ def _write_output(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
         sys.stdout.flush()
-    else:
+        return
+    try:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"output-path: cannot write {output_path}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> None:

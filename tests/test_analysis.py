@@ -22,7 +22,6 @@ from twosquares import (
     density,
     exceeds_threshold,
     gap_records,
-    normalized_gaps,
     normalized_stats,
     ratio_less,
     read_checkpoint,
@@ -247,23 +246,19 @@ class TestGapRecords:
 
 class TestNormalizedGaps:
     def test_cutoff_excludes_small_s(self):
-        stats = normalized_gaps(30)
+        stats = normalized_stats(gap_records(30))
         assert [st.s for st in stats] == [20]
 
     def test_values_at_20(self):
-        (st20,) = normalized_gaps(30)
+        (st20,) = normalized_stats(gap_records(30))
         assert st20.gap == 5
         assert significant(st20.erdos_norm) == "1.74826663499"
         assert significant(st20.cramer_norm) == "0.557139574257"
 
     def test_values_at_1493(self):
-        stats = {st.s: st for st in normalized_gaps(2000)}
+        stats = {st.s: st for st in normalized_stats(gap_records(2000))}
         assert significant(stats[1493].cramer_norm) == "0.280821057295"
         assert significant(stats[1493].erdos_norm) == "2.89456062434"
-
-    def test_rejects_below_16(self):
-        with pytest.raises(ValueError):
-            normalized_gaps(15)
 
     def test_stats_only_for_records(self):
         records = gap_records(2000)

@@ -1,8 +1,10 @@
 """Black-box tests of the command line interface via subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,6 +51,8 @@ class TestExitCodes:
             ("bogus",),
             (),
             ("verify", "--limit", "2000", "--segment-size", str(2**31)),
+            ("check", "--limit", "100", "--output-path", "/no/such/dir/out.json"),
+            ("verify", "--limit", "300000000", "--checkpoint-path", "/no/such/dir/ck"),
         ],
     )
     def test_usage_errors_are_two(self, args):
@@ -62,6 +66,53 @@ class TestExitCodes:
         assert "segment-size" in proc.stderr
         proc = run_cli("verify", "--limit", "2000", "--segment-size", str(2**31))
         assert "segment-size" in proc.stderr
+        # unwritable paths are refused before any scanning
+        proc = run_cli("check", "--limit", "100", "--output-path", "/no/such/dir/out.json")
+        assert "output-path" in proc.stderr and "Traceback" not in proc.stderr
+        proc = run_cli("verify", "--limit", "300000000", "--checkpoint-path", "/no/such/dir/ck",
+                       timeout=60)
+        assert "checkpoint-path" in proc.stderr and "Traceback" not in proc.stderr
+        proc = run_cli("check", "--limit", "100", "--output-path", ".")
+        assert "output-path" in proc.stderr
+
+    @pytest.mark.parametrize("subcommand, field", [("check", "output-path"),
+                                                   ("verify", "checkpoint-path")])
+    def test_unwritable_paths_fail_before_scanning(self, subcommand, field, monkeypatch, capsys):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking the paths")
+
+        monkeypatch.setattr(analysis, "verify", no_scan)
+        monkeypatch.setattr(analysis, "cross_check", no_scan)
+        config = RunConfig(
+            subcommand=subcommand, limit=10**5, threshold="2414/1000",
+            segment_size=1 << 12, workers=1, resume=False, output_format="json",
+            checkpoint_path="/no/such/dir/ck" if field == "checkpoint-path" else None,
+            output_path="/no/such/dir/out.json" if field == "output-path" else None,
+        )
+        assert run(config) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_report_write_is_two(self):
+        proc = run_cli("check", "--limit", "100", "--output-path", "/dev/full")
+        assert proc.returncode == 2
+        assert "output-path" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_failed_checkpoint_write_is_two(self, tmp_path, monkeypatch, capsys):
+        def disk_full(cp, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(analysis, "verify", partial(verify, checkpoint_every=1 << 12))
+        monkeypatch.setattr(analysis, "write_checkpoint", disk_full)
+        config = RunConfig(
+            subcommand="verify", limit=10**5, threshold="2414/1000",
+            segment_size=1 << 12, workers=1, checkpoint_path=str(tmp_path / "ck"),
+            resume=False, output_format="json", output_path=None,
+        )
+        assert run(config) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checkpoint-path" in captured.err and "No space left" in captured.err
 
 
 def test_progress_line_labels_the_max_ratio_record(monkeypatch, capsys):
