@@ -127,6 +127,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.limit < 2:
         raise ValueError(f"limit: must be >= 2, got {config.limit}")
+    if config.limit > analysis.MAX_S:
+        raise analysis.BudgetError(
+            f"limit: {config.limit} exceeds exact-comparison budget {analysis.MAX_S}"
+        )
     size = config.segment_size
     if not 2 <= size <= DEFAULT_MEMORY_CAP or size & (size - 1):
         raise ValueError(

@@ -53,6 +53,7 @@ class TestExitCodes:
             ("verify", "--limit", "2000", "--segment-size", str(2**31)),
             ("check", "--limit", "100", "--output-path", "/no/such/dir/out.json"),
             ("verify", "--limit", "300000000", "--checkpoint-path", "/no/such/dir/ck"),
+            ("density", "--limit", str(10**12 + 1)),
         ],
     )
     def test_usage_errors_are_two(self, args):
@@ -74,6 +75,9 @@ class TestExitCodes:
         assert "checkpoint-path" in proc.stderr and "Traceback" not in proc.stderr
         proc = run_cli("check", "--limit", "100", "--output-path", ".")
         assert "output-path" in proc.stderr
+        # every subcommand names the field of an over-budget limit, before any work
+        proc = run_cli("density", "--limit", str(10**12 + 1))
+        assert "limit:" in proc.stderr
 
     @pytest.mark.parametrize("subcommand, field", [("check", "output-path"),
                                                    ("verify", "checkpoint-path")])

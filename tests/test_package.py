@@ -1,9 +1,11 @@
-"""The package's lazy exports and the BLAS thread pin at the CLI entry point."""
+"""The package's lazy exports, and the BLAS thread pin and frozen start-up heap
+at the CLI entry point."""
 
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,46 @@ def test_entry_point_process_has_one_thread():
         "print(status.split('Threads:')[1].split()[0])\n"
     )
     assert run_python(code, OPENBLAS_NUM_THREADS="4") == ["1", "1"]
+
+
+def test_entry_point_freezes_the_import_heap():
+    code = (
+        "import gc, twosquares.__main__\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > len(gc.get_objects()))\n"
+    )
+    assert run_python(code) == ["True", "True"]
+
+
+def test_library_import_freezes_nothing():
+    code = (
+        "import gc, twosquares, twosquares.cli, twosquares.analysis\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    assert run_python(code) == ["True", "0"]
+
+
+def test_collector_still_frees_cycles_after_the_entry_import():
+    code = (
+        "import gc, weakref, twosquares.__main__\n"
+        "class Node:\n"
+        "    pass\n"
+        "node = Node()\n"
+        "node.self = node\n"
+        "ref = weakref.ref(node)\n"
+        "del node\n"
+        "gc.collect()\n"
+        "print(ref() is None)\n"
+    )
+    assert run_python(code) == ["True"]
+
+
+def test_entry_point_report_with_forked_workers_matches_golden():
+    proc = subprocess.run(
+        [sys.executable, "-m", "twosquares", "verify", "--threshold", "2413/1000",
+         "--limit", "1000000", "--workers", "2", "--segment-size", "65536", "--format", "json"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    golden = Path(__file__).parent / "golden" / "verify_2413.json"
+    assert proc.stdout == golden.read_bytes()
