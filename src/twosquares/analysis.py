@@ -14,14 +14,14 @@ which is also exactly what a resumable checkpoint has to carry.
 Each window is summarized without listing its values.  An exact prefix
 maximum runs over a head of the window until its largest gap m reaches a
 floor of at least 15.  Past the head only a gap above m can be a record,
-and such a pair (s, s + g) has g - 1 >= m zero bytes between its ends in
-the bitmap.  A run of L zero bytes covers at least (L - 7) // 8 whole
-aligned 8-byte words, so the pair covers at least k = (m - 7) // 8 >= 1
-zero words of the bitmap viewed as uint64.  Each maximal run of k or more
-zero words is bounded by nonzero words, so it holds exactly one pair, whose
-ends are the last set byte before the run and the first one after it.
-Those pairs, with a running maximum seeded with m, give exactly the
-window's records.
+and such a pair (s, s + g) inside the window has g - 1 >= m unset bits
+between its ends in the window's bitmap, one bit per value.  A run of L
+unset bits covers at least (L - 7) // 8 whole aligned bytes of 8 values, so
+the pair covers at least k = (m - 7) // 8 >= 1 zero bytes.  Each maximal
+run of k or more zero bytes is bounded by nonzero bytes, or ends the
+window, and in the first case it holds exactly one pair, whose ends are the
+last set bit before the run and the first one after it.  Those pairs, with
+a running maximum seeded with m, give exactly the window's records.
 """
 
 import math
@@ -37,7 +37,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .representability import representable_mask
-from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _read_ahead_windows, _windows, mark_segment
+from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
+    GapPair,
+    _count_set,
+    _read_ahead_windows,
+    _set_offsets,
+    _windows,
+    mark_segment,
+)
 
 __all__ = [
     "MAX_GAP",
@@ -80,8 +88,11 @@ _DISPLAY_DIGITS = 12
 # Width of the first head chunk of a window summary, in values
 _SUMMARY_BLOCK = 4096
 # The head ends once its largest gap reaches this; at least 15, so that the
-# zero-word screen past the head looks for runs of at least one word
+# zero-byte screen past the head looks for runs of at least one byte
 _SCREEN_FLOOR = 32
+# Bit offset of the lowest and of the highest set bit of each nonzero byte
+_LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
+_HIGH_BIT = np.array([b.bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
 class BudgetError(ValueError):
@@ -332,26 +343,26 @@ def _new_records(s: np.ndarray, gaps: np.ndarray, best: int) -> tuple[list[tuple
     return list(zip(s[idx].tolist(), gaps[idx].tolist())), int(running[-1])
 
 
-def _last_set(bits: np.ndarray, stop: int, default: int) -> int:
-    # the last set offset in bits[stop:], scanning back from the end in
-    # chunks that double in width; default when there is none
-    end, width = bits.size, 64
-    while end > stop:
-        begin = max(stop, end - width)
-        found = np.flatnonzero(bits[begin:end])
+def _last_set(packed: np.ndarray) -> int:
+    # the offset of the last set bit of a bitmap that has one, scanning back
+    # from the end in chunks that double in width
+    end, width = packed.size, 8
+    while True:
+        begin = max(0, end - width)
+        found = np.flatnonzero(packed[begin:end])
         if found.size:
-            return begin + int(found[-1])
+            i = begin + int(found[-1])
+            return 8 * i + int(_HIGH_BIT[packed[i]])
         end, width = begin, 2 * width
-    return default
 
 
 def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     lo, hi, limit, allow_zero = args
-    bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
-    n = bits.size
+    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
+    n = hi - lo
     # 0 is representable but pairs require positive s
     start = 1 if lo == 0 else 0
-    pair_count = int(np.count_nonzero(bits[start : max(0, limit + 1 - lo)]))
+    pair_count = _count_set(packed, start, min(n, limit + 1 - lo))
     # head: the exact prefix maximum over chunks that double in width,
     # until the largest gap m reaches the screening floor
     candidates: list[tuple[int, int]] = []
@@ -359,7 +370,7 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     m, p, width = 0, start, _SUMMARY_BLOCK
     while p < n and m < _SCREEN_FLOOR:
         q = min(n, p + width)
-        offs = np.flatnonzero(bits[p:q]) + p
+        offs = _set_offsets(packed, p, q)
         if offs.size:
             if last is None:
                 first = int(offs[0])
@@ -371,50 +382,42 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
         p, width = q, 2 * width
     if first is None:
         return _Summary(lo, hi, 0, None, None, ())
-    n8 = n & ~7
-    # screen the rest as whole zero words, from the word holding the head's
-    # last value (so the pair leaving the head is seen); word w0 is nonzero
-    w0 = last // 8
-    if p < n and 8 * w0 < n8:
+    if p < n:
+        # screen the rest as zero bytes, from the byte holding the head's last
+        # value (so the pair leaving the head is seen); byte w0 is nonzero
+        w0 = last >> 3
         k = (m - 7) // 8
-        zero = bits[8 * w0 : n8].view(np.uint64) == 0
-        # run[i]: words i .. i + k - 1 are all zero
+        zero = packed[w0:] == 0
+        # run[i]: bytes w0 + i .. w0 + i + k - 1 are all zero
         run = zero[: max(0, zero.size - k + 1)].copy()
         for j in range(1, k):
             run &= zero[j : j + run.size]
         at = np.flatnonzero(run)
         if at.size:
-            # each maximal run of k or more zero words holds exactly one pair:
-            # the last value before it and the first value after it
+            # each maximal run of k or more zero bytes that ends inside the
+            # window holds exactly one pair: the last value before it and the
+            # first value after it; a run that ends the window (the last
+            # byte's pad bits are 0) leads to a later window
             new = np.concatenate(([True], np.diff(at) > 1))
-            left = at[new] - 1
-            right = at[np.concatenate((new[1:], [True]))] + k
-            words = bits[8 * w0 : n8].reshape(-1, 8)
-            a = 8 * (w0 + left) + 7 - np.argmax(words[left, ::-1], axis=1)
-            inside = right < zero.size
-            b = 8 * (w0 + right[inside]) + np.argmax(words[right[inside]], axis=1)
-            if not inside[-1]:
-                # the last run reaches the ragged tail, which may hold its end
-                tail = np.flatnonzero(bits[n8:])
-                if tail.size:
-                    b = np.append(b, n8 + tail[0])
-                else:
-                    a = a[:-1]
+            left = w0 + at[new] - 1
+            right = w0 + at[np.concatenate((new[1:], [True]))] + k
+            if right[-1] == packed.size:
+                left, right = left[:-1], right[:-1]
+            a = 8 * left + _HIGH_BIT[packed[left]]
+            b = 8 * right + _LOW_BIT[packed[right]]
             # every other pair past the head has gap at most m, so seeding
             # the running maximum with m keeps the exact window-local records
             candidates.extend(_new_records(a + lo, b - a, m)[0])
-    if p < n:
-        last = _last_set(bits, p, last)
-    return _Summary(lo, hi, pair_count, lo + first, lo + last, tuple(candidates))
+    return _Summary(lo, hi, pair_count, lo + first, lo + _last_set(packed), tuple(candidates))
 
 
 def _count_window(args: tuple[int, int, tuple[int, ...], bool]) -> tuple[int, tuple[tuple[int, int], ...]]:
     lo, hi, points, allow_zero = args
-    seg = mark_segment(lo, hi, allow_zero=allow_zero)
+    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
     base = max(lo, 1) - lo
-    total = int(np.count_nonzero(seg.bits[base:]))
+    total = _count_set(packed, base, hi - lo)
     partials = tuple(
-        (x, int(np.count_nonzero(seg.bits[base : x + 1 - lo])))
+        (x, _count_set(packed, base, x + 1 - lo))
         for x in points
         if lo <= x < hi
     )
@@ -705,13 +708,18 @@ def cross_check(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> CheckRe
     mismatches = 0
     first = None
     for lo, hi in _windows(0, limit, segment_size):
-        seg = mark_segment(lo, hi)
+        packed = mark_segment(lo, hi).packed
         base = max(lo, 1)
-        diffs = np.flatnonzero(seg.bits[base - lo :] != representable_mask(base, hi))
-        if diffs.size:
-            mismatches += int(diffs.size)
+        # the sieve's own bit stands in for 0, which lies outside [1, limit]
+        own = np.unpackbits(packed[:1], count=base - lo, bitorder="little").view(np.bool_)
+        want = np.packbits(np.concatenate((own, representable_mask(base, hi))), bitorder="little")
+        diff = packed ^ want
+        wrong = np.flatnonzero(diff)
+        if wrong.size:
+            mismatches += int(np.bitwise_count(diff[wrong]).sum())
             if first is None:
-                first = int(diffs[0]) + base
+                i = int(wrong[0])
+                first = lo + 8 * i + int(_LOW_BIT[diff[i]])
     return CheckReport(limit=limit, checked=limit, mismatches=mismatches, first_mismatch=first)
 
 

@@ -1,10 +1,14 @@
 """Segmented enumeration of sums of two squares.
 
-Marks every value x^2 + y^2 inside a half-open window by walking lattice
-rows y with x <= y, then stitches windows into an ordered stream of
-consecutive representable pairs.  Integer square roots come from
-math.isqrt throughout; flooring a floating-point root is never safe once
-x^2 + y^2 approaches 2^53.
+Marks every value x^2 + y^2 inside a half-open window into a bitmap of one
+bit per value, walking the window in blocks of _BLOCK values with every
+lattice row y (x <= y) at once, then stitches windows into an ordered stream
+of consecutive representable pairs.  Integer square roots of whole arrays
+come from a float64 estimate that _isqrt corrects to the exact value with
+one -1 step; its docstring proves that the estimate is never low and at
+most one high, and that no int64 product overflows, for every argument in
+[0, 2^63).  The float estimate alone is not safe once x^2 + y^2 approaches
+2^53.
 """
 
 import itertools
@@ -26,7 +30,8 @@ __all__ = [
 
 DEFAULT_SEGMENT_SIZE = 1 << 24
 
-# Cap on the per-window bitmap, in bitmap entries (one byte each).
+# Cap on the window width, in values; the bitmap holds one bit per value,
+# 128 MB at the cap.
 DEFAULT_MEMORY_CAP = 1 << 30
 
 MAX_VALUE = 2**63 - 1
@@ -34,18 +39,56 @@ MAX_VALUE = 2**63 - 1
 # Width of the windows that read past limit for the successor of the last pair
 _READAHEAD_WINDOW = 4096
 
+# Values per marking block, a multiple of 8: the reused one-byte-per-value
+# block (512 KB) stays in a 2 MB L2 cache while the block's lattice points
+# are scattered into it.
+_BLOCK = 1 << 19
+# Lattice points expanded at a time, in whole rows: a row has at most
+# sqrt(_BLOCK) + 1 points in a block, so each group's int64 temporaries hold
+# fewer than _CHUNK + 726 entries (about 140 KB).
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Segment:
-    """Membership bitmap for the window [lo, hi)."""
+    """Membership bitmap for the window [lo, hi), one bit per value.
+
+    Bit i % 8 of byte i // 8 of packed (numpy's little bit order) is set
+    exactly when lo + i is a sum of two squares; the pad bits of the last
+    byte are 0.
+    """
 
     lo: int
     hi: int
-    bits: np.ndarray
+    packed: np.ndarray
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The bitmap unpacked to one bool per value, as a new array."""
+        return np.unpackbits(self.packed, count=self.hi - self.lo, bitorder="little").view(np.bool_)
 
     def values(self) -> np.ndarray:
         """Representable values in the window, ascending int64."""
-        return np.flatnonzero(self.bits).astype(np.int64) + self.lo
+        return _set_offsets(self.packed, 0, self.hi - self.lo) + self.lo
+
+
+def _set_offsets(packed: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Offsets i with p <= i < q whose bit is set in packed, ascending int64."""
+    b = p >> 3
+    bits = np.unpackbits(packed[b : (q + 7) >> 3], bitorder="little")[p - 8 * b : q - 8 * b]
+    return np.flatnonzero(bits) + p
+
+
+def _count_set(packed: np.ndarray, p: int, q: int) -> int:
+    """Number of offsets i with p <= i < q whose bit is set in packed."""
+    if q <= p:
+        return 0
+    a, b = p >> 3, (q - 1) >> 3
+    # whole bytes a..b, less the bits below p and above q - 1
+    total = int(np.bitwise_count(packed[a : b + 1]).sum())
+    total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
+    total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,17 +110,60 @@ def _ceil_sqrt(v: int) -> int:
     return math.isqrt(v - 1) + 1
 
 
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) for an int64 array with every entry in [0, 2^63).
+
+    Exact for every such entry.  Let k = isqrt(v), so k < 2^32.  The
+    conversion to float64 and np.sqrt each round to nearest, and truncation
+    then gives s = floor(fl(sqrt(fl(v)))).  s is k or k + 1:
+
+    s <= k + 1.  Each rounding has relative error at most 2^-53, so the
+    float root lies within sqrt(v) * 2^-52 < 2^31.5 * 2^-52 < 1 of
+    sqrt(v) < k + 1.
+
+    s >= k.  Both roundings are monotone, so the float root is at least
+    fl(sqrt(fl(k^2))), which is k.  If fl(k^2) >= k^2 its root is at least
+    k.  Otherwise k^2 > 2^53 and k is no power of 2: with 2^E < k < 2^(E+1),
+    the float below k is k - u, u = 2^(E-52), and fl(k^2) = k^2 - d with
+    0 < d <= half an ulp of k^2, that is d <= 2^(2E-53) when
+    k^2 < 2^(2E+1) and d <= 2^(2E-52) otherwise.  Since k u > 2^(2E-52) in
+    the first case and k u >= 2^(2E-51.5) in the second, d < k u - u^2/4,
+    so sqrt(k^2 - d) > k - u/2, which rounds to k or above.
+
+    One -1 step where s^2 > v therefore returns k.  No int64 product
+    overflows: v < 2^63 rounds to at most 2^63 as a float, whose root
+    3037000499.97... rounds below 3037000500, so s <= 3037000499 and
+    s^2 < 2^63.
+    """
+    s = np.sqrt(v).astype(np.int64)
+    s -= s * s > v
+    return s
+
+
+def _x_below(e: int, y2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # per row, the number of x >= 0 with x^2 + y^2 < e: ceil(sqrt(e - y^2)),
+    # or 0 where y^2 >= e; y2 ascends, so the rows with y^2 < e are a prefix
+    r = int(np.searchsorted(y2, e))
+    out[r:] = 0
+    v = np.subtract(e - 1, y2[:r], out=out[:r])
+    np.add(_isqrt(v), 1, out=v)
+    return out
+
+
 def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     """Mark every sum of two squares in [lo, hi).
 
     Enumerates by the larger coordinate: every x^2 + y^2 in the window with
     x <= y has lo/2 <= y^2 < hi, so rows run from ceil(sqrt(ceil(lo/2))) to
-    isqrt(hi - 1).  Row y marks the run of x <= y with lo <= x^2 + y^2 < hi,
-    which is one scatter of a shared table of x^2 - lo shifted by y^2.  At
-    high windows that is about 0.29 sqrt(hi) rows against the 0.71 sqrt(hi)
-    columns x <= sqrt(hi/2).  Marking is idempotent, so values with several
-    representations are harmless.  With allow_zero=False both summands must
-    be at least 1.
+    isqrt(hi - 1).  The window is cut into blocks of _BLOCK values.  At each
+    block edge e the count of x with x^2 + y^2 < e comes for every row at
+    once from _isqrt, so row y's run in the block [b0, b1) is x from its
+    count at b0 to its count at b1, capped at y.  The runs expand with
+    np.repeat into offsets y^2 + x^2 - b0, in groups of whole rows of about
+    _CHUNK points, and each group is scattered into a reused byte block that
+    np.packbits then packs into the window's bitmap.  Marking is idempotent,
+    so values with several representations are harmless.  With
+    allow_zero=False both summands must be at least 1.
     """
     if not isinstance(lo, int) or not isinstance(hi, int):
         raise ValueError("mark_segment: lo and hi must be integers")
@@ -89,18 +175,37 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
         raise ValueError(
             f"mark_segment: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
         )
-    bits = np.zeros(hi - lo, dtype=bool)
     xmin = 0 if allow_zero else 1
-    # x <= y forces 2 x^2 <= hi - 1; x^2 - lo fits int64 since lo < 2^63
-    xs = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
-    xsq = xs * xs - lo
-    for y in range(max(xmin, _ceil_sqrt(-(-lo // 2))), math.isqrt(hi - 1) + 1):
-        y2 = y * y
-        x0 = max(xmin, _ceil_sqrt(lo - y2))
-        x1 = min(y, math.isqrt(hi - 1 - y2))
-        if x0 <= x1:
-            bits[xsq[x0 : x1 + 1] + y2] = True
-    return Segment(lo, hi, bits)
+    ys = np.arange(max(xmin, _ceil_sqrt(-(-lo // 2))), math.isqrt(hi - 1) + 1, dtype=np.int64)
+    y2 = ys * ys
+    ys += 1  # x <= y: every run ends before y + 1
+    packed = np.empty((hi - lo + 7) // 8, dtype=np.uint8)
+    block = np.empty(min(hi - lo, _BLOCK), dtype=np.bool_)
+    # row by row, the least x >= xmin in the block and the least x past it
+    x_lo, x_hi = np.empty_like(y2), np.empty_like(y2)
+    np.maximum(_x_below(lo, y2, x_lo), xmin, out=x_lo)
+    for b0 in range(lo, hi, _BLOCK):
+        b1 = min(b0 + _BLOCK, hi)
+        _x_below(b1, y2, x_hi)
+        runs = np.minimum(x_hi, ys)
+        runs -= x_lo
+        rows = np.flatnonzero(runs > 0)
+        runs = runs[rows]
+        cells = block[: b1 - b0]
+        cells[:] = False
+        cuts = np.searchsorted(np.cumsum(runs), np.arange(_CHUNK, runs.sum(), _CHUNK))
+        for r0, r1 in itertools.pairwise([0, *cuts.tolist(), rows.size]):
+            sel, n = rows[r0:r1], runs[r0:r1]
+            # x for every lattice point, row by row, then its offset in the block
+            x = np.repeat(x_lo[sel] - (np.cumsum(n) - n), n)
+            x += np.arange(x.size)
+            x *= x
+            x += np.repeat(y2[sel] - b0, n)
+            cells[x] = True
+        packed[(b0 - lo) >> 3 : (b1 - lo + 7) >> 3] = np.packbits(cells, bitorder="little")
+        np.maximum(x_hi, xmin, out=x_hi)
+        x_lo, x_hi = x_hi, x_lo
+    return Segment(lo, hi, packed)
 
 
 def _windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:

@@ -320,7 +320,7 @@ class TestCrossCheck:
             seg = real(lo, hi, **kwargs)
             for n in (2999, 3000, 4500):
                 if lo <= n < hi:
-                    seg.bits[n - lo] = not seg.bits[n - lo]
+                    seg.packed[(n - lo) >> 3] ^= 1 << ((n - lo) & 7)
             return seg
 
         monkeypatch.setattr(analysis, "mark_segment", flip)
@@ -687,8 +687,8 @@ def summarize_bits(lo, bits, limit, floor=None, block=None):
     """_summarize_window over a given bitmap, optionally with a lower
     screening floor or a narrower first head chunk (None keeps the
     module's value); the bitmap must come back unchanged."""
-    seg = Segment(lo, lo + bits.size, bits)
-    before = bits.copy()
+    seg = Segment(lo, lo + bits.size, np.packbits(bits, bitorder="little"))
+    before = seg.packed.copy()
 
     def fake(a, b, allow_zero=True):
         assert (a, b) == (seg.lo, seg.hi)
@@ -698,7 +698,7 @@ def summarize_bits(lo, bits, limit, floor=None, block=None):
             mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
             mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK):
         got = _summarize_window((seg.lo, seg.hi, limit, True))
-    assert np.array_equal(bits, before)
+    assert np.array_equal(seg.packed, before)
     return got
 
 

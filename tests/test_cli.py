@@ -296,7 +296,7 @@ class TestCheckCommand:
         def flip_3000(lo, hi, **kwargs):
             seg = real(lo, hi, **kwargs)
             if lo <= 3000 < hi:
-                seg.bits[3000 - lo] = not seg.bits[3000 - lo]
+                seg.packed[(3000 - lo) >> 3] ^= 1 << ((3000 - lo) & 7)
             return seg
 
         monkeypatch.setattr(analysis, "mark_segment", flip_3000)

@@ -9,6 +9,8 @@ from twosquares import GapPair, factorize, gap_stream, is_sum_of_two_squares, ma
 
 from reference import brute_is_sum, brute_membership, brute_pairs
 
+ISQRT_MAX = math.isqrt(2**63 - 1)  # 3037000499
+
 
 def set_values(lo, hi, **kwargs):
     return mark_segment(lo, hi, **kwargs).values().tolist()
@@ -36,6 +38,67 @@ square_edges = st.builds(
     st.sampled_from([1, 2]),
     st.integers(-1, 1),
 )
+
+
+def square_forms(ks):
+    """k^2, k^2 +- 1, 2k^2 and 2k^2 +- 1 for each k, kept in [0, 2^63)."""
+    vals = {f * k * k + d for k in ks for f in (1, 2) for d in (-1, 0, 1)}
+    return sorted(v for v in vals if 0 <= v < 2**63)
+
+
+class TestIsqrt:
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            range(0, 3001),
+            range(3001, 10**6 + 1, 97),
+            range(2**26 - 2000, 2**26 + 2000),  # k^2 near 2^52
+            range(math.isqrt(2**51) - 2000, math.isqrt(2**51) + 2000),  # 2k^2 near 2^52
+            range(ISQRT_MAX - 3000, ISQRT_MAX + 2),  # k^2 near 2^63
+            range(math.isqrt(2**62) - 3000, math.isqrt(2**62) + 2),  # 2k^2 near 2^63
+        ],
+    )
+    def test_matches_math_isqrt_at_square_edges(self, ks):
+        vals = square_forms(ks)
+        expected = [math.isqrt(v) for v in vals]
+        got = sieve._isqrt(np.array(vals, dtype=np.int64))
+        assert got.tolist() == expected
+        # the float estimate is never low and at most one high, which is
+        # why one -1 step is the whole correction
+        estimate = np.sqrt(np.array(vals, dtype=np.int64)).astype(np.int64)
+        assert np.all((estimate - expected >= 0) & (estimate - expected <= 1))
+
+    def test_float_estimate_alone_is_not_exact(self):
+        # the -1 step is needed: near 2^52 and 2^63 the rounded float root of
+        # k^2 - 1 is k
+        vals = square_forms([2**26 + 1, ISQRT_MAX])
+        estimate = np.sqrt(np.array(vals, dtype=np.int64)).astype(np.int64).tolist()
+        assert estimate != [math.isqrt(v) for v in vals]
+        assert sieve._isqrt(np.array(vals, dtype=np.int64)).tolist() == [math.isqrt(v) for v in vals]
+
+    def test_extremes(self):
+        vals = [0, 1, 2, 3, 4, 2**52, 2**53 + 1, 2**62, 2**63 - 2, 2**63 - 1]
+        assert sieve._isqrt(np.array(vals, dtype=np.int64)).tolist() == [math.isqrt(v) for v in vals]
+
+
+class TestPackedBitmap:
+    def test_count_and_offsets_match_unpacked(self):
+        rng = np.random.default_rng(20261018)
+        for width in (1, 7, 8, 9, 23, 64, 70):
+            bits = rng.random(width) < 0.4
+            packed = np.packbits(bits, bitorder="little")
+            for p in range(width + 1):
+                for q in range(p, width + 1):
+                    assert sieve._count_set(packed, p, q) == int(np.count_nonzero(bits[p:q]))
+                    assert sieve._set_offsets(packed, p, q).tolist() == (np.flatnonzero(bits[p:q]) + p).tolist()
+
+    def test_bits_and_values_derive_from_packed(self):
+        # bit i % 8 of byte i // 8 stands for 20 + i; 26 values, so 6 pad bits
+        values = [20, 25, 26, 29, 32, 34, 36, 37, 40, 41, 45]
+        seg = mark_segment(20, 46)
+        assert seg.packed.tolist() == [0b01100001, 0b01010010, 0b00110011, 0b00000010]
+        assert seg.bits.tolist() == [n in values for n in range(20, 46)]
+        assert seg.values().tolist() == values
 
 
 class TestMarkSegment:
@@ -113,6 +176,27 @@ class TestMarkSegment:
             lo = max(0, hi - span)
         bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
         assert bits.tolist() == [oracle(n, allow_zero) for n in range(lo, hi)]
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.integers(0, 10**5), width=st.integers(1, 300))
+    def test_unaligned_windows_match_reference(self, allow_zero, lo, width):
+        # lo and width off multiples of 8, so the last packed byte is padded
+        lo, width = lo | 1, width | 1
+        seg = mark_segment(lo, lo + width, allow_zero=allow_zero)
+        assert seg.packed.size == (width + 7) // 8
+        assert seg.bits.tolist() == [brute_is_sum(n, allow_zero) for n in range(lo, lo + width)]
+        assert int(seg.packed[-1]) >> ((width - 1) % 8 + 1) == 0
+
+    @pytest.mark.parametrize("block", [8, 24, 1 << 10])
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_windows_across_block_edges_match_reference(self, monkeypatch, block, allow_zero):
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        table = brute_membership(5000, allow_zero)
+        for lo, hi in [(0, 5001), (3, 4999), (1493, 1798), (4001, 4002), (17, 4090)]:
+            seg = mark_segment(lo, hi, allow_zero=allow_zero)
+            assert seg.bits.tolist() == [bool(t) for t in table[lo:hi]]
+            assert int(seg.packed[-1]) >> ((hi - lo - 1) % 8 + 1) == 0
 
     def test_completeness_counts(self):
         # set bits in [0, x] against the brute count, 0 included
