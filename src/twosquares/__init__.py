@@ -46,7 +46,6 @@ _EXPORTS = {
     "DEFAULT_SEGMENT_SIZE": "sieve",
     "GapPair": "sieve",
     "Segment": "sieve",
-    "gap_stream": "sieve",
     "mark_segment": "sieve",
 }
 

@@ -411,19 +411,6 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     return _Summary(lo, hi, pair_count, lo + first, lo + _last_set(packed), tuple(candidates))
 
 
-def _count_window(args: tuple[int, int, tuple[int, ...], bool]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    lo, hi, points, allow_zero = args
-    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
-    base = max(lo, 1) - lo
-    total = _count_set(packed, base, hi - lo)
-    partials = tuple(
-        (x, _count_set(packed, base, x + 1 - lo))
-        for x in points
-        if lo <= x < hi
-    )
-    return total, partials
-
-
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
     """Apply fn across args in order, optionally through a process pool.
 
@@ -485,11 +472,14 @@ def _scan(
     allow_zero: bool,
     resume: Checkpoint | None = None,
     after_window: Callable[[int, _ScanState], None] | None = None,
+    cuts: Iterable[int] = (),
 ) -> _ScanState:
     """Reduce every pair with s <= limit, from 0 or from a checkpoint.
 
     after_window(position, state) runs after each window is absorbed, with
-    position the first value not yet scanned.
+    position the first value not yet scanned; a window ends at x + 1 for
+    each x in cuts, so there state.pairs counts the representable s in
+    [1, x].
     """
     _validate_scan_args(limit, segment_size, workers)
     state = _ScanState(limit)
@@ -511,7 +501,8 @@ def _scan(
         state.prev = resume.last_representable
         state.records = list(resume.gap_records)
         state.pairs = resume.pairs_scanned
-    args = ((lo, hi, limit, allow_zero) for lo, hi in _read_ahead_windows(start, limit, segment_size))
+    windows = _read_ahead_windows(start, limit, segment_size, cuts)
+    args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm in _ordered_map(_summarize_window, args, workers):
         state.absorb_summary(sm)
         if after_window is not None:
@@ -673,8 +664,11 @@ def density(
 ) -> list[DensityPoint]:
     """Exact counts R(x) of representable n in [1, x], with normalization.
 
-    The normalized value is count * sqrt(ln x) / x.  Points are returned in
-    ascending order, deduplicated.
+    The counts come from one scan to the largest point whose windows are
+    also cut after each point: R(x) is the scan's cumulative pair count read
+    where a window ends at x + 1.  The normalized value is
+    count * sqrt(ln x) / x.  Points are returned in ascending order,
+    deduplicated.
     """
     if not points:
         raise ValueError("density: need at least one point")
@@ -684,20 +678,19 @@ def density(
         if x > MAX_S:
             raise BudgetError(f"density: point {x} exceeds budget {MAX_S}")
     xs = sorted(set(points))
-    _validate_scan_args(xs[-1], segment_size, workers)
-    counts: dict[int, int] = {}
-    running = 0
-    args = ((lo, hi, tuple(xs), allow_zero) for lo, hi in _windows(0, xs[-1], segment_size))
-    for total, partials in _ordered_map(_count_window, args, workers):
-        for x, c in partials:
-            counts[x] = running + c
-        running += total
+    counts = dict.fromkeys(xs)
+
+    def after_window(position: int, st: _ScanState) -> None:
+        if position - 1 in counts:
+            counts[position - 1] = st.pairs
+
+    _scan(xs[-1], segment_size, workers, allow_zero, after_window=after_window, cuts=xs)
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for x in xs:
-            normalized = Decimal(counts[x]) * Decimal(x).ln().sqrt() / Decimal(x)
-            out.append(DensityPoint(x, counts[x], +normalized))
+        for x, count in counts.items():
+            normalized = Decimal(count) * Decimal(x).ln().sqrt() / Decimal(x)
+            out.append(DensityPoint(x, count, +normalized))
     return out
 
 

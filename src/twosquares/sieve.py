@@ -2,18 +2,18 @@
 
 Marks every value x^2 + y^2 inside a half-open window into a bitmap of one
 bit per value, walking the window in blocks of _BLOCK values with every
-lattice row y (x <= y) at once, then stitches windows into an ordered stream
-of consecutive representable pairs.  Integer square roots of whole arrays
-come from a float64 estimate that _isqrt corrects to the exact value with
+lattice row y (x <= y) at once.  Integer square roots of whole arrays come
+from a float64 estimate that _isqrt corrects to the exact value with
 one -1 step; its docstring proves that the estimate is never low and at
 most one high, and that no int64 product overflows, for every argument in
 [0, 2^63).  The float estimate alone is not safe once x^2 + y^2 approaches
 2^53.
 """
 
+import heapq
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "Segment",
     "GapPair",
     "mark_segment",
-    "gap_stream",
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 24
@@ -66,10 +65,6 @@ class Segment:
     def bits(self) -> np.ndarray:
         """The bitmap unpacked to one bool per value, as a new array."""
         return np.unpackbits(self.packed, count=self.hi - self.lo, bitorder="little").view(np.bool_)
-
-    def values(self) -> np.ndarray:
-        """Representable values in the window, ascending int64."""
-        return _set_offsets(self.packed, 0, self.hi - self.lo) + self.lo
 
 
 def _set_offsets(packed: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -208,47 +203,29 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     return Segment(lo, hi, packed)
 
 
-def _windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """Windows [lo, hi) covering [start, limit], the last one clamped to limit + 1."""
-    for lo in range(start, limit + 1, segment_size):
-        yield lo, min(lo + segment_size, limit + 1)
+def _windows(
+    start: int, limit: int, segment_size: int, cuts: Iterable[int] = ()
+) -> Iterator[tuple[int, int]]:
+    """Windows [lo, hi) covering [start, limit], the last one clamped to limit + 1.
+
+    Windows step by segment_size from start, and each cut x in [start, limit]
+    also ends one at x + 1.  The cut edges merge into the stepped ones one at
+    a time, so the iterator stays lazy however many windows there are.
+    """
+    cut_edges = sorted(x + 1 for x in cuts if start <= x < limit)
+    steps = range(start + segment_size, limit + 1, segment_size)
+    lo = start
+    for hi in heapq.merge(steps, cut_edges, (limit + 1,)):
+        if hi > lo:
+            yield lo, hi
+            lo = hi
 
 
-def _read_ahead_windows(start: int, limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
+def _read_ahead_windows(
+    start: int, limit: int, segment_size: int, cuts: Iterable[int] = ()
+) -> Iterator[tuple[int, int]]:
     # _windows, then small windows past limit until the consumer has seen
     # the successor of the last pair and stops
-    yield from _windows(start, limit, segment_size)
+    yield from _windows(start, limit, segment_size, cuts)
     for lo in itertools.count(max(start, limit + 1), _READAHEAD_WINDOW):
         yield lo, lo + _READAHEAD_WINDOW
-
-
-def gap_stream(
-    start: int,
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    allow_zero: bool = True,
-) -> Iterator[GapPair]:
-    """Yield every GapPair with start <= s <= limit, in increasing s order.
-
-    The final pair may have s_next beyond limit; the stream reads ahead in
-    small windows until that successor appears.  Windows with no set bits
-    simply carry the pending predecessor forward.
-    """
-    if start < 0:
-        raise ValueError(f"gap_stream: start must be >= 0, got {start}")
-    if start >= limit:
-        raise ValueError(f"gap_stream: need start < limit, got {start} >= {limit}")
-    if segment_size < 2:
-        raise ValueError(f"gap_stream: segment_size must be >= 2, got {segment_size}")
-    prev = None
-    for lo, hi in _read_ahead_windows(start, limit, segment_size):
-        if lo >= MAX_VALUE:
-            raise ValueError("gap_stream: window ran past 2**63 - 1")
-        seg = mark_segment(lo, min(hi, MAX_VALUE), allow_zero=allow_zero)
-        for v in seg.values().tolist():
-            if prev is not None and prev >= 1:
-                yield GapPair(prev, v)
-            prev = v
-            if prev > limit:
-                return

@@ -225,8 +225,13 @@ def test_criterion_8_zero_summand_convention_robustness():
         assert (5, 20) in strict_records
         assert (15, 1493) in strict_records
 
+        # consecutive strict values, 200 past 10^6 for the last successor
+        values = np.flatnonzero(ts.mark_segment(0, 10**6 + 200, allow_zero=False).bits).tolist()
         champ = None
-        for pair in ts.gap_stream(5, 10**6, allow_zero=False):
+        for s, s_next in zip(values, values[1:]):
+            if not 5 <= s <= 10**6:
+                continue
+            pair = ts.GapPair(s, s_next)
             if champ is None or ts.ratio_less(champ, pair):
                 champ = pair
         assert (champ.s, champ.gap) == (1493, 15)

@@ -34,7 +34,10 @@ from twosquares import analysis
 from twosquares.analysis import _Summary, _summarize_window
 from twosquares.sieve import Segment, mark_segment
 
-from reference import brute_champion, brute_count, brute_records, ratio_fraction
+from reference import brute_champion, brute_count, brute_pairs, brute_records, ratio_fraction
+
+# stitching across windows narrower than the read-ahead, empty ones included
+SEGMENT_SIZES = [2, 16, 1 << 10, 1 << 20]
 
 RECORDS_TO_2000 = [
     (1, 1), (2, 2), (3, 5), (5, 20), (6, 74), (7, 90),
@@ -44,6 +47,19 @@ RECORDS_TO_2000 = [
 
 def pair(s, gap):
     return GapPair(s, s + gap)
+
+
+def record_windows(monkeypatch):
+    """List every (lo, hi) the scan marks from now on; single worker only."""
+    windows = []
+    real = analysis.mark_segment
+
+    def recording(lo, hi, **kwargs):
+        windows.append((lo, hi))
+        return real(lo, hi, **kwargs)
+
+    monkeypatch.setattr(analysis, "mark_segment", recording)
+    return windows
 
 
 class TestRatioLess:
@@ -236,6 +252,38 @@ class TestGapRecords:
         for limit in (50, 777, 20000):
             assert gap_records(limit) == brute_records(limit)
 
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
+    def test_brute_records_at_every_window_size(self, segment_size, allow_zero):
+        # at 1500 the last pair, (1493, 1508), ends in a read-ahead window
+        for limit in (50, 777, 1500, 20000):
+            got = gap_records(limit, segment_size=segment_size, allow_zero=allow_zero)
+            assert got == brute_records(limit, allow_zero)
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
+    def test_pairs_scanned_matches_brute_pairs(self, segment_size, allow_zero):
+        for limit in (50, 777, 1500, 20000):
+            report = verify(
+                limit, Threshold(8, 1), segment_size=segment_size, allow_zero=allow_zero
+            )
+            assert report.pairs_scanned == len(brute_pairs(0, limit, allow_zero))
+
+    def test_read_ahead_crosses_windows(self, monkeypatch):
+        # with 2-wide windows, [1494, 1501) is four empty windows, so the last
+        # pair (1493, 1508) must stitch across them into the read-ahead window
+        windows = record_windows(monkeypatch)
+        assert gap_records(1500, segment_size=2)[-1] == (15, 1493)
+        assert windows[-5:] == [
+            (1494, 1496), (1496, 1498), (1498, 1500), (1500, 1501), (1501, 1501 + 4096)
+        ]
+
+    def test_windows_are_clamped_to_limit(self, monkeypatch):
+        windows = record_windows(monkeypatch)
+        assert gap_records(10) == [(1, 1), (2, 2), (3, 5)]
+        # [0, 11), then one 4096-value read-ahead window, where 13 turns up
+        assert windows == [(0, 11), (11, 11 + 4096)]
+
     def test_record_property(self):
         records = gap_records(10**5)
         gaps = [g for g, _ in records]
@@ -307,6 +355,22 @@ class TestDensity:
         a = density([10**4, 10**5], segment_size=1 << 12)
         b = density([10**4, 10**5], segment_size=1 << 20, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [16, 1 << 10])
+    def test_points_at_window_edges_match_brute_count(self, size, workers, allow_zero):
+        limit = 5 * size + 7
+        points = [k * size + d for k in (1, 2, 5) for d in (-1, 0, 1)] + [limit]
+        got = density(points, segment_size=size, workers=workers, allow_zero=allow_zero)
+        assert [(p.x, p.count) for p in got] == [(x, brute_count(x, allow_zero)) for x in points]
+
+    def test_one_scan_marks_each_value_once(self, monkeypatch):
+        windows = record_windows(monkeypatch)
+        assert [p.count for p in density([10, 100], segment_size=1 << 16)] == [7, 43]
+        # cut after 10 and at the limit 100, then one read-ahead window,
+        # where 101 turns up: [0, 101] marked once, in one pass
+        assert windows == [(0, 11), (11, 101), (101, 101 + 4096)]
 
 
 class TestCrossCheck:

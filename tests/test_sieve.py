@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import GapPair, factorize, gap_stream, is_sum_of_two_squares, mark_segment, sieve
+from twosquares import factorize, is_sum_of_two_squares, mark_segment, sieve
 
-from reference import brute_is_sum, brute_membership, brute_pairs
+from reference import brute_is_sum, brute_membership
 
 ISQRT_MAX = math.isqrt(2**63 - 1)  # 3037000499
 
 
 def set_values(lo, hi, **kwargs):
-    return mark_segment(lo, hi, **kwargs).values().tolist()
+    return (np.flatnonzero(mark_segment(lo, hi, **kwargs).bits) + lo).tolist()
 
 
 def oracle(n, allow_zero=True):
@@ -98,7 +98,7 @@ class TestPackedBitmap:
         seg = mark_segment(20, 46)
         assert seg.packed.tolist() == [0b01100001, 0b01010010, 0b00110011, 0b00000010]
         assert seg.bits.tolist() == [n in values for n in range(20, 46)]
-        assert seg.values().tolist() == values
+        assert (np.flatnonzero(seg.bits) + 20).tolist() == values
 
 
 class TestMarkSegment:
@@ -205,78 +205,42 @@ class TestMarkSegment:
             assert int(seg.bits[: x + 1].sum()) == expected
 
 
-class TestGapStream:
-    def test_first_decade_pairs(self):
-        pairs = list(gap_stream(0, 10))
-        assert [(p.s, p.s_next) for p in pairs] == [
-            (1, 2), (2, 4), (4, 5), (5, 8), (8, 9), (9, 10), (10, 13),
-        ]
-        assert GapPair(4, 5) in pairs
-        assert GapPair(5, 8) in pairs
-        assert GapPair(9, 10) in pairs
+class TestWindows:
+    @pytest.mark.parametrize(
+        "start, limit, size", [(0, 10, 4), (0, 100, 16), (7, 64, 8), (5, 6, 2)]
+    )
+    def test_without_cuts_steps_by_segment_size(self, start, limit, size):
+        # the sequence verify, records and check have always scanned
+        expected = [(lo, min(lo + size, limit + 1)) for lo in range(start, limit + 1, size)]
+        assert list(sieve._windows(start, limit, size)) == expected
 
-    def test_no_pair_starts_at_zero(self):
-        assert all(p.s >= 1 for p in gap_stream(0, 50))
-
-    def test_start_15_limit_30(self):
-        pairs = list(gap_stream(15, 30))
-        assert GapPair(20, 25) in pairs
-        assert pairs[0].s >= 15
-        assert [(p.s, p.s_next) for p in pairs] == [
-            (16, 17), (17, 18), (18, 20), (20, 25), (25, 26), (26, 29), (29, 32),
+    def test_cuts_end_windows_after_each_point(self):
+        got = list(sieve._windows(0, 100, 16, cuts=[31, 10, 15, 16, 100]))
+        assert got == [
+            (0, 11), (11, 16), (16, 17), (17, 32), (32, 48),
+            (48, 64), (64, 80), (80, 96), (96, 101),
         ]
 
-    def test_big_gap_at_1493(self):
-        pairs = list(gap_stream(1400, 1500))
-        pair = next(p for p in pairs if p.s == 1493)
-        assert pair == GapPair(1493, 1508)
-        assert pair.gap == 15
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 300),
+        span=st.integers(0, 400),
+        size=st.integers(2, 64),
+        cuts=st.lists(st.integers(0, 800), max_size=12),
+    )
+    def test_cut_windows_cover_the_range_once(self, start, span, size, cuts):
+        limit = start + span
+        windows = list(sieve._windows(start, limit, size, cuts=cuts))
+        # contiguous, [start, limit] exactly, none wider than size
+        assert windows[0][0] == start and windows[-1][1] == limit + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+        assert all(0 < hi - lo <= size for lo, hi in windows)
+        # windows end at the stepped edges, after each cut in range and at limit + 1
+        steps = set(range(start + size, limit + 1, size))
+        assert [hi for _, hi in windows] == sorted(
+            steps | {x + 1 for x in cuts if start <= x <= limit} | {limit + 1}
+        )
 
-    def test_read_ahead_crosses_windows(self):
-        # with 16-wide windows, [1496, 1504) contains nothing representable,
-        # so the final pair must stitch across an empty window
-        pairs = list(gap_stream(1400, 1500, segment_size=16))
-        assert pairs[-1] == GapPair(1493, 1508)
-
-    def test_windows_are_clamped_to_limit(self, monkeypatch):
-        widths = []
-        real = sieve.mark_segment
-
-        def recording(lo, hi, **kwargs):
-            widths.append(hi - lo)
-            return real(lo, hi, **kwargs)
-
-        monkeypatch.setattr(sieve, "mark_segment", recording)
-        assert len(list(gap_stream(0, 10))) == 7
-        assert widths and max(widths) <= 4096
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            list(gap_stream(10, 10))
-        with pytest.raises(ValueError):
-            list(gap_stream(-1, 10))
-
-    @pytest.mark.parametrize("segment_size", [2, 16, 1 << 10, 1 << 20])
-    def test_stitching_invariant_under_window_size(self, segment_size):
-        expected = brute_pairs(0, 3000)
-        got = [(p.s, p.s_next) for p in gap_stream(0, 3000, segment_size=segment_size)]
-        assert got == expected
-
-    def test_matches_oracle_with_offset_start(self):
-        got = [(p.s, p.s_next) for p in gap_stream(333, 2500, segment_size=64)]
-        assert got == brute_pairs(333, 2500)
-
-    def test_gap_adjacency(self):
-        rng = np.random.default_rng(20260810)
-        pairs = list(gap_stream(0, 10**5, segment_size=1 << 14))
-        for idx in rng.choice(len(pairs), size=40, replace=False):
-            p = pairs[idx]
-            assert is_sum_of_two_squares(p.s)
-            assert is_sum_of_two_squares(p.s_next)
-            for m in range(p.s + 1, p.s_next):
-                assert not is_sum_of_two_squares(m)
-
-    def test_strict_convention_stream(self):
-        got = [(p.s, p.s_next) for p in gap_stream(0, 30, allow_zero=False)]
-        assert got == brute_pairs(0, 30, allow_zero=False)
-        assert (2, 5) in got
+    def test_stays_lazy(self):
+        # 5 * 10^11 windows: the first comes without listing the others
+        assert next(iter(sieve._windows(0, 10**12, 2, cuts=[10**12 - 1]))) == (0, 2)
