@@ -204,8 +204,8 @@ class VerificationReport:
 
     limit: int
     max_record: RatioRecord
-    threshold: Threshold | None
-    passed: bool | None
+    threshold: Threshold
+    passed: bool
     pairs_scanned: int
     elapsed: float
     first_offender: GapPair | None = None
@@ -443,12 +443,42 @@ class _ScanState:
     """The ordered reduce: the record-gap table plus what stitches windows."""
 
     limit: int
+    allow_zero: bool
+    position: int = 0  # the first value not yet scanned
     prev: int | None = None
     records: list[tuple[int, int]] = field(default_factory=list)
     pairs: int = 0
     done: bool = False
 
+    @classmethod
+    def start(cls, limit: int, allow_zero: bool, cp: Checkpoint | None) -> "_ScanState":
+        """A fresh state, or the one cp recorded if it comes from the same scan."""
+        if cp is None:
+            return cls(limit, allow_zero)
+        for name, got, want in (
+            ("version", cp.version, CHECKPOINT_VERSION),
+            ("limit", cp.limit, limit),
+            ("allow_zero", cp.allow_zero, allow_zero),
+        ):
+            if got != want:
+                raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
+        return cls(limit, allow_zero, cp.position, cp.last_representable,
+                   list(cp.gap_records), cp.pairs_scanned)
+
+    def checkpoint(self) -> Checkpoint:
+        return Checkpoint(
+            version=CHECKPOINT_VERSION,
+            limit=self.limit,
+            position=self.position,
+            last_representable=self.prev,
+            current_max=_champion(self.records),
+            gap_records=tuple(self.records),
+            pairs_scanned=self.pairs,
+            allow_zero=self.allow_zero,
+        )
+
     def absorb_summary(self, sm: _Summary) -> None:
+        self.position = sm.hi
         if sm.first is None:
             return
         head = () if self.prev is None else ((self.prev, sm.first - self.prev),)
@@ -471,44 +501,44 @@ def _scan(
     workers: int,
     allow_zero: bool,
     resume: Checkpoint | None = None,
-    after_window: Callable[[int, _ScanState], None] | None = None,
+    after_window: Callable[[_ScanState], None] | None = None,
     cuts: Iterable[int] = (),
+    checkpoint_path: str | os.PathLike | None = None,
 ) -> _ScanState:
     """Reduce every pair with s <= limit, from 0 or from a checkpoint.
 
-    after_window(position, state) runs after each window is absorbed, with
-    position the first value not yet scanned; a window ends at x + 1 for
-    each x in cuts, so there state.pairs counts the representable s in
-    [1, x].
+    after_window(state) runs after each window is absorbed; a window ends
+    at x + 1 for each x in cuts, so there state.pairs counts the
+    representable s in [1, x].
+
+    With checkpoint_path set, the state is written there after a window
+    once DEFAULT_CHECKPOINT_EVERY integers or DEFAULT_CHECKPOINT_SECONDS
+    seconds have passed since the start, resume or last write, whichever
+    comes first; never before the first record or for the window that ends
+    the scan.  A failed write raises CheckpointError naming checkpoint-path.
     """
     _validate_scan_args(limit, segment_size, workers)
-    state = _ScanState(limit)
-    start = 0
-    if resume is not None:
-        if resume.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint: version {resume.version} does not match {CHECKPOINT_VERSION}"
-            )
-        if resume.limit != limit:
-            raise CheckpointError(
-                f"checkpoint: limit {resume.limit} does not match requested {limit}"
-            )
-        if resume.allow_zero != allow_zero:
-            raise CheckpointError(
-                f"checkpoint: allow_zero {resume.allow_zero} does not match requested {allow_zero}"
-            )
-        start = resume.position
-        state.prev = resume.last_representable
-        state.records = list(resume.gap_records)
-        state.pairs = resume.pairs_scanned
-    windows = _read_ahead_windows(start, limit, segment_size, cuts)
+    state = _ScanState.start(limit, allow_zero, resume)
+    saved_at, saved_time = state.position, time.perf_counter()
+    windows = _read_ahead_windows(state.position, limit, segment_size, cuts)
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm in _ordered_map(_summarize_window, args, workers):
         state.absorb_summary(sm)
         if after_window is not None:
-            after_window(sm.hi, state)
+            after_window(state)
         if state.done:
             break
+        if checkpoint_path is not None and state.records and (
+            state.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
+            or time.perf_counter() - saved_time >= DEFAULT_CHECKPOINT_SECONDS
+        ):
+            try:
+                write_checkpoint(state.checkpoint(), checkpoint_path)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
+                ) from exc
+            saved_at, saved_time = state.position, time.perf_counter()
     return state
 
 
@@ -567,63 +597,29 @@ def verify(
     workers: int = 1,
     allow_zero: bool = True,
     checkpoint_path: str | os.PathLike | None = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    checkpoint_seconds: float = DEFAULT_CHECKPOINT_SECONDS,
-    on_checkpoint: Callable[[Checkpoint], None] | None = None,
     progress: Callable[[ScanProgress], None] | None = None,
 ) -> VerificationReport:
     """Scan all pairs with s <= limit against a rational threshold.
 
     passed is False exactly when some pair satisfies gap / s^(1/4) >= p/q;
     the report then names the first such pair.  The maximum-ratio record is
-    reported either way.  When checkpoint_path is set, a checkpoint is
-    written atomically every checkpoint_every scanned integers or
-    checkpoint_seconds seconds, whichever comes first; a failed write raises
-    CheckpointError naming checkpoint-path.  Resuming from one of
-    those checkpoints reproduces the uninterrupted report field for field
+    reported either way.  When checkpoint_path is set, _scan writes
+    checkpoints there on its cadence.  Resuming from one of those
+    checkpoints reproduces the uninterrupted report field for field
     (elapsed excepted, since it measures the actual run).
     """
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    last_ck_pos = 0 if checkpoint is None else checkpoint.position
-    last_ck_time = time.perf_counter()
 
-    def after_window(position: int, st: _ScanState) -> None:
-        nonlocal last_ck_pos, last_ck_time
+    def after_window(st: _ScanState) -> None:
         champ = _champion(st.records)
-        if champ is None:
-            return
-        if progress is not None:
-            progress(ScanProgress(position, limit, st.pairs, champ.s, champ.gap))
-        if checkpoint_path is None or st.done:
-            return
-        due = position - last_ck_pos >= checkpoint_every
-        if not due and checkpoint_seconds is not None:
-            due = time.perf_counter() - last_ck_time >= checkpoint_seconds
-        if due:
-            cp = Checkpoint(
-                version=CHECKPOINT_VERSION,
-                limit=limit,
-                position=position,
-                last_representable=st.prev,
-                current_max=champ,
-                gap_records=tuple(st.records),
-                pairs_scanned=st.pairs,
-                allow_zero=allow_zero,
-            )
-            try:
-                write_checkpoint(cp, checkpoint_path)
-            except OSError as exc:
-                raise CheckpointError(
-                    f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
-                ) from exc
-            last_ck_pos = position
-            last_ck_time = time.perf_counter()
-            if on_checkpoint is not None:
-                on_checkpoint(cp)
+        if champ is not None:
+            progress(ScanProgress(st.position, limit, st.pairs, champ.s, champ.gap))
 
-    state = _scan(limit, segment_size, workers, allow_zero, checkpoint, after_window)
+    state = _scan(limit, segment_size, workers, allow_zero, checkpoint,
+                  None if progress is None else after_window,
+                  checkpoint_path=checkpoint_path)
     offender = _first_offender(state.records, threshold)
     return VerificationReport(
         limit=limit,
@@ -680,9 +676,9 @@ def density(
     xs = sorted(set(points))
     counts = dict.fromkeys(xs)
 
-    def after_window(position: int, st: _ScanState) -> None:
-        if position - 1 in counts:
-            counts[position - 1] = st.pairs
+    def after_window(st: _ScanState) -> None:
+        if st.position - 1 in counts:
+            counts[st.position - 1] = st.pairs
 
     _scan(xs[-1], segment_size, workers, allow_zero, after_window=after_window, cuts=xs)
     out = []

@@ -191,7 +191,7 @@ def _emit_verification(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         doc = {
             "limit": report.limit,
-            "threshold": str(report.threshold) if report.threshold else None,
+            "threshold": str(report.threshold),
             "passed": report.passed,
             "max_s": rec.s,
             "gap": rec.gap,
@@ -207,8 +207,8 @@ def _emit_verification(report: VerificationReport, fmt: str) -> str:
                   "first_offender_s,offender_next,offender_witness_x,offender_witness_y")
         row = [
             str(report.limit),
-            str(report.threshold) if report.threshold else "",
-            "" if report.passed is None else str(report.passed).lower(),
+            str(report.threshold),
+            str(report.passed).lower(),
             str(rec.s),
             str(rec.gap),
             ratio,

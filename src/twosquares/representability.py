@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sieve import MAX_VALUE
+
 __all__ = [
     "Factorization",
     "Witness",
@@ -191,7 +193,7 @@ def is_sum_of_two_squares(n: int) -> bool:
 
 
 def representable_mask(lo: int, hi: int) -> np.ndarray:
-    """Membership of every n in [lo, hi) as a bool array, lo >= 1.
+    """Membership of every n in [lo, hi) as a bool array, 1 <= lo < hi <= MAX_VALUE.
 
     The even-exponent criterion for a whole window: for each prime
     p = 3 (mod 4) with p^2 < hi, adding +1, -1, +1, ... over the multiples
@@ -208,10 +210,10 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"representable_mask: lo must be >= 1, got {lo}")
     if hi <= lo:
         raise ValueError(f"representable_mask: hi must be > lo, got hi={hi}, lo={lo}")
-    if hi - 1 > MAX_N:
-        raise ValueError(f"representable_mask: hi must be <= 2**63, got {hi}")
+    if hi > MAX_VALUE:
+        raise ValueError(f"representable_mask: hi must be <= {MAX_VALUE}, got {hi}")
     # int8 suffices: each distinct prime leaves at most 1 on n, and no
-    # n < 2^63 has 20 distinct prime factors
+    # n < 2^42 has 20 distinct prime factors
     width = hi - lo
     count = np.zeros(width, dtype=np.int8)
     primes = _odd_primes(math.isqrt(hi - 1))

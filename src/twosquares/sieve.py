@@ -33,7 +33,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 24
 # 128 MB at the cap.
 DEFAULT_MEMORY_CAP = 1 << 30
 
-MAX_VALUE = 2**63 - 1
+# Bound on hi for mark_segment and representable_mask: their arrays grow with sqrt(hi)
+MAX_VALUE = 2**42
 
 # Width of the windows that read past limit for the successor of the last pair
 _READAHEAD_WINDOW = 4096
@@ -146,7 +147,7 @@ def _x_below(e: int, y2: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
-    """Mark every sum of two squares in [lo, hi).
+    """Mark every sum of two squares in [lo, hi), 0 <= lo < hi <= MAX_VALUE.
 
     Enumerates by the larger coordinate: every x^2 + y^2 in the window with
     x <= y has lo/2 <= y^2 < hi, so rows run from ceil(sqrt(ceil(lo/2))) to
@@ -164,7 +165,7 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
         raise ValueError("mark_segment: lo and hi must be integers")
     if lo < 0 or hi <= lo or hi > MAX_VALUE:
         raise ValueError(
-            f"mark_segment: need 0 <= lo < hi <= 2**63 - 1, got lo={lo}, hi={hi}"
+            f"mark_segment: need 0 <= lo < hi <= {MAX_VALUE}, got lo={lo}, hi={hi}"
         )
     if hi - lo > DEFAULT_MEMORY_CAP:
         raise ValueError(

@@ -156,17 +156,15 @@ def test_criterion_5_reports_invariant_under_windowing_and_workers():
             assert len(outputs) == 1, f"{fmt} reports diverged"
 
 
-def test_criterion_6_checkpoint_resume_determinism(tmp_path):
+def test_criterion_6_checkpoint_resume_determinism(tmp_path, checkpoints_every):
     with criterion(6, "limit-10^7 verify resumed at three random positions "
                       "reproduces the uninterrupted report byte-identically"):
         t = ts.Threshold.parse("2414/1000")
-        collected = []
+        collected = checkpoints_every(1 << 20)
         base = ts.verify(
             10**7, t,
             segment_size=1 << 20,
             checkpoint_path=str(tmp_path / "ck.txt"),
-            checkpoint_every=1 << 20,
-            on_checkpoint=collected.append,
         )
         base_bytes = emit_report(base, "json")
         assert len(collected) >= 3

@@ -2,6 +2,7 @@ import os
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from twosquares import (
 
 from twosquares import analysis
 from twosquares.analysis import _Summary, _summarize_window
+from twosquares.cli import emit_report
 from twosquares.sieve import Segment, mark_segment
 
 from reference import brute_champion, brute_count, brute_pairs, brute_records, ratio_fraction
@@ -543,59 +545,81 @@ class TestCheckpointIO:
 
 
 class TestVerifyResume:
-    def test_resume_reproduces_uninterrupted_report(self, tmp_path):
+    def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
-        collected = []
-        base = verify(
-            10**6, t,
-            segment_size=1 << 16,
-            checkpoint_path=str(tmp_path / "ck.txt"),
-            checkpoint_every=1 << 17,
-            on_checkpoint=collected.append,
-        )
-        assert len(collected) >= 3
+        collected = checkpoints_every(1 << 17)
+        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in collected] == list(range(1 << 17, 10**6, 1 << 17))
         ref = replace(base, elapsed=0.0)
         for cp in collected:
             resumed = verify(10**6, t, cp, segment_size=1 << 16)
             assert replace(resumed, elapsed=0.0) == ref
 
-    def test_resume_with_different_segment_size(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_at_every_window_edge(self, tmp_path, checkpoints_every, workers):
+        t = Threshold.parse("2414/1000")
+        run = partial(verify, 10**5, t, segment_size=1 << 12, workers=workers)
+        base = emit_report(run(), "json")
+        collected = checkpoints_every(1)
+        assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
+        # every edge up to the one at limit + 1; the read-ahead window ends the scan
+        assert [cp.position for cp in collected] == [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1]
+        for cp in collected:
+            assert emit_report(run(cp), "json") == base, cp.position
+
+    def test_time_trigger_checkpoints_every_window_but_the_last(
+        self, tmp_path, monkeypatch, checkpoints_every
+    ):
+        # the integer cadence keeps its default, which a 10^5 run never reaches
+        collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
+        monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_SECONDS", 0)
+        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
+               checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in collected] == [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1]
+
+    def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_every):
+        # the window [0, 2) holds no pair with s >= 1
+        collected = checkpoints_every(1)
+        verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in collected] == [*range(4, 20, 2), 20, 21]
+
+    def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
+        t = Threshold.parse("2414/1000")
+        collected = checkpoints_every(1 << 16)
+        verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert collected[0].position == 1 << 16
+        later = checkpoints_every(1 << 17)
+        verify(10**6, t, collected[0], segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in later] == list(range(3 << 16, 10**6, 1 << 17))
+
+    def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every):
         t = Threshold(1, 1)  # fails immediately at (1, 2)
-        collected = []
-        base = verify(
-            10**5, t,
-            segment_size=1 << 14,
-            checkpoint_path=str(tmp_path / "ck.txt"),
-            checkpoint_every=1 << 15,
-            on_checkpoint=collected.append,
-        )
+        collected = checkpoints_every(1 << 15)
+        base = verify(10**5, t, segment_size=1 << 14, checkpoint_path=str(tmp_path / "ck.txt"))
         resumed = verify(10**5, t, collected[0], segment_size=1 << 12)
         assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert resumed.first_offender == GapPair(1, 2)
 
-    def test_resume_ignores_a_wrong_current_max(self, tmp_path):
+    def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_every):
         # the maximum is a function of the record table; the stored one is
         # only a fault check and must not seed the resumed scan
         t = Threshold.parse("2414/1000")
-        collected = []
-        base = verify(10**6, t, segment_size=1 << 16,
-                      checkpoint_path=str(tmp_path / "ck.txt"),
-                      checkpoint_every=1 << 17, on_checkpoint=collected.append)
+        collected = checkpoints_every(1 << 17)
+        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
         assert collected[0].position == 1 << 17
         cp = replace(collected[0], current_max=RatioRecord.of(1, 1))
         resumed = verify(10**6, t, cp, segment_size=1 << 16)
         assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
-    def test_resume_refuses_another_allow_zero(self, tmp_path):
+    def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every):
         # resuming an allow_zero=True scan without zero summands used to
         # report (1493, 15) with 23926 pairs; a fresh run gives (2, 3), 23874
         t = Threshold.parse("2414/1000")
         for written in (True, False):
-            collected = []
+            collected = checkpoints_every(2**14)
             base = verify(10**5, t, segment_size=2**12, allow_zero=written,
-                          checkpoint_path=str(tmp_path / "ck.txt"),
-                          checkpoint_every=2**14, on_checkpoint=collected.append)
+                          checkpoint_path=str(tmp_path / "ck.txt"))
             with pytest.raises(CheckpointError, match="allow_zero"):
                 verify(10**5, t, collected[0], segment_size=2**12, allow_zero=not written)
             resumed = verify(10**5, t, read_checkpoint(tmp_path / "ck.txt"),
@@ -603,11 +627,11 @@ class TestVerifyResume:
             assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert (base.max_record.s, base.max_record.gap, base.pairs_scanned) == (2, 3, 23874)
 
-    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path):
+    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
         path = tmp_path / "ck.txt"
-        base = verify(10**6, t, segment_size=1 << 16,
-                      checkpoint_path=str(path), checkpoint_every=1 << 18)
+        checkpoints_every(1 << 18)
+        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(path))
         cp = read_checkpoint(path)
         resumed = verify(10**6, t, cp)
         assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -106,7 +105,7 @@ class TestExitCodes:
         def disk_full(cp, path):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(analysis, "verify", partial(verify, checkpoint_every=1 << 12))
+        monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", 1 << 12)
         monkeypatch.setattr(analysis, "write_checkpoint", disk_full)
         config = RunConfig(
             subcommand="verify", limit=10**5, threshold="2414/1000",
@@ -200,12 +199,12 @@ class TestDeterminism:
 
 
 class TestResume:
-    def test_cli_resume_matches_uninterrupted(self, tmp_path):
+    def test_cli_resume_matches_uninterrupted(self, tmp_path, checkpoints_every):
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
         # leave a mid-run checkpoint behind, as a killed run would
-        verify(10**6, t, segment_size=1 << 16,
-               checkpoint_path=str(ck), checkpoint_every=1 << 18)
+        checkpoints_every(1 << 18)
+        verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(ck))
         assert ck.exists()
         resumed = run_cli("verify", "--limit", "1000000",
                           "--threshold", "2414/1000", "--format", "json",
@@ -215,10 +214,10 @@ class TestResume:
         assert resumed.returncode == 0
         assert resumed.stdout == uninterrupted.stdout
 
-    def test_mismatched_limit_is_usage_error(self, tmp_path):
+    def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every):
         ck = tmp_path / "ck.txt"
-        verify(10**6, Threshold.parse("2414/1000"), segment_size=1 << 16,
-               checkpoint_path=str(ck), checkpoint_every=1 << 18)
+        checkpoints_every(1 << 18)
+        verify(10**6, Threshold.parse("2414/1000"), segment_size=1 << 16, checkpoint_path=str(ck))
         proc = run_cli("verify", "--limit", "2000000", "--resume",
                        "--checkpoint-path", str(ck))
         assert proc.returncode == 2

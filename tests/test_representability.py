@@ -11,6 +11,7 @@ from twosquares import (
     mark_segment,
     representable_mask,
 )
+from twosquares.sieve import MAX_VALUE
 
 from reference import brute_is_sum, trial_factorize
 
@@ -184,13 +185,14 @@ class TestRepresentableMask:
     def test_single_value_windows(self, n):
         assert representable_mask(n, n + 1).tolist() == [is_sum_of_two_squares(n)]
 
-    @pytest.mark.parametrize("lo", [10**8, 10**10, 10**12 - 4096])
+    @pytest.mark.parametrize("lo", [10**8, 10**10, 10**12 - 4096, MAX_VALUE - 4096])
     def test_matches_sieve_high_up(self, lo):
         assert representable_mask(lo, lo + 4096).tolist() == mark_segment(lo, lo + 4096).bits.tolist()
 
     @pytest.mark.parametrize(
         "lo,hi,field",
-        [(0, 10, "lo"), (-5, 10, "lo"), (10, 10, "hi"), (10, 5, "hi"), (1, 2**63 + 1, "hi")],
+        [(0, 10, "lo"), (-5, 10, "lo"), (10, 10, "hi"), (10, 5, "hi"), (1, 2**63 + 1, "hi"),
+         (2**62, 2**62 + 77, "hi"), (MAX_VALUE - 1, MAX_VALUE + 1, "hi")],
     )
     def test_rejects_bad_windows_naming_the_field(self, lo, hi, field):
         with pytest.raises(ValueError, match=f"representable_mask: {field} must"):

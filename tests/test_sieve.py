@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import factorize, is_sum_of_two_squares, mark_segment, sieve
+from twosquares import analysis, factorize, is_sum_of_two_squares, mark_segment, sieve
 
 from reference import brute_is_sum, brute_membership
 
@@ -120,6 +120,13 @@ class TestMarkSegment:
             mark_segment(-1, 5)
         with pytest.raises(ValueError):
             mark_segment(0, 2**63)
+        # rejected before the rows, which grow with sqrt(hi), are allocated
+        for lo, hi in ((2**62, 2**62 + 77), (sieve.MAX_VALUE - 1, sieve.MAX_VALUE + 1)):
+            with pytest.raises(ValueError, match=f"hi={hi}"):
+                mark_segment(lo, hi)
+
+    def test_value_bound_covers_the_scan_and_its_read_ahead(self):
+        assert analysis.MAX_S + analysis.MAX_GAP + sieve._READAHEAD_WINDOW < sieve.MAX_VALUE
 
     def test_rejects_windows_over_memory_cap(self):
         with pytest.raises(ValueError, match="memory cap"):
