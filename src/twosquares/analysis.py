@@ -40,6 +40,7 @@ from .representability import representable_mask
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     GapPair,
+    _SLICE,
     _count_set,
     _read_ahead_windows,
     _set_offsets,
@@ -85,7 +86,8 @@ DEFAULT_CHECKPOINT_EVERY = 1 << 28
 DEFAULT_CHECKPOINT_SECONDS = 30.0
 
 _DISPLAY_DIGITS = 12
-# Width of the first head chunk of a window summary, in values
+# Width of the first head chunk of a window summary, in values; the chunks
+# double up to _SLICE values, whose unpacked bits take _SLICE bytes
 _SUMMARY_BLOCK = 4096
 # The head ends once its largest gap reaches this; at least 15, so that the
 # zero-byte screen past the head looks for runs of at least one byte
@@ -379,7 +381,7 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
             found, m = _new_records(offs[:-1] + lo, np.diff(offs), m)
             candidates.extend(found)
             last = int(offs[-1])
-        p, width = q, 2 * width
+        p, width = q, min(2 * width, _SLICE)
     if first is None:
         return _Summary(lo, hi, 0, None, None, ())
     if p < n:
@@ -387,20 +389,25 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
         # value (so the pair leaving the head is seen); byte w0 is nonzero
         w0 = last >> 3
         k = (m - 7) // 8
-        zero = packed[w0:] == 0
-        # run[i]: bytes w0 + i .. w0 + i + k - 1 are all zero
-        run = zero[: max(0, zero.size - k + 1)].copy()
-        for j in range(1, k):
-            run &= zero[j : j + run.size]
-        at = np.flatnonzero(run)
+        # the run starts i: bytes i .. i + k - 1 are all zero; each slice
+        # holds _SLICE starts and reads k - 1 bytes past them, so a run
+        # across a slice edge is found once
+        starts = []
+        for s0 in range(w0, packed.size - k + 1, _SLICE):
+            zero = packed[s0 : s0 + _SLICE + k - 1] == 0
+            run = zero[: zero.size - k + 1]
+            for j in range(1, k):
+                run = run & zero[j : j + run.size]
+            starts.append(np.flatnonzero(run) + s0)
+        at = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
         if at.size:
             # each maximal run of k or more zero bytes that ends inside the
             # window holds exactly one pair: the last value before it and the
             # first value after it; a run that ends the window (the last
             # byte's pad bits are 0) leads to a later window
             new = np.concatenate(([True], np.diff(at) > 1))
-            left = w0 + at[new] - 1
-            right = w0 + at[np.concatenate((new[1:], [True]))] + k
+            left = at[new] - 1
+            right = at[np.concatenate((new[1:], [True]))] + k
             if right[-1] == packed.size:
                 left, right = left[:-1], right[:-1]
             a = 8 * left + _HIGH_BIT[packed[left]]

@@ -320,7 +320,8 @@ def _emit_check(report: CheckReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _progress_printer():
+def _progress_printer(start: int = 0):
+    # the rate counts only the integers scanned since start, the resume position
     started = time.perf_counter()
     last = [started]
 
@@ -330,7 +331,7 @@ def _progress_printer():
             return
         last[0] = now
         position = min(p.position, p.limit)
-        rate = position / max(now - started, 1e-9) / 1e6
+        rate = (position - start) / max(now - started, 1e-9) / 1e6
         sys.stderr.write(
             f"progress: {position:,}/{p.limit:,} scanned, "
             f"{p.pairs_scanned:,} pairs, {rate:.1f} M/s, "
@@ -372,7 +373,7 @@ def run(config: RunConfig) -> int:
                 threshold,
                 checkpoint,
                 checkpoint_path=config.checkpoint_path,
-                progress=_progress_printer(),
+                progress=_progress_printer(checkpoint.position if checkpoint else 0),
                 **scan_kwargs,
             )
             _write_output(emit_report(report, config.output_format), config.output_path)

@@ -47,6 +47,13 @@ _BLOCK = 1 << 19
 # sqrt(_BLOCK) + 1 points in a block, so each group's int64 temporaries hold
 # fewer than _CHUNK + 726 entries (about 140 KB).
 _CHUNK = 1 << 14
+# Bytes of a packed bitmap that the popcount and the summary's zero-byte
+# screen read at a time, one block of values: their temporaries stay
+# cache-sized however wide the window
+_SLICE = _BLOCK // 8
+# 0, 1, 2, ...: the step of x along a group's rows, as long as the bound
+# above on a group, and sliced rather than allocated for each group
+_RAMP = np.arange(_CHUNK + math.isqrt(_BLOCK) + 2, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,10 @@ def _count_set(packed: np.ndarray, p: int, q: int) -> int:
         return 0
     a, b = p >> 3, (q - 1) >> 3
     # whole bytes a..b, less the bits below p and above q - 1
-    total = int(np.bitwise_count(packed[a : b + 1]).sum())
+    total = sum(
+        int(np.bitwise_count(packed[i : min(i + _SLICE, b + 1)]).sum())
+        for i in range(a, b + 1, _SLICE)
+    )
     total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
     total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
     return total
@@ -155,11 +165,12 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     block edge e the count of x with x^2 + y^2 < e comes for every row at
     once from _isqrt, so row y's run in the block [b0, b1) is x from its
     count at b0 to its count at b1, capped at y.  The runs expand with
-    np.repeat into offsets y^2 + x^2 - b0, in groups of whole rows of about
-    _CHUNK points, and each group is scattered into a reused byte block that
-    np.packbits then packs into the window's bitmap.  Marking is idempotent,
-    so values with several representations are harmless.  With
-    allow_zero=False both summands must be at least 1.
+    np.repeat and a slice of the shared ramp _RAMP into offsets
+    y^2 + x^2 - b0, in groups of whole rows of about _CHUNK points, and each
+    group is scattered into a reused byte block that np.packbits then packs
+    into the window's bitmap.  Marking is idempotent, so values with several
+    representations are harmless.  With allow_zero=False both summands must
+    be at least 1.
     """
     if not isinstance(lo, int) or not isinstance(hi, int):
         raise ValueError("mark_segment: lo and hi must be integers")
@@ -192,9 +203,10 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
         cuts = np.searchsorted(np.cumsum(runs), np.arange(_CHUNK, runs.sum(), _CHUNK))
         for r0, r1 in itertools.pairwise([0, *cuts.tolist(), rows.size]):
             sel, n = rows[r0:r1], runs[r0:r1]
-            # x for every lattice point, row by row, then its offset in the block
+            # x for every lattice point, row by row, then its offset in the block:
+            # each row's first x less the row's place in the group, plus the ramp
             x = np.repeat(x_lo[sel] - (np.cumsum(n) - n), n)
-            x += np.arange(x.size)
+            x += _RAMP[: x.size]
             x *= x
             x += np.repeat(y2[sel] - b0, n)
             cells[x] = True

@@ -71,6 +71,9 @@ def test_criterion_1_threshold_holds_to_1e8():
         assert doc["max_s"] == 1493
         assert doc["gap"] == 15
         assert doc["ratio"] == RATIO_1493
+        # R(10^8), the sums of two squares in [1, 10^8], which
+        # bench/derive_expected.py counts without the sieve
+        assert doc["pairs_scanned"] == 18457847
         assert single_elapsed < 600, f"single-threaded took {single_elapsed:.0f}s"
 
         t0 = time.perf_counter()
@@ -80,6 +83,7 @@ def test_criterion_1_threshold_holds_to_1e8():
         parallel_elapsed = time.perf_counter() - t0
         assert parallel.returncode == 0
         assert parallel.stdout == single.stdout
+        assert json.loads(parallel.stdout)["pairs_scanned"] == 18457847
         assert parallel_elapsed < 120, f"8 workers took {parallel_elapsed:.0f}s"
 
 

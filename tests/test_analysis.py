@@ -31,7 +31,7 @@ from twosquares import (
     write_checkpoint,
 )
 
-from twosquares import analysis
+from twosquares import analysis, sieve
 from twosquares.analysis import _Summary, _summarize_window
 from twosquares.cli import emit_report
 from twosquares.sieve import Segment, mark_segment
@@ -771,12 +771,14 @@ def full_summary_of(lo, bits, limit):
     )
 
 
-def summarize_bits(lo, bits, limit, floor=None, block=None):
+def summarize_bits(lo, bits, limit, floor=None, block=None, width=None):
     """_summarize_window over a given bitmap, optionally with a lower
-    screening floor or a narrower first head chunk (None keeps the
-    module's value); the bitmap must come back unchanged."""
+    screening floor, a narrower first head chunk or narrower slices of the
+    bitmap, in bytes (None keeps the module's value); the bitmap must come
+    back unchanged."""
     seg = Segment(lo, lo + bits.size, np.packbits(bits, bitorder="little"))
     before = seg.packed.copy()
+    width = width or sieve._SLICE
 
     def fake(a, b, allow_zero=True):
         assert (a, b) == (seg.lo, seg.hi)
@@ -784,7 +786,8 @@ def summarize_bits(lo, bits, limit, floor=None, block=None):
 
     with mock.patch.object(analysis, "mark_segment", fake), \
             mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
-            mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK):
+            mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK), \
+            mock.patch.object(analysis, "_SLICE", width), mock.patch.object(sieve, "_SLICE", width):
         got = _summarize_window((seg.lo, seg.hi, limit, True))
     assert np.array_equal(seg.packed, before)
     return got
@@ -832,12 +835,15 @@ class TestSummaryScreen:
         limit_at=st.integers(min_value=-5, max_value=30000),
         floor=st.integers(min_value=15, max_value=64),
         block=st.sampled_from([1, 2, 7, 64]),
+        width=st.sampled_from([1, 2, 3, 5, None]),
     )
-    def test_synthetic_bitmaps_match_naive(self, lo, lead, gaps, trail, limit_at, floor, block):
+    def test_synthetic_bitmaps_match_naive(
+        self, lo, lead, gaps, trail, limit_at, floor, block, width
+    ):
         offsets = np.cumsum([lead] + gaps)
         bits = bitmap(int(offsets[-1]) + 1 + trail, offsets.tolist())
         limit = max(2, lo + limit_at)
-        got = summarize_bits(lo, bits, limit, floor=floor, block=block)
+        got = summarize_bits(lo, bits, limit, floor=floor, block=block, width=width)
         assert got == naive_summary_of(lo, bits, limit)
 
     @settings(max_examples=25, deadline=None)
@@ -867,6 +873,20 @@ class TestSummaryScreen:
         for limit in (max(2, lo - 1), lo + span // 2, lo + span + 1):
             got = summarize_bits(lo, bits, limit, floor=15, block=1)
             assert got == naive_summary(lo, lo + span, limit, allow_zero)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_slices_of_a_few_bytes_keep_the_summary(self, width, allow_zero):
+        # floors 15, 23 and 31 make the screen look for runs of k = 1, 2 and
+        # 3 zero bytes, and slices of 1 to 3 bytes put slice edges inside them
+        for lo in (0, 10**8 - 3, 10**10 + 1, 10**12 - 10**5):
+            for span in (17, 4097):
+                bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
+                for limit in (max(2, lo - 1), lo + span // 2):
+                    for floor in (15, 23, 31):
+                        whole = summarize_bits(lo, bits, limit, floor=floor, block=1)
+                        got = summarize_bits(lo, bits, limit, floor=floor, block=1, width=width)
+                        assert got == whole, (lo, span, limit, floor)
 
     def test_full_reference_matches_naive(self):
         for lo, hi in [(0, 40000), (10**8, 10**8 + 40000)]:

@@ -130,6 +130,19 @@ def test_progress_line_labels_the_max_ratio_record(monkeypatch, capsys):
     )
 
 
+def test_progress_rate_after_resume_counts_from_the_resume_position(monkeypatch, capsys):
+    ticks = iter([0.0, 3.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    position = 999_972_405_248
+    printer = cli._progress_printer(position)
+    printer(ScanProgress(position + (1 << 24), 10**12, 2000, 1493, 15))
+    # 2^24 integers in 3 s
+    assert capsys.readouterr().err == (
+        "progress: 999,989,182,464/1,000,000,000,000 scanned, 2,000 pairs, 5.6 M/s, "
+        "max ratio at s=1,493 gap=15\n"
+    )
+
+
 class TestVerifyCommand:
     def test_json_report(self):
         proc = run_cli("verify", "--limit", "2000", "--threshold", "2414/1000",

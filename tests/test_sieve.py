@@ -92,6 +92,25 @@ class TestPackedBitmap:
                     assert sieve._count_set(packed, p, q) == int(np.count_nonzero(bits[p:q]))
                     assert sieve._set_offsets(packed, p, q).tolist() == (np.flatnonzero(bits[p:q]) + p).tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.booleans(), min_size=1, max_size=300),
+        ends=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+        width=st.sampled_from([1, 2, 3, 5, sieve._SLICE]),
+    )
+    def test_count_in_slices_matches_unpacked(self, bits, ends, width):
+        # the popcount reads width bytes at a time; any p, q in the bitmap
+        bits = np.array(bits)
+        p, q = (min(e, bits.size) for e in ends)
+        packed = np.packbits(bits, bitorder="little")
+        saved = sieve._SLICE
+        sieve._SLICE = width
+        try:
+            got = sieve._count_set(packed, p, q)
+        finally:
+            sieve._SLICE = saved
+        assert got == int(bits[p:q].sum())
+
     def test_bits_and_values_derive_from_packed(self):
         # bit i % 8 of byte i // 8 stands for 20 + i; 26 values, so 6 pad bits
         values = [20, 25, 26, 29, 32, 34, 36, 37, 40, 41, 45]
@@ -200,10 +219,17 @@ class TestMarkSegment:
     def test_windows_across_block_edges_match_reference(self, monkeypatch, block, allow_zero):
         monkeypatch.setattr(sieve, "_BLOCK", block)
         table = brute_membership(5000, allow_zero)
-        for lo, hi in [(0, 5001), (3, 4999), (1493, 1798), (4001, 4002), (17, 4090)]:
-            seg = mark_segment(lo, hi, allow_zero=allow_zero)
-            assert seg.bits.tolist() == [bool(t) for t in table[lo:hi]]
-            assert int(seg.packed[-1]) >> ((hi - lo - 1) % 8 + 1) == 0
+        # (1494, 1508) lies inside the gap after 1493: its rows hold no points
+        windows = [(0, 5001), (3, 4999), (1493, 1798), (4001, 4002), (17, 4090), (1494, 1508)]
+        assert not any(table[1494:1508])
+        # the default groups of lattice points, groups of one row each, of a
+        # few rows, and empty groups where several cuts fall in one row
+        for chunk in (sieve._CHUNK, 1, 7, 64):
+            monkeypatch.setattr(sieve, "_CHUNK", chunk)
+            for lo, hi in windows:
+                seg = mark_segment(lo, hi, allow_zero=allow_zero)
+                assert seg.bits.tolist() == [bool(t) for t in table[lo:hi]], (chunk, lo, hi)
+                assert int(seg.packed[-1]) >> ((hi - lo - 1) % 8 + 1) == 0
 
     def test_completeness_counts(self):
         # set bits in [0, x] against the brute count, 0 included
