@@ -176,14 +176,14 @@ class Threshold:
         text = text.strip()
         if "/" in text:
             num, _, den = text.partition("/")
-            if not num.isdigit() or not den.isdigit():
+            if not num.isdecimal() or not den.isdecimal():
                 raise ValueError(f"threshold: cannot parse {text!r} as p/q")
             p, q = int(num), int(den)
             if q == 0:
                 raise ValueError("threshold: denominator must be nonzero")
         else:
             whole, dot, frac = text.partition(".")
-            if not whole.isdigit() or (dot and not frac.isdigit()):
+            if not whole.isdecimal() or (dot and not frac.isdecimal()):
                 raise ValueError(f"threshold: cannot parse {text!r} as a decimal")
             if len(frac) > 3:
                 raise ValueError(
@@ -781,8 +781,11 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate; unknown fields, duplicates and gaps in the record
     table are all rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint: {path} is not UTF-8 text: {exc}") from None
     fields: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -4,8 +4,11 @@ Subcommands: verify (threshold scan), records (gap record table), density
 (count statistics), check (sieve vs the bulk even-exponent criterion).
 Each validates its arguments, calls one library function through the
 analysis module (verify, gap_records, density, cross_check) and serializes
-what it returns; no scanning happens here.  Reports go to stdout or
---output-path; progress (position, pair count, rate and the current
+what it returns; no scanning happens here.  Every report is a table,
+rows that share the same keys: json writes verify and check as one object
+and records and density as an array of objects; csv writes the keys as a
+header line and then one line per row, with an empty cell for None and
+booleans in lower case.  Reports go to stdout or --output-path; progress (position, pair count, rate and the current
 maximum-ratio record) and diagnostics go to stderr only, so the report
 stream stays byte-deterministic for a given configuration.
 
@@ -19,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import analysis
 from .analysis import (
@@ -54,17 +58,6 @@ class RunConfig:
     resume: bool
     output_format: str
     output_path: str | None
-
-
-@dataclass(frozen=True)
-class RecordRow:
-    """One gap record with display ratio and optional normalizations."""
-
-    gap: int
-    first_s: int
-    ratio: str
-    erdos_norm: str | None
-    cramer_norm: str | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,157 +155,138 @@ def _validate(config: RunConfig) -> None:
 # Report serialization
 # ---------------------------------------------------------------------------
 
+_RECORD_COLUMNS = ("gap", "first_s", "ratio", "erdos_norm", "cramer_norm")
+
 
 def emit_report(report, output_format: str) -> str:
     """Serialize a report; json and csv are byte-deterministic for a given
     configuration (elapsed time appears only in the human format)."""
     if isinstance(report, VerificationReport):
-        return _emit_verification(report, output_format)
-    if isinstance(report, CheckReport):
-        return _emit_check(report, output_format)
-    if isinstance(report, list):
-        if report and isinstance(report[0], DensityPoint):
-            return _emit_density(report, output_format)
-        # an empty list is a degenerate records table: header only
-        return _emit_records(report, output_format)
-    raise TypeError(f"emit_report: unsupported report type {type(report).__name__}")
-
-
-def _witness_text(value: int) -> tuple[int, int] | None:
-    w = find_witness(value)
-    return (w.x, w.y) if w is not None else None
-
-
-def _emit_verification(report: VerificationReport, fmt: str) -> str:
-    rec = report.max_record
-    ratio = significant(rec.ratio_display)
-    offender = report.first_offender
-    witness = _witness_text(offender.s_next) if offender is not None else None
-    if fmt == "json":
-        doc = {
+        rows = [_verification_row(report)]
+        human = partial(_human_verification, elapsed=report.elapsed)
+    elif isinstance(report, CheckReport):
+        rows = [{
             "limit": report.limit,
-            "threshold": str(report.threshold),
-            "passed": report.passed,
-            "max_s": rec.s,
-            "gap": rec.gap,
-            "ratio": ratio,
-            "pairs_scanned": report.pairs_scanned,
-            "first_offender_s": offender.s if offender else None,
-            "offender_next": offender.s_next if offender else None,
-            "offender_witness": list(witness) if witness else None,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        header = ("limit,threshold,passed,max_s,gap,ratio,pairs_scanned,"
-                  "first_offender_s,offender_next,offender_witness_x,offender_witness_y")
-        row = [
-            str(report.limit),
-            str(report.threshold),
-            str(report.passed).lower(),
-            str(rec.s),
-            str(rec.gap),
-            ratio,
-            str(report.pairs_scanned),
-            str(offender.s) if offender else "",
-            str(offender.s_next) if offender else "",
-            str(witness[0]) if witness else "",
-            str(witness[1]) if witness else "",
-        ]
-        return header + "\n" + ",".join(row) + "\n"
-    lines = [
-        "sums-of-two-squares verification",
-        f"  limit           {report.limit:,}",
-        f"  threshold       {report.threshold}",
-        f"  passed          {'yes' if report.passed else 'no'}",
-        f"  max ratio       {ratio}",
-        f"  at record       s={rec.s:,}  gap={rec.gap}  next={rec.s + rec.gap:,}",
-        f"  pairs scanned   {report.pairs_scanned:,}",
-        f"  elapsed         {report.elapsed:.2f} s",
-    ]
-    if offender is not None:
-        lines.append(
-            f"  first offender  s={offender.s:,}  gap={offender.gap}  next={offender.s_next:,}"
-        )
-        if witness is not None:
-            lines.append(
-                f"  witness         {offender.s_next:,} = {witness[0]}^2 + {witness[1]}^2"
-            )
+            "checked": report.checked,
+            "mismatches": report.mismatches,
+            "passed": report.mismatches == 0,
+            "first_mismatch": report.first_mismatch,
+        }]
+        human = _human_check
+    elif isinstance(report, list) and report and isinstance(report[0], DensityPoint):
+        rows = [{"x": p.x, "count": p.count, "normalized": significant(p.normalized)}
+                for p in report]
+        human = _human_density
+    elif isinstance(report, list):
+        # gap_records' (gap, s) table; an empty one still has its header
+        rows, human = _record_rows(report), _human_records
+    else:
+        raise TypeError(f"emit_report: unsupported report type {type(report).__name__}")
+    if output_format == "json":
+        return json.dumps(rows if isinstance(report, list) else rows[0], indent=2) + "\n"
+    if output_format == "csv":
+        return _csv(rows)
+    return "\n".join(human(rows)) + "\n"
+
+
+def _csv(rows: list[dict]) -> str:
+    """Header, then one line per row: None is an empty cell, booleans are
+    lower case."""
+    table = []
+    for row in rows:
+        row = dict(row)
+        # verify's witness is one json value but two csv columns
+        if "offender_witness" in row:
+            row["offender_witness_x"], row["offender_witness_y"] = (
+                row.pop("offender_witness") or (None, None))
+        table.append(row)
+    lines = [",".join(table[0] if table else _RECORD_COLUMNS)]
+    for row in table:
+        lines.append(",".join("" if v is None else str(v).lower() if isinstance(v, bool)
+                              else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
-def _emit_records(rows: list[RecordRow], fmt: str) -> str:
-    if fmt == "json":
-        docs = [
-            {
-                "gap": r.gap,
-                "first_s": r.first_s,
-                "ratio": r.ratio,
-                "erdos_norm": r.erdos_norm,
-                "cramer_norm": r.cramer_norm,
-            }
-            for r in rows
-        ]
-        return json.dumps(docs, indent=2) + "\n"
-    if fmt == "csv":
-        out = ["gap,first_s,ratio,erdos_norm,cramer_norm"]
-        for r in rows:
-            out.append(
-                f"{r.gap},{r.first_s},{r.ratio},{r.erdos_norm or ''},{r.cramer_norm or ''}"
-            )
-        return "\n".join(out) + "\n"
+def _verification_row(report: VerificationReport) -> dict:
+    rec, offender = report.max_record, report.first_offender
+    witness = find_witness(offender.s_next) if offender is not None else None
+    return {
+        "limit": report.limit,
+        "threshold": str(report.threshold),
+        "passed": report.passed,
+        "max_s": rec.s,
+        "gap": rec.gap,
+        "ratio": significant(rec.ratio_display),
+        "pairs_scanned": report.pairs_scanned,
+        "first_offender_s": offender.s if offender else None,
+        "offender_next": offender.s_next if offender else None,
+        "offender_witness": [witness.x, witness.y] if witness is not None else None,
+    }
+
+
+def _record_rows(records: list[tuple[int, int]]) -> list[dict]:
+    stats = {st.s: st for st in analysis.normalized_stats(records)}
+    rows = []
+    for gap, s in records:
+        st = stats.get(s)
+        norms = (significant(st.erdos_norm), significant(st.cramer_norm)) if st else (None, None)
+        ratio = significant(analysis.RatioRecord.of(s, gap).ratio_display)
+        rows.append(dict(zip(_RECORD_COLUMNS, (gap, s, ratio, *norms))))
+    return rows
+
+
+def _human_verification(rows: list[dict], elapsed: float) -> list[str]:
+    r = rows[0]
+    lines = [
+        "sums-of-two-squares verification",
+        f"  limit           {r['limit']:,}",
+        f"  threshold       {r['threshold']}",
+        f"  passed          {'yes' if r['passed'] else 'no'}",
+        f"  max ratio       {r['ratio']}",
+        f"  at record       s={r['max_s']:,}  gap={r['gap']}  next={r['max_s'] + r['gap']:,}",
+        f"  pairs scanned   {r['pairs_scanned']:,}",
+        f"  elapsed         {elapsed:.2f} s",
+    ]
+    s, s_next = r["first_offender_s"], r["offender_next"]
+    if s is not None:
+        lines.append(f"  first offender  s={s:,}  gap={s_next - s}  next={s_next:,}")
+        if r["offender_witness"] is not None:
+            x, y = r["offender_witness"]
+            lines.append(f"  witness         {s_next:,} = {x}^2 + {y}^2")
+    return lines
+
+
+def _human_records(rows: list[dict]) -> list[str]:
     out = ["gap records", f"  {'gap':>5}  {'first s':>12}  {'ratio':>15}  "
                           f"{'erdos norm':>15}  {'cramer norm':>15}"]
     for r in rows:
         out.append(
-            f"  {r.gap:>5}  {r.first_s:>12,}  {r.ratio:>15}  "
-            f"{r.erdos_norm or '-':>15}  {r.cramer_norm or '-':>15}"
+            f"  {r['gap']:>5}  {r['first_s']:>12,}  {r['ratio']:>15}  "
+            f"{r['erdos_norm'] or '-':>15}  {r['cramer_norm'] or '-':>15}"
         )
-    return "\n".join(out) + "\n"
+    return out
 
 
-def _emit_density(points: list[DensityPoint], fmt: str) -> str:
-    rows = [(p.x, p.count, significant(p.normalized)) for p in points]
-    if fmt == "json":
-        docs = [{"x": x, "count": c, "normalized": norm} for x, c, norm in rows]
-        return json.dumps(docs, indent=2) + "\n"
-    if fmt == "csv":
-        out = ["x,count,normalized"]
-        out.extend(f"{x},{c},{norm}" for x, c, norm in rows)
-        return "\n".join(out) + "\n"
+def _human_density(rows: list[dict]) -> list[str]:
     out = ["density of sums of two squares",
            f"  {'x':>14}  {'count':>14}  {'normalized':>15}"]
-    for x, c, norm in rows:
-        out.append(f"  {x:>14,}  {c:>14,}  {norm:>15}")
-    return "\n".join(out) + "\n"
+    for r in rows:
+        out.append(f"  {r['x']:>14,}  {r['count']:>14,}  {r['normalized']:>15}")
+    return out
 
 
-def _emit_check(report: CheckReport, fmt: str) -> str:
-    passed = report.mismatches == 0
-    if fmt == "json":
-        doc = {
-            "limit": report.limit,
-            "checked": report.checked,
-            "mismatches": report.mismatches,
-            "passed": passed,
-            "first_mismatch": report.first_mismatch,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        header = "limit,checked,mismatches,passed,first_mismatch"
-        row = (f"{report.limit},{report.checked},{report.mismatches},"
-               f"{str(passed).lower()},"
-               f"{report.first_mismatch if report.first_mismatch is not None else ''}")
-        return header + "\n" + row + "\n"
+def _human_check(rows: list[dict]) -> list[str]:
+    r = rows[0]
     lines = [
         "oracle cross-check",
-        f"  limit           {report.limit:,}",
-        f"  values checked  {report.checked:,}",
-        f"  mismatches      {report.mismatches:,}",
-        f"  passed          {'yes' if passed else 'no'}",
+        f"  limit           {r['limit']:,}",
+        f"  values checked  {r['checked']:,}",
+        f"  mismatches      {r['mismatches']:,}",
+        f"  passed          {'yes' if r['passed'] else 'no'}",
     ]
-    if report.first_mismatch is not None:
-        lines.append(f"  first mismatch  {report.first_mismatch:,}")
-    return "\n".join(lines) + "\n"
+    if r["first_mismatch"] is not None:
+        lines.append(f"  first mismatch  {r['first_mismatch']:,}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +350,19 @@ def run(config: RunConfig) -> int:
                 progress=_progress_printer(checkpoint.position if checkpoint else 0),
                 **scan_kwargs,
             )
-            _write_output(emit_report(report, config.output_format), config.output_path)
-            return EXIT_PASS if report.passed else EXIT_FAIL
-        if config.subcommand == "records":
-            records = analysis.gap_records(config.limit, **scan_kwargs)
-            stats = {st.s: st for st in analysis.normalized_stats(records)}
-            rows = []
-            for gap, s in records:
-                st = stats.get(s)
-                rows.append(
-                    RecordRow(
-                        gap=gap,
-                        first_s=s,
-                        ratio=significant(analysis.RatioRecord.of(s, gap).ratio_display),
-                        erdos_norm=significant(st.erdos_norm) if st else None,
-                        cramer_norm=significant(st.cramer_norm) if st else None,
-                    )
-                )
-            _write_output(emit_report(rows, config.output_format), config.output_path)
-            return EXIT_PASS
-        if config.subcommand == "density":
-            points = analysis.density(_density_points(config.limit), **scan_kwargs)
-            _write_output(emit_report(points, config.output_format), config.output_path)
-            return EXIT_PASS
-        if config.subcommand == "check":
+            code = EXIT_PASS if report.passed else EXIT_FAIL
+        elif config.subcommand == "records":
+            report, code = analysis.gap_records(config.limit, **scan_kwargs), EXIT_PASS
+        elif config.subcommand == "density":
+            report = analysis.density(_density_points(config.limit), **scan_kwargs)
+            code = EXIT_PASS
+        elif config.subcommand == "check":
             report = analysis.cross_check(config.limit, config.segment_size)
-            _write_output(emit_report(report, config.output_format), config.output_path)
-            return EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
-        raise ValueError(f"subcommand: unknown {config.subcommand!r}")
+            code = EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
+        else:
+            raise ValueError(f"subcommand: unknown {config.subcommand!r}")
+        _write_output(emit_report(report, config.output_format), config.output_path)
+        return code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

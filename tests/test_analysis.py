@@ -144,10 +144,10 @@ class TestThresholdParsing:
     @pytest.mark.parametrize(
         "bad",
         ["2.4135", "0", "0/5", "-1/2", "1/0", "9/1", "8.001", "1/2000",
-         "abc", "1e-3", "2/", "/3", "1.2.3", ""],
+         "abc", "1e-3", "2/", "/3", "1.2.3", "", "\u00b2", "1/\u00b2", "\u00b2/3", "2.\u00b2"],
     )
     def test_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="threshold"):
             Threshold.parse(bad)
 
     def test_upper_bound_inclusive(self):
@@ -418,6 +418,12 @@ class TestCheckpointIO:
         cp = self.sample()
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"version=1\nlimit=\xff\n")
+        with pytest.raises(CheckpointError, match="checkpoint"):
+            read_checkpoint(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "state.txt"

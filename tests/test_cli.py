@@ -78,6 +78,13 @@ class TestExitCodes:
         proc = run_cli("density", "--limit", str(10**12 + 1))
         assert "limit:" in proc.stderr
 
+    def test_non_utf8_checkpoint_is_two(self, tmp_path):
+        ck = tmp_path / "ck.txt"
+        ck.write_bytes(b"version=1\nlimit=\xff\n")
+        proc = run_cli("verify", "--limit", "2000", "--resume", "--checkpoint-path", str(ck))
+        assert proc.returncode == 2
+        assert "checkpoint" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("subcommand, field", [("check", "output-path"),
                                                    ("verify", "checkpoint-path")])
     def test_unwritable_paths_fail_before_scanning(self, subcommand, field, monkeypatch, capsys):
@@ -286,6 +293,12 @@ class TestDensityCommand:
         assert emit_report([], "csv") == "gap,first_s,ratio,erdos_norm,cramer_norm\n"
         assert json.loads(emit_report([], "json")) == []
 
+    def test_unsupported_report_type_is_named(self):
+        from twosquares.cli import emit_report
+
+        with pytest.raises(TypeError, match="object"):
+            emit_report(object(), "json")
+
 
 class TestCheckCommand:
     def test_small_range_passes(self):
@@ -346,8 +359,9 @@ class TestRunConfigApi:
         assert run(config) == 2
 
 
-# Reports written by the parent of the scan-core refactor; the refactor and
-# any later change must reproduce them byte for byte.
+# Reports written by the parent of the scan-core refactor (json, csv) and of
+# the one-table report writer (human, the txt files, without the elapsed
+# line); every later change must reproduce them byte for byte.
 GOLDEN_RUNS = [
     ("verify_2414", ["verify", "--threshold", "2414/1000"], 0),
     ("verify_2413", ["verify", "--threshold", "2413/1000"], 1),
@@ -360,10 +374,13 @@ GOLDEN_RUNS = [
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
 def test_reports_match_golden(tmp_path, name, argv, code, workers):
-    for fmt in ("json", "csv"):
-        out = tmp_path / f"{name}.{fmt}"
+    for fmt, ext in (("json", "json"), ("csv", "csv"), ("human", "txt")):
+        out = tmp_path / f"{name}.{ext}"
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--limit", "1000000", "--format", fmt, "--workers", workers,
                       "--segment-size", str(1 << 16), "--output-path", str(out)])
         assert exit_info.value.code == code
-        assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+        # the elapsed time is the one line that differs from run to run
+        lines = out.read_bytes().splitlines(keepends=True)
+        got = b"".join(ln for ln in lines if not ln.startswith(b"  elapsed "))
+        assert got == (GOLDEN / f"{name}.{ext}").read_bytes()
