@@ -13,7 +13,8 @@ maximum-ratio record) and diagnostics go to stderr only, so the report
 stream stays byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
-exceeded, scientifically interesting), 2 usage or configuration error.
+exceeded, scientifically interesting), 2 usage or configuration error,
+or a report that could not be written.
 """
 
 import argparse
@@ -370,8 +371,16 @@ def run(config: RunConfig) -> int:
 
 def _write_output(text: str, output_path: str | None) -> None:
     if output_path is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if sys.stdout is None:
+            raise ValueError("stdout: closed, cannot write the report")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Python flushes stdout again at exit; send what is left in its
+            # buffer to devnull so that the exit status stays ours
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"stdout: cannot write the report: {exc}") from exc
         return
     try:
         with open(output_path, "w", encoding="utf-8") as fh:

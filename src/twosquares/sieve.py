@@ -1,13 +1,15 @@
 """Segmented enumeration of sums of two squares.
 
 Marks every value x^2 + y^2 inside a half-open window into a bitmap of one
-bit per value, walking the window in blocks of _BLOCK values with every
-lattice row y (x <= y) at once.  Integer square roots of whole arrays come
-from a float64 estimate that _isqrt corrects to the exact value with
-one -1 step; its docstring proves that the estimate is never low and at
-most one high, and that no int64 product overflows, for every argument in
-[0, 2^63).  The float estimate alone is not safe once x^2 + y^2 approaches
-2^53.
+bit per value, walking the window in blocks with every lattice row y
+(x <= y) at once; the block width grows with the window's height, since
+each block roots every row once.  Integer square roots of whole arrays come
+from a float64 estimate that _isqrt corrects to the exact value with one -1
+step; its docstring proves that the estimate is never low and at most one
+high, and that no int64 product overflows, for every argument in [0, 2^63).
+The float estimate alone is not safe once x^2 + y^2 approaches 2^53.  The
+offsets of lattice points inside a block are computed in uint32, modulo
+2^32, which mark_segment's docstring proves exact.
 """
 
 import heapq
@@ -39,21 +41,28 @@ MAX_VALUE = 2**42
 # Width of the windows that read past limit for the successor of the last pair
 _READAHEAD_WINDOW = 4096
 
-# Values per marking block, a multiple of 8: the reused one-byte-per-value
-# block (512 KB) stays in a 2 MB L2 cache while the block's lattice points
-# are scattered into it.
-_BLOCK = 1 << 19
+# Values per marking block, by window height: (largest hi, width) pairs in
+# ascending order, each width a multiple of 8 and at most 2^21.  A block
+# roots every row once, about 0.29 sqrt(hi) rows, while each lattice point
+# costs a few numpy passes and a scatter into a one-byte-per-value block
+# that leaves the L2 cache as it widens; so wider blocks pay off as the rows
+# grow.  The tops are the crossovers of median per-window marking times on
+# a 2-vCPU Xeon with a 2 MB L2: 2^19 against 2^20 near 2 * 10^9 (about
+# 13k rows), 2^20 against 2^21 near 4 * 10^10 (about 58k rows).
+_BLOCK_WIDTHS = ((2 * 10**9, 1 << 19), (4 * 10**10, 1 << 20), (MAX_VALUE, 1 << 21))
 # Lattice points expanded at a time, in whole rows: a row has at most
-# sqrt(_BLOCK) + 1 points in a block, so each group's int64 temporaries hold
-# fewer than _CHUNK + 726 entries (about 140 KB).
+# sqrt(width) + 1 points in a block, so each group's uint32 temporaries hold
+# fewer than _CHUNK + 1450 entries (about 70 KB, twice that widened to intp
+# for the scatter) at every width.
 _CHUNK = 1 << 14
 # Bytes of a packed bitmap that the popcount and the summary's zero-byte
-# screen read at a time, one block of values: their temporaries stay
-# cache-sized however wide the window
-_SLICE = _BLOCK // 8
+# screen read at a time, 64 KB: their temporaries stay cache-sized however
+# wide the window
+_SLICE = 1 << 16
 # 0, 1, 2, ...: the step of x along a group's rows, as long as the bound
-# above on a group, and sliced rather than allocated for each group
-_RAMP = np.arange(_CHUNK + math.isqrt(_BLOCK) + 2, dtype=np.int64)
+# above on a group at the widest block, and sliced rather than allocated
+# for each group
+_RAMP = np.arange(_CHUNK + math.isqrt(_BLOCK_WIDTHS[-1][1]) + 2, dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,18 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _x_below(e: int, y2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # per row, the number of x >= 0 with x^2 + y^2 < e: ceil(sqrt(e - y^2)),
-    # or 0 where y^2 >= e; y2 ascends, so the rows with y^2 < e are a prefix
+    # for the rows with y^2 < e, a prefix since y2 ascends, the number of
+    # x >= 0 with x^2 + y^2 < e: ceil(sqrt(e - y^2)), at least 1; returned as
+    # a view of the prefix of out
     r = int(np.searchsorted(y2, e))
-    out[r:] = 0
     v = np.subtract(e - 1, y2[:r], out=out[:r])
     np.add(_isqrt(v), 1, out=v)
-    return out
+    return v
+
+
+def _block_width(hi: int) -> int:
+    """Values per marking block for a window that ends at hi (_BLOCK_WIDTHS)."""
+    return next(width for top, width in _BLOCK_WIDTHS if hi <= top)
 
 
 def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
@@ -161,16 +175,26 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
 
     Enumerates by the larger coordinate: every x^2 + y^2 in the window with
     x <= y has lo/2 <= y^2 < hi, so rows run from ceil(sqrt(ceil(lo/2))) to
-    isqrt(hi - 1).  The window is cut into blocks of _BLOCK values.  At each
-    block edge e the count of x with x^2 + y^2 < e comes for every row at
-    once from _isqrt, so row y's run in the block [b0, b1) is x from its
-    count at b0 to its count at b1, capped at y.  The runs expand with
-    np.repeat and a slice of the shared ramp _RAMP into offsets
-    y^2 + x^2 - b0, in groups of whole rows of about _CHUNK points, and each
-    group is scattered into a reused byte block that np.packbits then packs
-    into the window's bitmap.  Marking is idempotent, so values with several
-    representations are harmless.  With allow_zero=False both summands must
-    be at least 1.
+    isqrt(hi - 1).  The window is cut into blocks of _block_width(hi)
+    values.  At each block edge e the count of x with x^2 + y^2 < e comes
+    for every row with y^2 < e at once from _isqrt, so row y's run in the
+    block [b0, b1) is x from its count at b0 to its count at b1, both capped
+    at y + 1.  Each block builds its row tables once: the runs, their
+    cumulative ends, each row's first x less the block-wide index of its
+    first point, and y^2 - b0.  Groups of whole rows of about _CHUNK points
+    take slices of these tables, and np.repeat and a slice of the shared
+    ramp _RAMP expand them into offsets x^2 + y^2 - b0, which are scattered
+    into a reused byte block that np.packbits then packs into the window's
+    bitmap.  Marking is idempotent, so values with several representations
+    are harmless.  With allow_zero=False both summands must be at least 1.
+
+    The per-point arithmetic is in uint32, modulo 2^32, and exact.  The two
+    tables are reduced modulo 2^32 by a C cast, which wraps, and the
+    expansion only adds and multiplies, so every step is a ring operation
+    and the result is x^2 + y^2 - b0 modulo 2^32, even where x >= 2^16 makes
+    x^2 wrap.  Every point lies in the block, so that offset is in
+    [0, b1 - b0) with b1 - b0 <= 2^21 < 2^32, and the residue is the offset
+    itself.  It is widened to intp once, for the scatter.
     """
     if not isinstance(lo, int) or not isinstance(hi, int):
         raise ValueError("mark_segment: lo and hi must be integers")
@@ -182,36 +206,48 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
         raise ValueError(
             f"mark_segment: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
         )
+    width = _block_width(hi)
     xmin = 0 if allow_zero else 1
     ys = np.arange(max(xmin, _ceil_sqrt(-(-lo // 2))), math.isqrt(hi - 1) + 1, dtype=np.int64)
     y2 = ys * ys
     ys += 1  # x <= y: every run ends before y + 1
     packed = np.empty((hi - lo + 7) // 8, dtype=np.uint8)
-    block = np.empty(min(hi - lo, _BLOCK), dtype=np.bool_)
-    # row by row, the least x >= xmin in the block and the least x past it
-    x_lo, x_hi = np.empty_like(y2), np.empty_like(y2)
-    np.maximum(_x_below(lo, y2, x_lo), xmin, out=x_lo)
-    for b0 in range(lo, hi, _BLOCK):
-        b1 = min(b0 + _BLOCK, hi)
-        _x_below(b1, y2, x_hi)
-        runs = np.minimum(x_hi, ys)
-        runs -= x_lo
-        rows = np.flatnonzero(runs > 0)
-        runs = runs[rows]
+    block = np.empty(min(hi - lo, width), dtype=np.bool_)
+    # Row by row, the least x not yet marked and the least x past the block,
+    # in [xmin, y + 1].  Rows enter the prefix with y^2 < b1 in order, and a
+    # row's count there is at least 1, so one that has not entered keeps
+    # xmin and no count needs a floor at xmin.
+    x_lo, x_hi = np.full_like(y2, xmin), np.full_like(y2, xmin)
+    ends = np.empty_like(y2)
+    firsts, bases = np.empty(y2.size, np.uint32), np.empty(y2.size, np.uint32)
+    head = _x_below(lo, y2, x_lo)
+    np.minimum(head, ys[: head.size], out=head)
+    for b0 in range(lo, hi, width):
+        b1 = min(b0 + width, hi)
+        top = _x_below(b1, y2, x_hi)
+        r = top.size
+        np.minimum(top, ys[:r], out=top)
+        # the runs overwrite x_lo's prefix, which is not read again: after
+        # the swap below it is the next x_hi, whose prefix _x_below rewrites
+        n = np.subtract(top, x_lo[:r], out=x_lo[:r])
+        end = np.cumsum(n, out=ends[:r])
+        # a row's point at block-wide index k has x = first + k
+        first = np.subtract(top, end, out=firsts[:r], casting="unsafe")
+        base = np.subtract(y2[:r], b0, out=bases[:r], casting="unsafe")
         cells = block[: b1 - b0]
         cells[:] = False
-        cuts = np.searchsorted(np.cumsum(runs), np.arange(_CHUNK, runs.sum(), _CHUNK))
-        for r0, r1 in itertools.pairwise([0, *cuts.tolist(), rows.size]):
-            sel, n = rows[r0:r1], runs[r0:r1]
-            # x for every lattice point, row by row, then its offset in the block:
-            # each row's first x less the row's place in the group, plus the ramp
-            x = np.repeat(x_lo[sel] - (np.cumsum(n) - n), n)
+        cuts = np.searchsorted(end, np.arange(_CHUNK, end[-1] if r else 0, _CHUNK))
+        p0 = 0  # block-wide index of the group's first point
+        for r0, r1 in itertools.pairwise([0, *cuts.tolist(), r]):
+            counts, g = n[r0:r1], first[r0:r1]
+            g += np.uint32(p0)  # now x = g + k at the group's index k
+            x = g.repeat(counts)
+            p0 += x.size
             x += _RAMP[: x.size]
             x *= x
-            x += np.repeat(y2[sel] - b0, n)
-            cells[x] = True
+            x += base[r0:r1].repeat(counts)
+            cells[x.astype(np.intp)] = True
         packed[(b0 - lo) >> 3 : (b1 - lo + 7) >> 3] = np.packbits(cells, bitorder="little")
-        np.maximum(x_hi, xmin, out=x_hi)
         x_lo, x_hi = x_hi, x_lo
     return Segment(lo, hi, packed)
 

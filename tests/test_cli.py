@@ -108,6 +108,26 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "output-path" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_is_two(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twosquares", "check", "--limit", "100", "--format", "json"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: stdout: ") and "Traceback" not in proc.stderr
+        assert "No space left" in proc.stderr and "Exception ignored" not in proc.stderr
+
+    def test_closed_stdout_is_two(self):
+        # the shell closes the child's stdout, so the interpreter starts with
+        # sys.stdout None
+        cmd = [sys.executable, "-m", "twosquares", "check", "--limit", "100", "--format", "json"]
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *cmd],
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: stdout: ") and "Traceback" not in proc.stderr
+
     def test_failed_checkpoint_write_is_two(self, tmp_path, monkeypatch, capsys):
         def disk_full(cp, path):
             raise OSError(28, "No space left on device")

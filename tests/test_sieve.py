@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import analysis, factorize, is_sum_of_two_squares, mark_segment, sieve
+from twosquares import (
+    Threshold,
+    analysis,
+    factorize,
+    is_sum_of_two_squares,
+    mark_segment,
+    representable_mask,
+    sieve,
+)
 
 from reference import brute_is_sum, brute_membership
 
 ISQRT_MAX = math.isqrt(2**63 - 1)  # 3037000499
+RULE_WIDTHS = [width for _, width in sieve._BLOCK_WIDTHS]
 
 
 def set_values(lo, hi, **kwargs):
@@ -28,6 +38,18 @@ def oracle(n, allow_zero=True):
     # with both summands positive exactly when k has a prime factor 1 mod 4
     k = math.isqrt(n)
     return k * k != n or any(p % 4 == 1 for p, _ in factorize(k).factors)
+
+
+def mask_reference(lo, hi, allow_zero=True):
+    """Membership on [lo, hi), lo >= 1, from the even-exponent criterion.
+
+    Without zero summands, a square k^2 stays only where oracle() keeps it.
+    """
+    mask = representable_mask(lo, hi)
+    if not allow_zero:
+        for k in range(math.isqrt(lo - 1) + 1, math.isqrt(hi - 1) + 1):
+            mask[k * k - lo] = oracle(k * k, allow_zero=False)
+    return mask
 
 
 # k^2, k^2 +- 1, 2k^2 and 2k^2 +- 1: where a row's run starts or stops, and
@@ -214,28 +236,60 @@ class TestMarkSegment:
         assert seg.bits.tolist() == [brute_is_sum(n, allow_zero) for n in range(lo, lo + width)]
         assert int(seg.packed[-1]) >> ((width - 1) % 8 + 1) == 0
 
-    @pytest.mark.parametrize("block", [8, 24, 1 << 10])
+    # tiny blocks, then every width the rule picks
+    @pytest.mark.parametrize("block", [8, 24, 1 << 10, *RULE_WIDTHS])
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_windows_across_block_edges_match_reference(self, monkeypatch, block, allow_zero):
-        monkeypatch.setattr(sieve, "_BLOCK", block)
+        monkeypatch.setattr(sieve, "_block_width", lambda hi: block)
         table = brute_membership(5000, allow_zero)
         # (1494, 1508) lies inside the gap after 1493: its rows hold no points
         windows = [(0, 5001), (3, 4999), (1493, 1798), (4001, 4002), (17, 4090), (1494, 1508)]
         assert not any(table[1494:1508])
         # the default groups of lattice points, groups of one row each, of a
         # few rows, and empty groups where several cuts fall in one row
-        for chunk in (sieve._CHUNK, 1, 7, 64):
+        default_chunk = sieve._CHUNK
+        for chunk in (default_chunk, 1, 7, 64):
             monkeypatch.setattr(sieve, "_CHUNK", chunk)
             for lo, hi in windows:
                 seg = mark_segment(lo, hi, allow_zero=allow_zero)
                 assert seg.bits.tolist() == [bool(t) for t in table[lo:hi]], (chunk, lo, hi)
                 assert int(seg.packed[-1]) >> ((hi - lo - 1) % 8 + 1) == 0
+        monkeypatch.setattr(sieve, "_CHUNK", default_chunk)
+        if block in RULE_WIDTHS:
+            # two blocks and a ragged end: across the heights where the rule
+            # switches, near 10^12 and up to MAX_VALUE, where x >= 2^16 and
+            # x^2 wraps modulo 2^32
+            span = 2 * block + 4093
+            for lo in (*(top - block - 5 for top, _ in sieve._BLOCK_WIDTHS[:-1]),
+                       10**12 - span, sieve.MAX_VALUE - span):
+                seg = mark_segment(lo, lo + span, allow_zero=allow_zero)
+                assert np.array_equal(seg.bits, mask_reference(lo, lo + span, allow_zero)), lo
 
     def test_completeness_counts(self):
         # set bits in [0, x] against the brute count, 0 included
         seg = mark_segment(0, 10**5 + 1)
         for x, expected in [(10**3, 331), (10**4, 2750), (10**5, 24029)]:
             assert int(seg.bits[: x + 1].sum()) == expected
+
+
+class TestBlockWidth:
+    def test_rule_covers_the_domain_in_widening_steps(self):
+        tops = [top for top, _ in sieve._BLOCK_WIDTHS]
+        assert tops == sorted(tops) and tops[-1] == sieve.MAX_VALUE
+        assert RULE_WIDTHS == sorted(RULE_WIDTHS) == [1 << 19, 1 << 20, 1 << 21]
+        # each width switches to the next just past its top
+        for (top, width), (_, wider) in itertools.pairwise(sieve._BLOCK_WIDTHS):
+            assert sieve._block_width(top) == width and sieve._block_width(top + 1) == wider
+        assert sieve._block_width(1) == 1 << 19
+        assert sieve._block_width(sieve.MAX_VALUE) == 1 << 21
+
+    def test_verify_at_1e8_marks_in_the_narrowest_blocks(self, monkeypatch):
+        rule, seen = sieve._block_width, []
+        monkeypatch.setattr(sieve, "_block_width", lambda hi: seen.append(hi) or rule(hi))
+        assert analysis.verify(10**8, Threshold.parse("2414/1000")).passed
+        # six windows up to 10^8, then the read-ahead past it
+        assert len(seen) > 6 and max(seen) > 10**8 + 1
+        assert {rule(hi) for hi in seen} == {1 << 19}
 
 
 class TestWindows:
