@@ -42,7 +42,6 @@ from .sieve import (
     GapPair,
     _SLICE,
     _count_set,
-    _read_ahead_windows,
     _set_offsets,
     _windows,
     mark_segment,
@@ -455,7 +454,6 @@ class _ScanState:
     prev: int | None = None
     records: list[tuple[int, int]] = field(default_factory=list)
     pairs: int = 0
-    done: bool = False
 
     @classmethod
     def start(cls, limit: int, allow_zero: bool, cp: Checkpoint | None) -> "_ScanState":
@@ -471,6 +469,10 @@ class _ScanState:
                 raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
         return cls(limit, allow_zero, cp.position, cp.last_representable,
                    list(cp.gap_records), cp.pairs_scanned)
+
+    @property
+    def done(self) -> bool:
+        return self.prev is not None and self.prev > self.limit
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
@@ -498,8 +500,6 @@ class _ScanState:
                 self.records.append((gap, s))
         self.pairs += sm.pair_count
         self.prev = sm.last
-        if sm.last > self.limit:
-            self.done = True
 
 
 def _scan(
@@ -514,6 +514,9 @@ def _scan(
 ) -> _ScanState:
     """Reduce every pair with s <= limit, from 0 or from a checkpoint.
 
+    The windows reach limit + MAX_GAP, as far as the successor of a pair
+    with s <= limit can lie within the gap budget; the scan ends at the
+    window holding the last such successor, or raises BudgetError.
     after_window(state) runs after each window is absorbed; a window ends
     at x + 1 for each x in cuts, so there state.pairs counts the
     representable s in [1, x].
@@ -521,22 +524,23 @@ def _scan(
     With checkpoint_path set, the state is written there after a window
     once DEFAULT_CHECKPOINT_EVERY integers or DEFAULT_CHECKPOINT_SECONDS
     seconds have passed since the start, resume or last write, whichever
-    comes first; never before the first record or for the window that ends
-    the scan.  A failed write raises CheckpointError naming checkpoint-path.
+    comes first, and after the window that ends the scan; never before the
+    first record.  A failed write raises CheckpointError naming checkpoint-path.
     """
     _validate_scan_args(limit, segment_size, workers)
     state = _ScanState.start(limit, allow_zero, resume)
+    if state.done:  # resumed from the finished state
+        return state
     saved_at, saved_time = state.position, time.perf_counter()
-    windows = _read_ahead_windows(state.position, limit, segment_size, cuts)
+    windows = _windows(state.position, limit + MAX_GAP, segment_size, (*cuts, limit))
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm in _ordered_map(_summarize_window, args, workers):
         state.absorb_summary(sm)
         if after_window is not None:
             after_window(state)
-        if state.done:
-            break
         if checkpoint_path is not None and state.records and (
-            state.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
+            state.done
+            or state.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
             or time.perf_counter() - saved_time >= DEFAULT_CHECKPOINT_SECONDS
         ):
             try:
@@ -546,7 +550,9 @@ def _scan(
                     f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
                 ) from exc
             saved_at, saved_time = state.position, time.perf_counter()
-    return state
+        if state.done:
+            return state
+    raise BudgetError(f"pair: gap at s={state.prev} exceeds budget {MAX_GAP}")
 
 
 def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
@@ -554,10 +560,10 @@ def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
         raise ValueError(f"limit: must be an integer >= 2, got {limit}")
     if limit > MAX_S:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
-    if segment_size < 2:
-        raise ValueError(f"segment_size: must be >= 2, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers: must be >= 1, got {workers}")
+    if not isinstance(segment_size, int) or segment_size < 2:
+        raise ValueError(f"segment_size: must be an integer >= 2, got {segment_size!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +617,9 @@ def verify(
     passed is False exactly when some pair satisfies gap / s^(1/4) >= p/q;
     the report then names the first such pair.  The maximum-ratio record is
     reported either way.  When checkpoint_path is set, _scan writes
-    checkpoints there on its cadence.  Resuming from one of those
-    checkpoints reproduces the uninterrupted report field for field
-    (elapsed excepted, since it measures the actual run).
+    checkpoints there on its cadence and at its end.  Resuming from any of
+    them reproduces the uninterrupted report field for field (elapsed
+    excepted, since it measures the actual run).
     """
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
@@ -697,26 +703,31 @@ def density(
     return out
 
 
-def cross_check(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> CheckReport:
+def _check_window(window: tuple[int, int]) -> tuple[int, int | None]:
+    # the window's mismatch count and its first mismatch, or None
+    lo, hi = window
+    packed = mark_segment(lo, hi).packed
+    base = max(lo, 1)
+    # the sieve's own bit stands in for 0, which lies outside [1, limit]
+    own = np.unpackbits(packed[:1], count=base - lo, bitorder="little").view(np.bool_)
+    want = np.packbits(np.concatenate((own, representable_mask(base, hi))), bitorder="little")
+    diff = packed ^ want
+    wrong = np.flatnonzero(diff)
+    at = lo + 8 * int(wrong[0]) + int(_LOW_BIT[diff[wrong[0]]]) if wrong.size else None
+    return int(np.bitwise_count(diff[wrong]).sum()), at
+
+
+def cross_check(
+    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *, workers: int = 1
+) -> CheckReport:
     """Compare sieve membership with the even-exponent criterion for every
-    n in [1, limit], one window at a time."""
-    _validate_scan_args(limit, segment_size, 1)
-    mismatches = 0
-    first = None
-    for lo, hi in _windows(0, limit, segment_size):
-        packed = mark_segment(lo, hi).packed
-        base = max(lo, 1)
-        # the sieve's own bit stands in for 0, which lies outside [1, limit]
-        own = np.unpackbits(packed[:1], count=base - lo, bitorder="little").view(np.bool_)
-        want = np.packbits(np.concatenate((own, representable_mask(base, hi))), bitorder="little")
-        diff = packed ^ want
-        wrong = np.flatnonzero(diff)
-        if wrong.size:
-            mismatches += int(np.bitwise_count(diff[wrong]).sum())
-            if first is None:
-                i = int(wrong[0])
-                first = lo + 8 * i + int(_LOW_BIT[diff[i]])
-    return CheckReport(limit=limit, checked=limit, mismatches=mismatches, first_mismatch=first)
+    n in [1, limit], one window at a time, in order across workers."""
+    _validate_scan_args(limit, segment_size, workers)
+    # no more processes than windows: a pool for one window only costs its start-up
+    workers = min(workers, limit // segment_size + 1)
+    counts, ats = zip(*_ordered_map(_check_window, _windows(0, limit, segment_size), workers))
+    first = next((at for at in ats if at is not None), None)
+    return CheckReport(limit=limit, checked=limit, mismatches=sum(counts), first_mismatch=first)
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def run(config: RunConfig) -> int:
             report = analysis.density(_density_points(config.limit), **scan_kwargs)
             code = EXIT_PASS
         elif config.subcommand == "check":
-            report = analysis.cross_check(config.limit, config.segment_size)
+            report = analysis.cross_check(config.limit, **scan_kwargs)
             code = EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
         else:
             raise ValueError(f"subcommand: unknown {config.subcommand!r}")

@@ -38,9 +38,6 @@ DEFAULT_MEMORY_CAP = 1 << 30
 # Bound on hi for mark_segment and representable_mask: their arrays grow with sqrt(hi)
 MAX_VALUE = 2**42
 
-# Width of the windows that read past limit for the successor of the last pair
-_READAHEAD_WINDOW = 4096
-
 # Values per marking block, by window height: (largest hi, width) pairs in
 # ascending order, each width a multiple of 8 and at most 2^21.  A block
 # roots every row once, about 0.29 sqrt(hi) rows, while each lattice point
@@ -269,12 +266,3 @@ def _windows(
             yield lo, hi
             lo = hi
 
-
-def _read_ahead_windows(
-    start: int, limit: int, segment_size: int, cuts: Iterable[int] = ()
-) -> Iterator[tuple[int, int]]:
-    # _windows, then small windows past limit until the consumer has seen
-    # the successor of the last pair and stops
-    yield from _windows(start, limit, segment_size, cuts)
-    for lo in itertools.count(max(start, limit + 1), _READAHEAD_WINDOW):
-        yield lo, lo + _READAHEAD_WINDOW

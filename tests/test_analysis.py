@@ -64,6 +64,21 @@ def record_windows(monkeypatch):
     return windows
 
 
+def flip_marks(monkeypatch, *ns):
+    """Flip the sieve's bit for each n in ns in every window marked from now
+    on; workers forked after the call see the flips too."""
+    real = analysis.mark_segment
+
+    def flip(lo, hi, **kwargs):
+        seg = real(lo, hi, **kwargs)
+        for n in ns:
+            if lo <= n < hi:
+                seg.packed[(n - lo) >> 3] ^= 1 << ((n - lo) & 7)
+        return seg
+
+    monkeypatch.setattr(analysis, "mark_segment", flip)
+
+
 class TestRatioLess:
     def test_record_at_1493_beats_record_at_20(self):
         assert ratio_less(pair(20, 5), pair(1493, 15))
@@ -235,6 +250,25 @@ class TestVerify:
             expected_failed = Fraction(15**4, 1493) >= Fraction(p, q) ** 4
             assert report.passed == (not expected_failed), (p, q)
 
+    def test_two_workers_draw_only_the_windows_one_worker_marks(self, monkeypatch):
+        # six windows up to 10^8 and one read-ahead window; the pool draws
+        # none past the window that ends the scan
+        drawn, real = [], analysis._windows
+
+        def recording(*args):
+            for window in real(*args):
+                drawn.append(window)
+                yield window
+
+        monkeypatch.setattr(analysis, "_windows", recording)
+        marked = record_windows(monkeypatch)
+        t = Threshold.parse("2414/1000")
+        assert verify(10**8, t).passed
+        assert len(marked) == 7 and drawn == marked
+        drawn.clear()
+        assert verify(10**8, t, workers=2).passed
+        assert drawn == marked
+
     def test_threshold_type_enforced(self):
         with pytest.raises(ValueError):
             verify(2000, "2414/1000")
@@ -272,19 +306,30 @@ class TestGapRecords:
             assert report.pairs_scanned == len(brute_pairs(0, limit, allow_zero))
 
     def test_read_ahead_crosses_windows(self, monkeypatch):
-        # with 2-wide windows, [1494, 1501) is four empty windows, so the last
-        # pair (1493, 1508) must stitch across them into the read-ahead window
+        # with 2-wide windows, [1494, 1508) is eight empty windows, four of
+        # them past the limit, so the last pair (1493, 1508) must stitch
+        # across them into the read-ahead window where 1508 turns up
         windows = record_windows(monkeypatch)
         assert gap_records(1500, segment_size=2)[-1] == (15, 1493)
-        assert windows[-5:] == [
-            (1494, 1496), (1496, 1498), (1498, 1500), (1500, 1501), (1501, 1501 + 4096)
+        assert windows[-9:] == [
+            (1494, 1496), (1496, 1498), (1498, 1500), (1500, 1501),
+            (1501, 1502), (1502, 1504), (1504, 1506), (1506, 1508), (1508, 1510),
         ]
 
     def test_windows_are_clamped_to_limit(self, monkeypatch):
         windows = record_windows(monkeypatch)
         assert gap_records(10) == [(1, 1), (2, 2), (3, 5)]
-        # [0, 11), then one 4096-value read-ahead window, where 13 turns up
-        assert windows == [(0, 11), (11, 11 + 4096)]
+        # [0, 11), then one read-ahead window up to 10 + MAX_GAP, where 13
+        # turns up
+        assert windows == [(0, 11), (11, 11 + analysis.MAX_GAP)]
+
+    def test_successor_past_the_gap_budget_names_the_pair(self, monkeypatch):
+        # the successor of 20 is 25, past 20 + MAX_GAP = 24, where the
+        # windows end
+        monkeypatch.setattr(analysis, "MAX_GAP", 4)
+        assert gap_records(19)[-1] == (3, 5)
+        with pytest.raises(BudgetError, match="s=20 "):
+            gap_records(20)
 
     def test_record_property(self):
         records = gap_records(10**5)
@@ -348,7 +393,7 @@ class TestDensity:
         with pytest.raises(ValueError):
             density([])
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
     def test_rejects_bad_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
             density([100], workers=workers)
@@ -370,9 +415,10 @@ class TestDensity:
     def test_one_scan_marks_each_value_once(self, monkeypatch):
         windows = record_windows(monkeypatch)
         assert [p.count for p in density([10, 100], segment_size=1 << 16)] == [7, 43]
-        # cut after 10 and at the limit 100, then one read-ahead window,
-        # where 101 turns up: [0, 101] marked once, in one pass
-        assert windows == [(0, 11), (11, 101), (101, 101 + 4096)]
+        # cut after 10 and at the limit 100, then one read-ahead window up to
+        # the first step edge, where 101 turns up: [0, 101] marked once, in
+        # one pass
+        assert windows == [(0, 11), (11, 101), (101, 1 << 16)]
 
 
 class TestCrossCheck:
@@ -380,21 +426,32 @@ class TestCrossCheck:
         assert cross_check(5000, 1024) == CheckReport(5000, 5000, 0, None)
 
     def test_counts_and_names_mismatches(self, monkeypatch):
-        real = analysis.mark_segment
-
-        def flip(lo, hi, **kwargs):
-            seg = real(lo, hi, **kwargs)
-            for n in (2999, 3000, 4500):
-                if lo <= n < hi:
-                    seg.packed[(n - lo) >> 3] ^= 1 << ((n - lo) & 7)
-            return seg
-
-        monkeypatch.setattr(analysis, "mark_segment", flip)
+        flip_marks(monkeypatch, 2999, 3000, 4500)
         assert cross_check(5000, 1024) == CheckReport(5000, 5000, 3, 2999)
+
+    def test_workers_give_the_same_report(self, monkeypatch):
+        # mismatches in the windows [2048, 3072) and [4096, 5001)
+        flip_marks(monkeypatch, 2999, 3000, 4500)
+        want = CheckReport(5000, 5000, 3, 2999)
+        assert cross_check(5000, 1024, workers=1) == want
+        assert cross_check(5000, 1024, workers=2) == want
+        assert cross_check(5000, 1024, workers=8) == want
+
+    def test_one_window_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool for one window")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert cross_check(200000, 1 << 20, workers=2) == CheckReport(200000, 200000, 0, None)
+        with pytest.raises(AssertionError, match="process pool"):
+            cross_check(5000, 1024, workers=2)
 
     @pytest.mark.parametrize(
         "limit, segment_size, field",
-        [(10**12 + 1, 1024, "limit"), (1, 1024, "limit"), (5000, 1, "segment_size")],
+        [(10**12 + 1, 1024, "limit"), (1, 1024, "limit"), (5000, 1, "segment_size"),
+         (5000, 2.5, "segment_size"), (5000, "64", "segment_size")],
     )
     def test_rejects_bad_arguments_naming_the_field(self, limit, segment_size, field):
         with pytest.raises(ValueError, match=field):
@@ -555,7 +612,8 @@ class TestVerifyResume:
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 17)
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == list(range(1 << 17, 10**6, 1 << 17))
+        # the cadence, then the finished state at the end of the read-ahead window
+        assert [cp.position for cp in collected] == [*range(1 << 17, 10**6, 1 << 17), 1 << 20]
         ref = replace(base, elapsed=0.0)
         for cp in collected:
             resumed = verify(10**6, t, cp, segment_size=1 << 16)
@@ -568,26 +626,41 @@ class TestVerifyResume:
         base = emit_report(run(), "json")
         collected = checkpoints_every(1)
         assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
-        # every edge up to the one at limit + 1; the read-ahead window ends the scan
-        assert [cp.position for cp in collected] == [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1]
+        # every edge up to the one at limit + 1, then the finished state at
+        # the end of the read-ahead window
+        assert [cp.position for cp in collected] == [
+            *range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12
+        ]
         for cp in collected:
             assert emit_report(run(cp), "json") == base, cp.position
 
-    def test_time_trigger_checkpoints_every_window_but_the_last(
-        self, tmp_path, monkeypatch, checkpoints_every
-    ):
+    def test_time_trigger_checkpoints_every_window(self, tmp_path, monkeypatch, checkpoints_every):
         # the integer cadence keeps its default, which a 10^5 run never reaches
         collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_SECONDS", 0)
         verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
                checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1]
+        assert [cp.position for cp in collected] == [
+            *range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12
+        ]
+
+    def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every):
+        # neither trigger fires in a 10^5 run; the window [100001, 102400),
+        # which holds 100009, the successor of the last pair, still writes it
+        collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
+        base = verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
+                      checkpoint_path=str(tmp_path / "ck.txt"))
+        (cp,) = collected
+        assert cp.position == 25 << 12 and cp.last_representable > 10**5
+        assert read_checkpoint(tmp_path / "ck.txt") == cp
+        assert cp.pairs_scanned == base.pairs_scanned
 
     def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_every):
         # the window [0, 2) holds no pair with s >= 1
         collected = checkpoints_every(1)
         verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == [*range(4, 20, 2), 20, 21]
+        # past the limit, 2-wide read-ahead windows up to 26, where 25 turns up
+        assert [cp.position for cp in collected] == [*range(4, 20, 2), 20, 21, 22, 24, 26]
 
     def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
@@ -596,7 +669,7 @@ class TestVerifyResume:
         assert collected[0].position == 1 << 16
         later = checkpoints_every(1 << 17)
         verify(10**6, t, collected[0], segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in later] == list(range(3 << 16, 10**6, 1 << 17))
+        assert [cp.position for cp in later] == [*range(3 << 16, 10**6, 1 << 17), 1 << 20]
 
     def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every):
         t = Threshold(1, 1)  # fails immediately at (1, 2)
@@ -735,9 +808,11 @@ class TestSummarizeWindow:
         assert got == naive_summary(*args)
         assert got.first == (1 if allow_zero else 2)
 
-    def test_read_ahead_windows_above_limit(self):
-        for lo in (10**8 + 1, 10**8 + 4097):
-            args = (lo, lo + 4096, 10**8, True)
+    def test_windows_past_the_limit_count_no_pairs(self):
+        # the read-ahead window of a default verify, and narrower ones
+        for lo, hi in ((10**8 + 1, 10**8 + 1 + analysis.MAX_GAP),
+                       (10**8 + 1, 10**8 + 4097), (10**8 + 4097, 10**8 + 8193)):
+            args = (lo, hi, 10**8, True)
             got = _summarize_window(args)
             assert got == naive_summary(*args)
             assert got.pair_count == 0 and got.first is not None

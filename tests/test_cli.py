@@ -254,6 +254,24 @@ class TestResume:
         assert resumed.returncode == 0
         assert resumed.stdout == uninterrupted.stdout
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_resume_from_the_finished_state_scans_nothing(self, tmp_path, monkeypatch, workers):
+        argv = ["verify", "--limit", "100000", "--segment-size", "4096", "--workers", workers,
+                "--checkpoint-path", str(tmp_path / "ck.txt"), "--format", "json"]
+
+        def run_to(out, *extra):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*argv, *extra, "--output-path", str(out)])
+            assert exit_info.value.code == 0
+            return out.read_bytes()
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("marked a window after the scan had finished")
+
+        base = run_to(tmp_path / "base.json")
+        monkeypatch.setattr(analysis, "mark_segment", no_scan)
+        assert run_to(tmp_path / "resumed.json", "--resume") == base
+
     def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every):
         ck = tmp_path / "ck.txt"
         checkpoints_every(1 << 18)

@@ -167,7 +167,8 @@ class TestMarkSegment:
                 mark_segment(lo, hi)
 
     def test_value_bound_covers_the_scan_and_its_read_ahead(self):
-        assert analysis.MAX_S + analysis.MAX_GAP + sieve._READAHEAD_WINDOW < sieve.MAX_VALUE
+        # the read-ahead windows end at limit + MAX_GAP
+        assert analysis.MAX_S + analysis.MAX_GAP < sieve.MAX_VALUE
 
     def test_rejects_windows_over_memory_cap(self):
         with pytest.raises(ValueError, match="memory cap"):
