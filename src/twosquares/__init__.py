@@ -23,7 +23,6 @@ _EXPORTS = {
     "DensityPoint": "analysis",
     "NormalizedGapStats": "analysis",
     "RatioRecord": "analysis",
-    "ScanProgress": "analysis",
     "Threshold": "analysis",
     "VerificationReport": "analysis",
     "critical_constant": "analysis",

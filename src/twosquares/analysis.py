@@ -24,15 +24,15 @@ last set bit before the run and the first one after it.  Those pairs, with
 a running maximum seeded with m, give exactly the window's records.
 """
 
+import itertools
 import math
 import os
 import tempfile
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "DensityPoint",
     "NormalizedGapStats",
     "Checkpoint",
-    "ScanProgress",
     "CheckReport",
     "ratio_less",
     "exceeds_threshold",
@@ -233,16 +232,23 @@ class NormalizedGapStats:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable scanner state; position is the next unscanned value."""
+    """The scan's state, and what a checkpoint file holds; position is the
+    next unscanned value.  last_representable and current_max are None
+    until the scan meets its first representable value and first pair."""
 
     version: int
     limit: int
     position: int
-    last_representable: int
-    current_max: RatioRecord
+    last_representable: int | None
+    current_max: RatioRecord | None
     gap_records: tuple[tuple[int, int], ...]
     pairs_scanned: int
     allow_zero: bool = True
+
+    @property
+    def done(self) -> bool:
+        """True once the successor of the last pair with s <= limit is in."""
+        return self.last_representable is not None and self.last_representable > self.limit
 
 
 @dataclass(frozen=True)
@@ -253,14 +259,6 @@ class CheckReport:
     checked: int
     mismatches: int
     first_mismatch: int | None
-
-
-class ScanProgress(NamedTuple):
-    position: int
-    limit: int
-    pairs_scanned: int
-    champion_s: int
-    champion_gap: int
 
 
 def _check_pair_budget(pair: GapPair) -> None:
@@ -288,10 +286,11 @@ def exceeds_threshold(pair: GapPair, t: Threshold) -> bool:
     """Exact gap / s^(1/4) >= p/q.
 
     Equality counts as exceeding: the open interval following s then
-    contains no representable value, which is a failure for that c.
+    contains no representable value, which is a failure for that c.  The
+    pair (q^4, q^4 + p) has ratio exactly p/q, and Threshold's budget keeps
+    it within ratio_less's.
     """
-    _check_pair_budget(pair)
-    return pair.gap**4 * t.q**4 >= t.p**4 * pair.s
+    return not ratio_less(pair, GapPair(t.q**4, t.q**4 + t.p))
 
 
 def _champion(records: Iterable[tuple[int, int]]) -> RatioRecord | None:
@@ -359,7 +358,11 @@ def _last_set(packed: np.ndarray) -> int:
 
 def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     lo, hi, limit, allow_zero = args
-    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
+    return _summarize(mark_segment(lo, hi, allow_zero=allow_zero).packed, lo, hi, limit)
+
+
+def _summarize(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summary:
+    # the summary of the window [lo, hi) whose bitmap is packed, its pad bits 0
     n = hi - lo
     # 0 is representable but pairs require positive s
     start = 1 if lo == 0 else 0
@@ -417,6 +420,34 @@ def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
     return _Summary(lo, hi, pair_count, lo + first, lo + _last_set(packed), tuple(candidates))
 
 
+def _cut_points(limit: int) -> list[int]:
+    """The decades 10^k < limit, then limit: every scan's state is yielded
+    at x + 1 for each, so that its pair count there is R(x)."""
+    return [10**k for k in range(1, len(str(limit))) if 10**k < limit] + [limit]
+
+
+def _summarize_parts(args: tuple[int, int, int, bool]) -> list[_Summary]:
+    """The window's summary, cut at each edge x + 1 inside it, x in
+    _cut_points(limit).  The window is marked once, and each part is
+    summarized on its bytes with the bits outside it cleared, in place: the
+    two end bytes are put back for the neighbouring parts."""
+    lo, hi, limit, allow_zero = args
+    edges = [x + 1 for x in _cut_points(limit) if lo < x + 1 < hi]
+    if not edges:  # most windows; bench/traced_cli.py times the summary by this name
+        return [_summarize_window(args)]
+    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
+    parts = []
+    for a, b in itertools.pairwise([lo, *edges, hi]):
+        i = (a - lo) >> 3
+        part = packed[i : (b - lo + 7) >> 3]
+        ends = part[[0, -1]]
+        part[0] &= 0xFF << (a - lo) % 8 & 0xFF
+        part[-1] &= 0xFF >> (7 - (b - lo - 1) % 8)
+        parts.append(replace(_summarize(part, lo + 8 * i, b, limit), lo=a))
+        part[[0, -1]] = ends
+    return parts
+
+
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
     """Apply fn across args in order, optionally through a process pool.
 
@@ -444,62 +475,27 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
                 pending.popleft().cancel()
 
 
-@dataclass
-class _ScanState:
-    """The ordered reduce: the record-gap table plus what stitches windows."""
-
-    limit: int
-    allow_zero: bool
-    position: int = 0  # the first value not yet scanned
-    prev: int | None = None
-    records: list[tuple[int, int]] = field(default_factory=list)
-    pairs: int = 0
-
-    @classmethod
-    def start(cls, limit: int, allow_zero: bool, cp: Checkpoint | None) -> "_ScanState":
-        """A fresh state, or the one cp recorded if it comes from the same scan."""
-        if cp is None:
-            return cls(limit, allow_zero)
-        for name, got, want in (
-            ("version", cp.version, CHECKPOINT_VERSION),
-            ("limit", cp.limit, limit),
-            ("allow_zero", cp.allow_zero, allow_zero),
-        ):
-            if got != want:
-                raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
-        return cls(limit, allow_zero, cp.position, cp.last_representable,
-                   list(cp.gap_records), cp.pairs_scanned)
-
-    @property
-    def done(self) -> bool:
-        return self.prev is not None and self.prev > self.limit
-
-    def checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            version=CHECKPOINT_VERSION,
-            limit=self.limit,
-            position=self.position,
-            last_representable=self.prev,
-            current_max=_champion(self.records),
-            gap_records=tuple(self.records),
-            pairs_scanned=self.pairs,
-            allow_zero=self.allow_zero,
-        )
-
-    def absorb_summary(self, sm: _Summary) -> None:
-        self.position = sm.hi
-        if sm.first is None:
-            return
-        head = () if self.prev is None else ((self.prev, sm.first - self.prev),)
-        for s, gap in head + sm.candidates:
-            if not 1 <= s <= self.limit:
-                continue
-            if gap > MAX_GAP:
-                raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
-            if not self.records or gap > self.records[-1][0]:
-                self.records.append((gap, s))
-        self.pairs += sm.pair_count
-        self.prev = sm.last
+def _absorb(cp: Checkpoint, sm: _Summary) -> Checkpoint:
+    """cp with the window sm, which starts at cp.position, folded in."""
+    if sm.first is None:
+        return replace(cp, position=sm.hi)
+    records, prev = cp.gap_records, cp.last_representable
+    head = () if prev is None else ((prev, sm.first - prev),)
+    for s, gap in head + sm.candidates:
+        if not 1 <= s <= cp.limit:
+            continue
+        if gap > MAX_GAP:
+            raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
+        if not records or gap > records[-1][0]:
+            records += ((gap, s),)
+    return replace(
+        cp,
+        position=sm.hi,
+        last_representable=sm.last,
+        current_max=cp.current_max if len(records) == len(cp.gap_records) else _champion(records),
+        gap_records=records,
+        pairs_scanned=cp.pairs_scanned + sm.pair_count,
+    )
 
 
 def _scan(
@@ -508,51 +504,65 @@ def _scan(
     workers: int,
     allow_zero: bool,
     resume: Checkpoint | None = None,
-    after_window: Callable[[_ScanState], None] | None = None,
-    cuts: Iterable[int] = (),
     checkpoint_path: str | os.PathLike | None = None,
-) -> _ScanState:
-    """Reduce every pair with s <= limit, from 0 or from a checkpoint.
+) -> Iterator[Checkpoint]:
+    """Reduce every pair with s <= limit, from 0 or from a checkpoint of the
+    same limit and allow_zero, yielding the state at each window edge.
 
-    The windows reach limit + MAX_GAP, as far as the successor of a pair
-    with s <= limit can lie within the gap budget; the scan ends at the
-    window holding the last such successor, or raises BudgetError.
-    after_window(state) runs after each window is absorbed; a window ends
-    at x + 1 for each x in cuts, so there state.pairs counts the
-    representable s in [1, x].
+    The windows step by segment_size from the start, end at limit + 1 too,
+    and reach limit + MAX_GAP, as far as the successor of a pair with
+    s <= limit can lie within the gap budget.  Each is marked once; the
+    edges are its end and the decade edges inside it (_summarize_parts).
+    The last state yielded is done, and a scan that runs out of windows
+    first raises BudgetError.  A resume recomputes current_max from
+    gap_records, and from a done state it yields that state alone.
 
-    With checkpoint_path set, the state is written there after a window
+    With checkpoint_path set, the state is written there at an edge
     once DEFAULT_CHECKPOINT_EVERY integers or DEFAULT_CHECKPOINT_SECONDS
     seconds have passed since the start, resume or last write, whichever
-    comes first, and after the window that ends the scan; never before the
+    comes first, and at the edge that ends the scan; never before the
     first record.  A failed write raises CheckpointError naming checkpoint-path.
     """
     _validate_scan_args(limit, segment_size, workers)
-    state = _ScanState.start(limit, allow_zero, resume)
-    if state.done:  # resumed from the finished state
-        return state
-    saved_at, saved_time = state.position, time.perf_counter()
-    windows = _windows(state.position, limit + MAX_GAP, segment_size, (*cuts, limit))
+    cp = resume
+    if cp is None:
+        cp = Checkpoint(CHECKPOINT_VERSION, limit, 0, None, None, (), 0, allow_zero)
+    for name, got, want in (
+        ("version", cp.version, CHECKPOINT_VERSION),
+        ("limit", cp.limit, limit),
+        ("allow_zero", cp.allow_zero, allow_zero),
+    ):
+        if got != want:
+            raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
+    cp = replace(cp, current_max=_champion(cp.gap_records))
+    if cp.done:  # resumed from the finished state
+        yield cp
+        return
+    saved_at, saved_time = cp.position, time.perf_counter()
+    windows = _windows(cp.position, limit + MAX_GAP, segment_size, (limit,))
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
-    for sm in _ordered_map(_summarize_window, args, workers):
-        state.absorb_summary(sm)
-        if after_window is not None:
-            after_window(state)
-        if checkpoint_path is not None and state.records and (
-            state.done
-            or state.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
+    for sm in itertools.chain.from_iterable(_ordered_map(_summarize_parts, args, workers)):
+        cp = _absorb(cp, sm)
+        if checkpoint_path is not None and cp.gap_records and (
+            cp.done
+            or cp.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
             or time.perf_counter() - saved_time >= DEFAULT_CHECKPOINT_SECONDS
         ):
             try:
-                write_checkpoint(state.checkpoint(), checkpoint_path)
+                write_checkpoint(cp, checkpoint_path)
             except OSError as exc:
                 raise CheckpointError(
                     f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
                 ) from exc
-            saved_at, saved_time = state.position, time.perf_counter()
-        if state.done:
-            return state
-    raise BudgetError(f"pair: gap at s={state.prev} exceeds budget {MAX_GAP}")
+            saved_at, saved_time = cp.position, time.perf_counter()
+        yield cp
+        if cp.done:
+            return
+    raise BudgetError(f"pair: gap at s={cp.last_representable} exceeds budget {MAX_GAP}")
+
+
+def _finished(limit: int, segment_size: int, workers: int, allow_zero: bool) -> Checkpoint:
+    return deque(_scan(limit, segment_size, workers, allow_zero), maxlen=1).pop()
 
 
 def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
@@ -583,7 +593,7 @@ def critical_constant(
     On an exact ratio tie the smaller s wins, so the result does not depend
     on scan order or window size.
     """
-    return _champion(_scan(limit, segment_size, workers, allow_zero).records)
+    return _finished(limit, segment_size, workers, allow_zero).current_max
 
 
 def gap_records(
@@ -598,7 +608,7 @@ def gap_records(
     Returned as (gap, first_s), sorted by gap; only gaps strictly larger
     than every earlier gap appear.
     """
-    return _scan(limit, segment_size, workers, allow_zero).records
+    return list(_finished(limit, segment_size, workers, allow_zero).gap_records)
 
 
 def verify(
@@ -610,36 +620,31 @@ def verify(
     workers: int = 1,
     allow_zero: bool = True,
     checkpoint_path: str | os.PathLike | None = None,
-    progress: Callable[[ScanProgress], None] | None = None,
+    progress: Callable[[Checkpoint], None] | None = None,
 ) -> VerificationReport:
     """Scan all pairs with s <= limit against a rational threshold.
 
     passed is False exactly when some pair satisfies gap / s^(1/4) >= p/q;
     the report then names the first such pair.  The maximum-ratio record is
-    reported either way.  When checkpoint_path is set, _scan writes
-    checkpoints there on its cadence and at its end.  Resuming from any of
-    them reproduces the uninterrupted report field for field (elapsed
-    excepted, since it measures the actual run).
+    reported either way.  progress, if given, sees each state _scan yields
+    once the record table is not empty.  When checkpoint_path is set, _scan
+    writes checkpoints there on its cadence and at its end.  Resuming from
+    any of them reproduces the uninterrupted report field for field
+    (elapsed excepted, since it measures the actual run).
     """
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-
-    def after_window(st: _ScanState) -> None:
-        champ = _champion(st.records)
-        if champ is not None:
-            progress(ScanProgress(st.position, limit, st.pairs, champ.s, champ.gap))
-
-    state = _scan(limit, segment_size, workers, allow_zero, checkpoint,
-                  None if progress is None else after_window,
-                  checkpoint_path=checkpoint_path)
-    offender = _first_offender(state.records, threshold)
+    for state in _scan(limit, segment_size, workers, allow_zero, checkpoint, checkpoint_path):
+        if progress is not None and state.gap_records:
+            progress(state)
+    offender = _first_offender(state.gap_records, threshold)
     return VerificationReport(
         limit=limit,
-        max_record=_champion(state.records),
+        max_record=state.current_max,
         threshold=threshold,
         passed=offender is None,
-        pairs_scanned=state.pairs,
+        pairs_scanned=state.pairs_scanned,
         elapsed=time.perf_counter() - t0,
         first_offender=offender,
     )
@@ -665,41 +670,26 @@ def normalized_stats(records: Iterable[tuple[int, int]]) -> list[NormalizedGapSt
 
 
 def density(
-    points: Sequence[int],
+    limit: int,
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
     allow_zero: bool = True,
 ) -> list[DensityPoint]:
-    """Exact counts R(x) of representable n in [1, x], with normalization.
+    """Exact counts R(x) of representable n in [1, x], with normalization,
+    at the decades 10^k < limit and at limit, in ascending order.
 
-    The counts come from one scan to the largest point whose windows are
-    also cut after each point: R(x) is the scan's cumulative pair count read
-    where a window ends at x + 1.  The normalized value is
-    count * sqrt(ln x) / x.  Points are returned in ascending order,
-    deduplicated.
+    Every scan yields its state at x + 1 for each such x, and R(x) is that
+    state's pair count.  The normalized value is count * sqrt(ln x) / x.
     """
-    if not points:
-        raise ValueError("density: need at least one point")
-    for x in points:
-        if not isinstance(x, int) or x < 2:
-            raise ValueError(f"density: each point must be an integer >= 2, got {x}")
-        if x > MAX_S:
-            raise BudgetError(f"density: point {x} exceeds budget {MAX_S}")
-    xs = sorted(set(points))
-    counts = dict.fromkeys(xs)
-
-    def after_window(st: _ScanState) -> None:
-        if st.position - 1 in counts:
-            counts[st.position - 1] = st.pairs
-
-    _scan(xs[-1], segment_size, workers, allow_zero, after_window=after_window, cuts=xs)
+    counts = {st.position - 1: st.pairs_scanned
+              for st in _scan(limit, segment_size, workers, allow_zero)}
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for x, count in counts.items():
-            normalized = Decimal(count) * Decimal(x).ln().sqrt() / Decimal(x)
-            out.append(DensityPoint(x, count, +normalized))
+        for x in _cut_points(limit):
+            normalized = Decimal(counts[x]) * Decimal(x).ln().sqrt() / Decimal(x)
+            out.append(DensityPoint(x, counts[x], +normalized))
     return out
 
 
@@ -857,6 +847,11 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}")
             if records and (gap <= records[-1][0] or s <= records[-1][1]):
                 raise CheckpointError("checkpoint: gap_records not strictly increasing")
+            if s > min(limit, last):
+                raise CheckpointError(
+                    f"checkpoint: gap_records entry {item!r} lies past limit {limit} "
+                    f"or last_representable {last}"
+                )
             records.append((gap, s))
     # the stored maximum is redundant; a disagreement marks a corrupt file
     best = _champion(records)

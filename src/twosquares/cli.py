@@ -4,13 +4,15 @@ Subcommands: verify (threshold scan), records (gap record table), density
 (count statistics), check (sieve vs the bulk even-exponent criterion).
 Each validates its arguments, calls one library function through the
 analysis module (verify, gap_records, density, cross_check) and serializes
-what it returns; no scanning happens here.  Every report is a table,
-rows that share the same keys: json writes verify and check as one object
-and records and density as an array of objects; csv writes the keys as a
-header line and then one line per row, with an empty cell for None and
-booleans in lower case.  Reports go to stdout or --output-path; progress (position, pair count, rate and the current
-maximum-ratio record) and diagnostics go to stderr only, so the report
-stream stays byte-deterministic for a given configuration.
+what it returns; no scanning happens here.  density reports the counts at
+the decades below --limit and at --limit, where every scan yields its
+state.  Every report is a table, rows that share the same keys: json
+writes verify and check as one object and records and density as an array
+of objects; csv writes the keys as a header line and then one line per row,
+with an empty cell for None and booleans in lower case.  Reports go to stdout or --output-path; progress
+(position, pair count, rate and the current maximum-ratio record, read from
+the scan's Checkpoint state) and diagnostics go to stderr only, so the
+report stream stays byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
 exceeded, scientifically interesting), 2 usage or configuration error,
@@ -27,10 +29,10 @@ from functools import partial
 
 from . import analysis
 from .analysis import (
+    Checkpoint,
     CheckpointError,
     CheckReport,
     DensityPoint,
-    ScanProgress,
     Threshold,
     VerificationReport,
     significant,
@@ -300,32 +302,21 @@ def _progress_printer(start: int = 0):
     started = time.perf_counter()
     last = [started]
 
-    def cb(p: ScanProgress) -> None:
+    def cb(cp: Checkpoint) -> None:
         now = time.perf_counter()
         if now - last[0] < 2.0:
             return
         last[0] = now
-        position = min(p.position, p.limit)
+        position = min(cp.position, cp.limit)
         rate = (position - start) / max(now - started, 1e-9) / 1e6
         sys.stderr.write(
-            f"progress: {position:,}/{p.limit:,} scanned, "
-            f"{p.pairs_scanned:,} pairs, {rate:.1f} M/s, "
-            f"max ratio at s={p.champion_s:,} gap={p.champion_gap}\n"
+            f"progress: {position:,}/{cp.limit:,} scanned, "
+            f"{cp.pairs_scanned:,} pairs, {rate:.1f} M/s, "
+            f"max ratio at s={cp.current_max.s:,} gap={cp.current_max.gap}\n"
         )
         sys.stderr.flush()
 
     return cb
-
-
-def _density_points(limit: int) -> list[int]:
-    points = []
-    x = 10
-    while x <= limit:
-        points.append(x)
-        x *= 10
-    if not points or points[-1] != limit:
-        points.append(limit)
-    return points
 
 
 def run(config: RunConfig) -> int:
@@ -355,7 +346,7 @@ def run(config: RunConfig) -> int:
         elif config.subcommand == "records":
             report, code = analysis.gap_records(config.limit, **scan_kwargs), EXIT_PASS
         elif config.subcommand == "density":
-            report = analysis.density(_density_points(config.limit), **scan_kwargs)
+            report = analysis.density(config.limit, **scan_kwargs)
             code = EXIT_PASS
         elif config.subcommand == "check":
             report = analysis.cross_check(config.limit, **scan_kwargs)

@@ -64,6 +64,20 @@ def record_windows(monkeypatch):
     return windows
 
 
+def draw_windows(monkeypatch):
+    """List every (lo, hi) the scan draws from now on, in the parent
+    process, whatever the worker count."""
+    drawn, real = [], analysis._windows
+
+    def recording(*args):
+        for window in real(*args):
+            drawn.append(window)
+            yield window
+
+    monkeypatch.setattr(analysis, "_windows", recording)
+    return drawn
+
+
 def flip_marks(monkeypatch, *ns):
     """Flip the sieve's bit for each n in ns in every window marked from now
     on; workers forked after the call see the flips too."""
@@ -251,16 +265,10 @@ class TestVerify:
             assert report.passed == (not expected_failed), (p, q)
 
     def test_two_workers_draw_only_the_windows_one_worker_marks(self, monkeypatch):
-        # six windows up to 10^8 and one read-ahead window; the pool draws
-        # none past the window that ends the scan
-        drawn, real = [], analysis._windows
-
-        def recording(*args):
-            for window in real(*args):
-                drawn.append(window)
-                yield window
-
-        monkeypatch.setattr(analysis, "_windows", recording)
+        # six windows up to 10^8, the first one cut at the decades 10 .. 10^7
+        # but marked once, and one read-ahead window; the pool draws none
+        # past the window that ends the scan
+        drawn = draw_windows(monkeypatch)
         marked = record_windows(monkeypatch)
         t = Threshold.parse("2414/1000")
         assert verify(10**8, t).passed
@@ -268,6 +276,18 @@ class TestVerify:
         drawn.clear()
         assert verify(10**8, t, workers=2).passed
         assert drawn == marked
+
+    def test_progress_sees_each_state_once_the_table_is_not_empty(self):
+        seen = []
+        report = verify(20, Threshold(2, 1), segment_size=2, progress=seen.append)
+        # the window [0, 2) holds no pair with s >= 1; the decade 10 ends a
+        # state at 11 and the read-ahead ends at 26, where 25 turns up
+        assert [cp.position for cp in seen] == [
+            4, 6, 8, 10, 11, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
+        ]
+        assert [cp.done for cp in seen] == [False] * (len(seen) - 1) + [True]
+        assert seen[-1].pairs_scanned == report.pairs_scanned
+        assert seen[-1].current_max == report.max_record
 
     def test_threshold_type_enforced(self):
         with pytest.raises(ValueError):
@@ -365,60 +385,74 @@ class TestNormalizedGaps:
 
 class TestDensity:
     def test_count_at_10(self):
-        (pt,) = density([10])
-        assert pt.count == 7
+        (pt,) = density(10)
+        assert (pt.x, pt.count) == (10, 7)
         assert significant(pt.normalized) == "1.06219899057"
 
     def test_count_at_100(self):
-        (pt,) = density([100])
-        assert pt.count == 43
+        pt = density(100)[-1]
+        assert (pt.x, pt.count) == (100, 43)
         assert significant(pt.normalized) == "0.922765391304"
 
     def test_known_counts(self):
-        pts = density([10, 100, 1000, 10**4, 10**5])
-        assert [p.count for p in pts] == [7, 43, 330, 2749, 24028]
+        pts = density(10**5)
+        assert [(p.x, p.count) for p in pts] == [
+            (10, 7), (100, 43), (1000, 330), (10**4, 2749), (10**5, 24028)
+        ]
 
     def test_matches_brute_count(self):
-        for x in (2, 17, 333, 9999):
-            (pt,) = density([x])
-            assert pt.count == brute_count(x)
-
-    def test_deduplicates_and_sorts(self):
-        pts = density([100, 10, 100])
-        assert [p.x for p in pts] == [10, 100]
+        for limit, xs in [(2, [2]), (17, [10, 17]), (333, [10, 100, 333]),
+                          (9999, [10, 100, 1000, 9999])]:
+            pts = density(limit)
+            assert [(p.x, p.count) for p in pts] == [(x, brute_count(x)) for x in xs]
 
     def test_rejects_small_points(self):
-        with pytest.raises(ValueError):
-            density([1])
-        with pytest.raises(ValueError):
-            density([])
+        with pytest.raises(ValueError, match="limit"):
+            density(1)
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
     def test_rejects_bad_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            density([100], workers=workers)
+            density(100, workers=workers)
 
     def test_invariant_under_segment_size_and_workers(self):
-        a = density([10**4, 10**5], segment_size=1 << 12)
-        b = density([10**4, 10**5], segment_size=1 << 20, workers=2)
+        a = density(10**5, segment_size=1 << 12)
+        b = density(10**5, segment_size=1 << 20, workers=2)
         assert a == b
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size", [16, 1 << 10])
     def test_points_at_window_edges_match_brute_count(self, size, workers, allow_zero):
-        limit = 5 * size + 7
-        points = [k * size + d for k in (1, 2, 5) for d in (-1, 0, 1)] + [limit]
-        got = density(points, segment_size=size, workers=workers, allow_zero=allow_zero)
-        assert [(p.x, p.count) for p in got] == [(x, brute_count(x, allow_zero)) for x in points]
+        for limit in [k * size + d for k in (1, 2, 5) for d in (-1, 0, 1)] + [5 * size + 7]:
+            got = density(limit, segment_size=size, workers=workers, allow_zero=allow_zero)
+            assert got[-1].x == limit
+            assert [p.count for p in got] == [brute_count(p.x, allow_zero) for p in got]
 
     def test_one_scan_marks_each_value_once(self, monkeypatch):
         windows = record_windows(monkeypatch)
-        assert [p.count for p in density([10, 100], segment_size=1 << 16)] == [7, 43]
-        # cut after 10 and at the limit 100, then one read-ahead window up to
-        # the first step edge, where 101 turns up: [0, 101] marked once, in
-        # one pass
-        assert windows == [(0, 11), (11, 101), (101, 1 << 16)]
+        assert [p.count for p in density(100, segment_size=1 << 16)] == [7, 43]
+        # a window up to the limit 100, cut after 10 but marked whole, then
+        # one read-ahead window up to the first step edge, where 101 turns
+        # up: [0, 101] marked once, in one pass
+        assert windows == [(0, 101), (101, 1 << 16)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_scan_draws_the_same_windows(monkeypatch, workers):
+    # the window plan is fixed by limit, segment_size and the scan's start,
+    # whichever report reads the scan: the steps, the limit and the
+    # read-ahead, and at 2 workers the same few windows the pool draws ahead
+    drawn = draw_windows(monkeypatch)
+    scan = dict(segment_size=1 << 12, workers=workers)
+    verify(10**5, Threshold.parse("2414/1000"), **scan)
+    plan = list(drawn)
+    assert plan[:26] == [*((lo, lo + (1 << 12)) for lo in range(0, 24 << 12, 1 << 12)),
+                         (24 << 12, 10**5 + 1), (10**5 + 1, 25 << 12)]
+    for report in (gap_records, density):
+        drawn.clear()
+        report(10**5, **scan)
+        assert drawn == plan, report.__name__
 
 
 class TestCrossCheck:
@@ -540,6 +574,19 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="gap_records"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("limit, s", [(10**6, 2 * 10**6 - 3), (10**7, 2 * 10**6 - 1)])
+    def test_record_past_limit_or_last_representable_rejected(self, tmp_path, limit, s):
+        # a record's s is at most the limit and at most the last value scanned;
+        # the stored maximum is fixed up to match the forged entry
+        path = tmp_path / "state.txt"
+        cp = replace(self.sample(), limit=limit)
+        write_checkpoint(cp, path)
+        assert read_checkpoint(path) == cp
+        write_checkpoint(replace(cp, current_max=RatioRecord.of(s, 100),
+                                 gap_records=cp.gap_records + ((100, s),)), path)
+        with pytest.raises(CheckpointError, match="gap_records"):
+            read_checkpoint(path)
+
     def test_failed_replace_keeps_old_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "state.txt"
         old = self.sample()
@@ -607,12 +654,21 @@ class TestCheckpointIO:
             verify(10**6, Threshold(2, 1), cp)
 
 
+# the window edges of a scan to 10^5 in 2^12-wide steps: the steps, the
+# decade cuts, limit + 1 and the end of the read-ahead window
+WINDOW_EDGES_TO_1E5 = [
+    11, 101, 1001, 1 << 12, 2 << 12, 10001, *range(3 << 12, 10**5, 1 << 12),
+    10**5 + 1, 25 << 12,
+]
+
+
 class TestVerifyResume:
     def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 17)
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        # the cadence, then the finished state at the end of the read-ahead window
+        # the cadence, which no decade cut meets, then the finished state at
+        # the end of the read-ahead window
         assert [cp.position for cp in collected] == [*range(1 << 17, 10**6, 1 << 17), 1 << 20]
         ref = replace(base, elapsed=0.0)
         for cp in collected:
@@ -626,11 +682,9 @@ class TestVerifyResume:
         base = emit_report(run(), "json")
         collected = checkpoints_every(1)
         assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
-        # every edge up to the one at limit + 1, then the finished state at
-        # the end of the read-ahead window
-        assert [cp.position for cp in collected] == [
-            *range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12
-        ]
+        # every edge up to the one at limit + 1, the decade edges included,
+        # then the finished state at the end of the read-ahead window
+        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
         for cp in collected:
             assert emit_report(run(cp), "json") == base, cp.position
 
@@ -640,9 +694,7 @@ class TestVerifyResume:
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_SECONDS", 0)
         verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
                checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == [
-            *range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12
-        ]
+        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
 
     def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every):
         # neither trigger fires in a 10^5 run; the window [100001, 102400),
@@ -659,8 +711,11 @@ class TestVerifyResume:
         # the window [0, 2) holds no pair with s >= 1
         collected = checkpoints_every(1)
         verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
-        # past the limit, 2-wide read-ahead windows up to 26, where 25 turns up
-        assert [cp.position for cp in collected] == [*range(4, 20, 2), 20, 21, 22, 24, 26]
+        # a cut after the decade 10; past the limit, 2-wide read-ahead
+        # windows up to 26, where 25 turns up
+        assert [cp.position for cp in collected] == [
+            4, 6, 8, 10, 11, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
+        ]
 
     def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
@@ -835,6 +890,41 @@ class TestSummarizeWindow:
         finally:
             analysis._SUMMARY_BLOCK = saved
         assert got == naive_summary(*args)
+
+
+class TestSummarizeParts:
+    """A window with cut edges inside it: marked once, summarized part by part."""
+
+    @staticmethod
+    def check(lo, hi, limit, allow_zero, floor):
+        edges = [x + 1 for x in (10, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8,
+                                 10**9, 10**10, 10**11, limit) if x <= limit and lo < x + 1 < hi]
+        parts = list(zip([lo, *edges], [*edges, hi]))
+        with mock.patch.object(analysis, "_SCREEN_FLOOR", floor):
+            got = analysis._summarize_parts((lo, hi, limit, allow_zero))
+        assert got == [naive_summary(a, b, limit, allow_zero) for a, b in parts]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.integers(min_value=0, max_value=120000),
+        span=st.integers(min_value=1, max_value=120000),
+        limit_at=st.integers(min_value=-2000, max_value=200000),
+        allow_zero=st.booleans(),
+        floor=st.sampled_from([15, analysis._SCREEN_FLOOR]),
+    )
+    def test_parts_match_their_windows_marked_alone(self, lo, span, limit_at, allow_zero, floor):
+        self.check(lo, lo + span, max(2, lo + limit_at), allow_zero, floor)
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_a_part_edge_at_each_decade_up_to_the_budget(self, k):
+        # the edge 10^k + 1 sits at offset 3001 + k: seven bit positions
+        # within a byte as k varies
+        self.check(10**k - 3000 - k, 10**k + 3000, 10**12, True, 15)
+
+    def test_a_window_without_edges_inside_is_one_summary(self):
+        assert analysis._summarize_parts((11, 101, 10**6, True)) == [
+            _summarize_window((11, 101, 10**6, True))
+        ]
 
 
 def full_summary_of(lo, bits, limit):

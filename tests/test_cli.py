@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from twosquares import ScanProgress, Threshold, analysis, cli, verify
+from twosquares import Checkpoint, RatioRecord, Threshold, analysis, cli, verify
 from twosquares.cli import RunConfig, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,12 +145,18 @@ class TestExitCodes:
         assert "checkpoint-path" in captured.err and "No space left" in captured.err
 
 
+def scan_state(position, limit, pairs):
+    return Checkpoint(version=1, limit=limit, position=position,
+                      last_representable=position - 1, current_max=RatioRecord.of(1493, 15),
+                      gap_records=((15, 1493),), pairs_scanned=pairs)
+
+
 def test_progress_line_labels_the_max_ratio_record(monkeypatch, capsys):
     ticks = iter([0.0, 1.0, 3.0])
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     printer = cli._progress_printer()
-    printer(ScanProgress(1 << 24, 10**8, 1000, 1493, 15))  # under 2 s: silent
-    printer(ScanProgress(1 << 25, 10**8, 2000, 1493, 15))
+    printer(scan_state(1 << 24, 10**8, 1000))  # under 2 s: silent
+    printer(scan_state(1 << 25, 10**8, 2000))
     assert capsys.readouterr().err == (
         "progress: 33,554,432/100,000,000 scanned, 2,000 pairs, 11.2 M/s, "
         "max ratio at s=1,493 gap=15\n"
@@ -162,7 +168,7 @@ def test_progress_rate_after_resume_counts_from_the_resume_position(monkeypatch,
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     position = 999_972_405_248
     printer = cli._progress_printer(position)
-    printer(ScanProgress(position + (1 << 24), 10**12, 2000, 1493, 15))
+    printer(scan_state(position + (1 << 24), 10**12, 2000))
     # 2^24 integers in 3 s
     assert capsys.readouterr().err == (
         "progress: 999,989,182,464/1,000,000,000,000 scanned, 2,000 pairs, 5.6 M/s, "
