@@ -37,15 +37,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .representability import representable_mask
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    GapPair,
-    _SLICE,
-    _count_set,
-    _set_offsets,
-    _windows,
-    mark_segment,
-)
+from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
 
 __all__ = [
     "MAX_GAP",
@@ -90,6 +82,9 @@ _SUMMARY_BLOCK = 4096
 # The head ends once its largest gap reaches this; at least 15, so that the
 # zero-byte screen past the head looks for runs of at least one byte
 _SCREEN_FLOOR = 32
+# Bytes of a packed bitmap that the popcount and the zero-byte screen read
+# at a time, 64 KB: their temporaries stay cache-sized however wide the window
+_SLICE = 1 << 16
 # Bit offset of the lowest and of the highest set bit of each nonzero byte
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 _HIGH_BIT = np.array([b.bit_length() - 1 for b in range(256)], dtype=np.int64)
@@ -343,6 +338,28 @@ def _new_records(s: np.ndarray, gaps: np.ndarray, best: int) -> tuple[list[tuple
     return list(zip(s[idx].tolist(), gaps[idx].tolist())), int(running[-1])
 
 
+def _set_offsets(packed: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Offsets i with p <= i < q whose bit is set in packed, ascending int64."""
+    b = p >> 3
+    bits = np.unpackbits(packed[b : (q + 7) >> 3], bitorder="little")[p - 8 * b : q - 8 * b]
+    return np.flatnonzero(bits) + p
+
+
+def _count_set(packed: np.ndarray, p: int, q: int) -> int:
+    """Number of offsets i with p <= i < q whose bit is set in packed."""
+    if q <= p:
+        return 0
+    a, b = p >> 3, (q - 1) >> 3
+    # whole bytes a..b, less the bits below p and above q - 1
+    total = sum(
+        int(np.bitwise_count(packed[i : min(i + _SLICE, b + 1)]).sum())
+        for i in range(a, b + 1, _SLICE)
+    )
+    total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
+    total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
+    return total
+
+
 def _last_set(packed: np.ndarray) -> int:
     # the offset of the last set bit of a bitmap that has one, scanning back
     # from the end in chunks that double in width
@@ -356,12 +373,7 @@ def _last_set(packed: np.ndarray) -> int:
         end, width = begin, 2 * width
 
 
-def _summarize_window(args: tuple[int, int, int, bool]) -> _Summary:
-    lo, hi, limit, allow_zero = args
-    return _summarize(mark_segment(lo, hi, allow_zero=allow_zero).packed, lo, hi, limit)
-
-
-def _summarize(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summary:
+def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summary:
     # the summary of the window [lo, hi) whose bitmap is packed, its pad bits 0
     n = hi - lo
     # 0 is representable but pairs require positive s
@@ -427,15 +439,15 @@ def _cut_points(limit: int) -> list[int]:
 
 
 def _summarize_parts(args: tuple[int, int, int, bool]) -> list[_Summary]:
-    """The window's summary, cut at each edge x + 1 inside it, x in
-    _cut_points(limit).  The window is marked once, and each part is
-    summarized on its bytes with the bits outside it cleared, in place: the
-    two end bytes are put back for the neighbouring parts."""
+    """Mark the window [lo, hi) once and summarize it cut at each edge x + 1
+    inside it, x in _cut_points(limit): one part, most often.  Each part is
+    summarized on its bytes with the bits outside it cleared, in place, and
+    the two end bytes are put back for the neighbouring parts.  A window
+    with no edge inside is the one part whose masks clear only the pad bits,
+    which mark_segment leaves at 0."""
     lo, hi, limit, allow_zero = args
-    edges = [x + 1 for x in _cut_points(limit) if lo < x + 1 < hi]
-    if not edges:  # most windows; bench/traced_cli.py times the summary by this name
-        return [_summarize_window(args)]
     packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
+    edges = [x + 1 for x in _cut_points(limit) if lo < x + 1 < hi]
     parts = []
     for a, b in itertools.pairwise([lo, *edges, hi]):
         i = (a - lo) >> 3
@@ -443,7 +455,7 @@ def _summarize_parts(args: tuple[int, int, int, bool]) -> list[_Summary]:
         ends = part[[0, -1]]
         part[0] &= 0xFF << (a - lo) % 8 & 0xFF
         part[-1] &= 0xFF >> (7 - (b - lo - 1) % 8)
-        parts.append(replace(_summarize(part, lo + 8 * i, b, limit), lo=a))
+        parts.append(replace(_summarize_window(part, lo + 8 * i, b, limit), lo=a))
         part[[0, -1]] = ends
     return parts
 
@@ -511,8 +523,9 @@ def _scan(
 
     The windows step by segment_size from the start, end at limit + 1 too,
     and reach limit + MAX_GAP, as far as the successor of a pair with
-    s <= limit can lie within the gap budget.  Each is marked once; the
-    edges are its end and the decade edges inside it (_summarize_parts).
+    s <= limit can lie within the gap budget.  Each is marked once and
+    summarized in parts (_summarize_parts), so the edges are its end and
+    the decade edges inside it.
     The last state yielded is done, and a scan that runs out of windows
     first raises BudgetError.  A resume recomputes current_max from
     gap_records, and from a done state it yields that state alone.
@@ -539,7 +552,7 @@ def _scan(
         yield cp
         return
     saved_at, saved_time = cp.position, time.perf_counter()
-    windows = _windows(cp.position, limit + MAX_GAP, segment_size, (limit,))
+    windows = _windows(cp.position, limit + MAX_GAP, segment_size, limit)
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm in itertools.chain.from_iterable(_ordered_map(_summarize_parts, args, workers)):
         cp = _absorb(cp, sm)
@@ -781,12 +794,15 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate; unknown fields, duplicates and gaps in the record
-    table are all rejected."""
+    table are all rejected.  A file that cannot be read raises
+    CheckpointError naming checkpoint-path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint: {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint-path: cannot read {path}: {exc}") from exc
     fields: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

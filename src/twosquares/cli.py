@@ -30,7 +30,6 @@ from functools import partial
 from . import analysis
 from .analysis import (
     Checkpoint,
-    CheckpointError,
     CheckReport,
     DensityPoint,
     Threshold,
@@ -121,12 +120,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.limit < 2:
-        raise ValueError(f"limit: must be >= 2, got {config.limit}")
-    if config.limit > analysis.MAX_S:
-        raise analysis.BudgetError(
-            f"limit: {config.limit} exceeds exact-comparison budget {analysis.MAX_S}"
-        )
+    # the limit is checked by the library, before any window
     size = config.segment_size
     if not 2 <= size <= DEFAULT_MEMORY_CAP or size & (size - 1):
         raise ValueError(
@@ -326,19 +320,13 @@ def run(config: RunConfig) -> int:
         scan_kwargs = dict(segment_size=config.segment_size, workers=config.workers)
         if config.subcommand == "verify":
             threshold = Threshold.parse(config.threshold)
-            checkpoint = None
-            if config.resume:
-                try:
-                    checkpoint = analysis.read_checkpoint(config.checkpoint_path)
-                except OSError as exc:
-                    raise CheckpointError(
-                        f"checkpoint: cannot read {config.checkpoint_path}: {exc}"
-                    ) from exc
+            path = config.checkpoint_path
+            checkpoint = analysis.read_checkpoint(path) if config.resume else None
             report = analysis.verify(
                 config.limit,
                 threshold,
                 checkpoint,
-                checkpoint_path=config.checkpoint_path,
+                checkpoint_path=path,
                 progress=_progress_printer(checkpoint.position if checkpoint else 0),
                 **scan_kwargs,
             )

@@ -12,10 +12,9 @@ offsets of lattice points inside a block are computed in uint32, modulo
 2^32, which mark_segment's docstring proves exact.
 """
 
-import heapq
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +51,6 @@ _BLOCK_WIDTHS = ((2 * 10**9, 1 << 19), (4 * 10**10, 1 << 20), (MAX_VALUE, 1 << 2
 # fewer than _CHUNK + 1450 entries (about 70 KB, twice that widened to intp
 # for the scatter) at every width.
 _CHUNK = 1 << 14
-# Bytes of a packed bitmap that the popcount and the summary's zero-byte
-# screen read at a time, 64 KB: their temporaries stay cache-sized however
-# wide the window
-_SLICE = 1 << 16
 # 0, 1, 2, ...: the step of x along a group's rows, as long as the bound
 # above on a group at the widest block, and sliced rather than allocated
 # for each group
@@ -79,28 +74,6 @@ class Segment:
     def bits(self) -> np.ndarray:
         """The bitmap unpacked to one bool per value, as a new array."""
         return np.unpackbits(self.packed, count=self.hi - self.lo, bitorder="little").view(np.bool_)
-
-
-def _set_offsets(packed: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Offsets i with p <= i < q whose bit is set in packed, ascending int64."""
-    b = p >> 3
-    bits = np.unpackbits(packed[b : (q + 7) >> 3], bitorder="little")[p - 8 * b : q - 8 * b]
-    return np.flatnonzero(bits) + p
-
-
-def _count_set(packed: np.ndarray, p: int, q: int) -> int:
-    """Number of offsets i with p <= i < q whose bit is set in packed."""
-    if q <= p:
-        return 0
-    a, b = p >> 3, (q - 1) >> 3
-    # whole bytes a..b, less the bits below p and above q - 1
-    total = sum(
-        int(np.bitwise_count(packed[i : min(i + _SLICE, b + 1)]).sum())
-        for i in range(a, b + 1, _SLICE)
-    )
-    total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
-    total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
-    return total
 
 
 @dataclass(frozen=True)
@@ -250,19 +223,20 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
 
 
 def _windows(
-    start: int, limit: int, segment_size: int, cuts: Iterable[int] = ()
+    start: int, limit: int, segment_size: int, cut: int | None = None
 ) -> Iterator[tuple[int, int]]:
     """Windows [lo, hi) covering [start, limit], the last one clamped to limit + 1.
 
-    Windows step by segment_size from start, and each cut x in [start, limit]
-    also ends one at x + 1.  The cut edges merge into the stepped ones one at
-    a time, so the iterator stays lazy however many windows there are.
+    Windows step by segment_size from start, and a cut x in [start, limit)
+    also ends one at x + 1.  The iterator is lazy however many windows
+    there are.
     """
-    cut_edges = sorted(x + 1 for x in cuts if start <= x < limit)
     steps = range(start + segment_size, limit + 1, segment_size)
     lo = start
-    for hi in heapq.merge(steps, cut_edges, (limit + 1,)):
+    for hi in itertools.chain(steps, (limit + 1,)):
+        if cut is not None and lo < cut + 1 < hi:
+            yield lo, cut + 1
+            lo = cut + 1
         if hi > lo:
             yield lo, hi
             lo = hi
-

@@ -31,10 +31,10 @@ from twosquares import (
     write_checkpoint,
 )
 
-from twosquares import analysis, sieve
+from twosquares import analysis
 from twosquares.analysis import _Summary, _summarize_window
 from twosquares.cli import emit_report
-from twosquares.sieve import Segment, mark_segment
+from twosquares.sieve import mark_segment
 
 from reference import brute_champion, brute_count, brute_pairs, brute_records, ratio_fraction
 
@@ -531,6 +531,10 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="missing"):
             read_checkpoint(path)
 
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match="checkpoint-path: cannot read"):
+            read_checkpoint(tmp_path / "absent.txt")
+
     def test_duplicate_field_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
@@ -789,6 +793,11 @@ class TestSignificant:
         assert significant(Decimal(0)) == "0.00000000000"
 
 
+def summarize(lo, hi, limit, allow_zero):
+    """_summarize_window over the sieve's bitmap of [lo, hi)."""
+    return _summarize_window(mark_segment(lo, hi, allow_zero=allow_zero).packed, lo, hi, limit)
+
+
 def naive_summary(lo, hi, limit, allow_zero):
     """The window digest from the full value list and a full prefix maximum."""
     return naive_summary_of(lo, mark_segment(lo, hi, allow_zero=allow_zero).bits, limit)
@@ -808,6 +817,37 @@ def naive_summary_of(lo, bits, limit):
     return _Summary(lo, hi, pair_count, vals[0], vals[-1], tuple(candidates))
 
 
+class TestPackedBitmap:
+    def test_count_and_offsets_match_unpacked(self):
+        rng = np.random.default_rng(20261018)
+        for width in (1, 7, 8, 9, 23, 64, 70):
+            bits = rng.random(width) < 0.4
+            packed = np.packbits(bits, bitorder="little")
+            for p in range(width + 1):
+                for q in range(p, width + 1):
+                    assert analysis._count_set(packed, p, q) == int(np.count_nonzero(bits[p:q]))
+                    assert analysis._set_offsets(packed, p, q).tolist() == (np.flatnonzero(bits[p:q]) + p).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.booleans(), min_size=1, max_size=300),
+        ends=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+        width=st.sampled_from([1, 2, 3, 5, analysis._SLICE]),
+    )
+    def test_count_in_slices_matches_unpacked(self, bits, ends, width):
+        # the popcount reads width bytes at a time; any p, q in the bitmap
+        bits = np.array(bits)
+        p, q = (min(e, bits.size) for e in ends)
+        packed = np.packbits(bits, bitorder="little")
+        saved = analysis._SLICE
+        analysis._SLICE = width
+        try:
+            got = analysis._count_set(packed, p, q)
+        finally:
+            analysis._SLICE = saved
+        assert got == int(bits[p:q].sum())
+
+
 class TestSummarizeWindow:
     @pytest.mark.parametrize("block", [1, 3, 64, analysis._SUMMARY_BLOCK])
     @pytest.mark.parametrize("allow_zero", [True, False])
@@ -815,7 +855,7 @@ class TestSummarizeWindow:
         monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", block)
         for lo, hi, limit in [(0, 40000, 10**6), (0, 40000, 30000), (25000, 60000, 10**6)]:
             args = (lo, hi, limit, allow_zero)
-            got = _summarize_window(args)
+            got = summarize(*args)
             assert got == naive_summary(*args)
             # the last record (gap 24 at 31657, or 25 at 52393) lies beyond
             # the first block of gaps
@@ -825,7 +865,7 @@ class TestSummarizeWindow:
 
     def test_record_in_later_default_block(self):
         args = (0, 1 << 16, 10**6, True)
-        got = _summarize_window(args)
+        got = summarize(*args)
         assert got == naive_summary(*args)
         assert got.candidates[-1] == (52393, 25)
         # about 13000 values precede it: the fourth block of 4096 gaps
@@ -835,7 +875,7 @@ class TestSummarizeWindow:
         # with one gap per block a later gap equal to the running maximum
         # makes its block's maximum tie with every earlier block's
         monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", 1)
-        got = _summarize_window((0, 100, 10**6, True))
+        got = summarize(0, 100, 10**6, True)
         assert got == naive_summary(0, 100, 10**6, True)
         # gaps from 1: 1,2,1,3,1,1,3: the second gap 3 (at 10) ties
         assert (5, 3) in got.candidates
@@ -854,12 +894,12 @@ class TestSummarizeWindow:
     )
     def test_windows_with_zero_or_one_value(self, lo, hi, expected):
         args = (lo, hi, 10**6, True)
-        assert _summarize_window(args) == expected == naive_summary(*args)
+        assert summarize(*args) == expected == naive_summary(*args)
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_window_starting_at_zero(self, allow_zero):
         args = (0, 5000, 2000, allow_zero)
-        got = _summarize_window(args)
+        got = summarize(*args)
         assert got == naive_summary(*args)
         assert got.first == (1 if allow_zero else 2)
 
@@ -868,7 +908,7 @@ class TestSummarizeWindow:
         for lo, hi in ((10**8 + 1, 10**8 + 1 + analysis.MAX_GAP),
                        (10**8 + 1, 10**8 + 4097), (10**8 + 4097, 10**8 + 8193)):
             args = (lo, hi, 10**8, True)
-            got = _summarize_window(args)
+            got = summarize(*args)
             assert got == naive_summary(*args)
             assert got.pair_count == 0 and got.first is not None
 
@@ -886,7 +926,7 @@ class TestSummarizeWindow:
         saved = analysis._SUMMARY_BLOCK
         analysis._SUMMARY_BLOCK = block
         try:
-            got = _summarize_window(args)
+            got = summarize(*args)
         finally:
             analysis._SUMMARY_BLOCK = saved
         assert got == naive_summary(*args)
@@ -921,9 +961,28 @@ class TestSummarizeParts:
         # within a byte as k varies
         self.check(10**k - 3000 - k, 10**k + 3000, 10**12, True, 15)
 
+    def test_verify_marks_each_window_once_and_summarizes_every_part(self, monkeypatch):
+        calls = {"_summarize_window": 0, "mark_segment": 0}
+
+        def counting(name):
+            real = getattr(analysis, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+
+        for name in calls:
+            counting(name)
+        assert verify(10**4, Threshold.parse("2414/1000")).passed
+        # [0, 10001) cut after 10, 100 and 1000 is four parts, then the
+        # read-ahead window: five summaries of two marked windows
+        assert calls == {"_summarize_window": 5, "mark_segment": 2}
+
     def test_a_window_without_edges_inside_is_one_summary(self):
         assert analysis._summarize_parts((11, 101, 10**6, True)) == [
-            _summarize_window((11, 101, 10**6, True))
+            summarize(11, 101, 10**6, True)
         ]
 
 
@@ -947,20 +1006,13 @@ def summarize_bits(lo, bits, limit, floor=None, block=None, width=None):
     screening floor, a narrower first head chunk or narrower slices of the
     bitmap, in bytes (None keeps the module's value); the bitmap must come
     back unchanged."""
-    seg = Segment(lo, lo + bits.size, np.packbits(bits, bitorder="little"))
-    before = seg.packed.copy()
-    width = width or sieve._SLICE
-
-    def fake(a, b, allow_zero=True):
-        assert (a, b) == (seg.lo, seg.hi)
-        return seg
-
-    with mock.patch.object(analysis, "mark_segment", fake), \
-            mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
+    packed = np.packbits(bits, bitorder="little")
+    before = packed.copy()
+    with mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
             mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK), \
-            mock.patch.object(analysis, "_SLICE", width), mock.patch.object(sieve, "_SLICE", width):
-        got = _summarize_window((seg.lo, seg.hi, limit, True))
-    assert np.array_equal(seg.packed, before)
+            mock.patch.object(analysis, "_SLICE", width or analysis._SLICE):
+        got = _summarize_window(packed, lo, lo + bits.size, limit)
+    assert np.array_equal(packed, before)
     return got
 
 

@@ -78,6 +78,13 @@ class TestExitCodes:
         proc = run_cli("density", "--limit", str(10**12 + 1))
         assert "limit:" in proc.stderr
 
+    def test_unreadable_checkpoint_is_two_naming_the_path(self, tmp_path):
+        # refused by the path check, and by the read in a writable directory
+        for path in ("/no/such/file", str(tmp_path / "absent.txt")):
+            proc = run_cli("verify", "--limit", "2000", "--resume", "--checkpoint-path", path)
+            assert proc.returncode == 2
+            assert "checkpoint-path" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_non_utf8_checkpoint_is_two(self, tmp_path):
         ck = tmp_path / "ck.txt"
         ck.write_bytes(b"version=1\nlimit=\xff\n")

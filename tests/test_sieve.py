@@ -104,35 +104,6 @@ class TestIsqrt:
 
 
 class TestPackedBitmap:
-    def test_count_and_offsets_match_unpacked(self):
-        rng = np.random.default_rng(20261018)
-        for width in (1, 7, 8, 9, 23, 64, 70):
-            bits = rng.random(width) < 0.4
-            packed = np.packbits(bits, bitorder="little")
-            for p in range(width + 1):
-                for q in range(p, width + 1):
-                    assert sieve._count_set(packed, p, q) == int(np.count_nonzero(bits[p:q]))
-                    assert sieve._set_offsets(packed, p, q).tolist() == (np.flatnonzero(bits[p:q]) + p).tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        bits=st.lists(st.booleans(), min_size=1, max_size=300),
-        ends=st.tuples(st.integers(0, 300), st.integers(0, 300)),
-        width=st.sampled_from([1, 2, 3, 5, sieve._SLICE]),
-    )
-    def test_count_in_slices_matches_unpacked(self, bits, ends, width):
-        # the popcount reads width bytes at a time; any p, q in the bitmap
-        bits = np.array(bits)
-        p, q = (min(e, bits.size) for e in ends)
-        packed = np.packbits(bits, bitorder="little")
-        saved = sieve._SLICE
-        sieve._SLICE = width
-        try:
-            got = sieve._count_set(packed, p, q)
-        finally:
-            sieve._SLICE = saved
-        assert got == int(bits[p:q].sum())
-
     def test_bits_and_values_derive_from_packed(self):
         # bit i % 8 of byte i // 8 stands for 20 + i; 26 values, so 6 pad bits
         values = [20, 25, 26, 29, 32, 34, 36, 37, 40, 41, 45]
@@ -303,32 +274,40 @@ class TestWindows:
         assert list(sieve._windows(start, limit, size)) == expected
 
     def test_cuts_end_windows_after_each_point(self):
-        got = list(sieve._windows(0, 100, 16, cuts=[31, 10, 15, 16, 100]))
-        assert got == [
-            (0, 11), (11, 16), (16, 17), (17, 32), (32, 48),
-            (48, 64), (64, 80), (80, 96), (96, 101),
+        steps = [(16 * k, 16 * k + 16) for k in range(2, 6)]
+        assert list(sieve._windows(0, 100, 16, cut=10)) == [
+            (0, 11), (11, 16), (16, 32), *steps, (96, 101),
         ]
+        assert list(sieve._windows(0, 100, 16, cut=31)) == [
+            (0, 16), (16, 32), *steps, (96, 101),
+        ]
+        assert list(sieve._windows(0, 100, 16, cut=99))[-2:] == [(96, 100), (100, 101)]
+        for cut in (100, 500):
+            assert list(sieve._windows(0, 100, 16, cut=cut)) == list(sieve._windows(0, 100, 16))
 
     @settings(max_examples=200, deadline=None)
     @given(
         start=st.integers(0, 300),
         span=st.integers(0, 400),
         size=st.integers(2, 64),
-        cuts=st.lists(st.integers(0, 800), max_size=12),
+        where=st.sampled_from(["start", "step", "last", "limit", "past", "before"]),
+        k=st.integers(0, 20),
     )
-    def test_cut_windows_cover_the_range_once(self, start, span, size, cuts):
+    def test_cut_windows_cover_the_range_once(self, start, span, size, where, k):
         limit = start + span
-        windows = list(sieve._windows(start, limit, size, cuts=cuts))
+        cut = {"start": start, "step": start + (k + 1) * size - 1, "last": limit - 1,
+               "limit": limit, "past": limit + 1 + k, "before": start - 1 - k}[where]
+        windows = list(sieve._windows(start, limit, size, cut=cut))
         # contiguous, [start, limit] exactly, none wider than size
         assert windows[0][0] == start and windows[-1][1] == limit + 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert all(0 < hi - lo <= size for lo, hi in windows)
-        # windows end at the stepped edges, after each cut in range and at limit + 1
+        # windows end at the stepped edges, after the cut if in range and at limit + 1
         steps = set(range(start + size, limit + 1, size))
         assert [hi for _, hi in windows] == sorted(
-            steps | {x + 1 for x in cuts if start <= x <= limit} | {limit + 1}
+            steps | ({cut + 1} if start <= cut <= limit else set()) | {limit + 1}
         )
 
     def test_stays_lazy(self):
         # 5 * 10^11 windows: the first comes without listing the others
-        assert next(iter(sieve._windows(0, 10**12, 2, cuts=[10**12 - 1]))) == (0, 2)
+        assert next(iter(sieve._windows(0, 10**12, 2, cut=10**12 - 1))) == (0, 2)
