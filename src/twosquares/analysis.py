@@ -24,7 +24,6 @@ last set bit before the run and the first one after it.  Those pairs, with
 a running maximum seeded with m, give exactly the window's records.
 """
 
-import itertools
 import math
 import os
 import tempfile
@@ -71,7 +70,7 @@ MAX_GAP = 10**5
 MAX_S = 10**12
 MAX_DENOMINATOR = 10**3
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_EVERY = 1 << 28
 DEFAULT_CHECKPOINT_SECONDS = 30.0
 
@@ -229,7 +228,9 @@ class NormalizedGapStats:
 class Checkpoint:
     """The scan's state, and what a checkpoint file holds; position is the
     next unscanned value.  last_representable and current_max are None
-    until the scan meets its first representable value and first pair."""
+    until the scan meets its first representable value and first pair.
+    decade_counts holds (x, R(x)), R(x) counting the representable n in
+    [1, x], for each decade x = 10^k < limit that the scan has passed."""
 
     version: int
     limit: int
@@ -239,6 +240,7 @@ class Checkpoint:
     gap_records: tuple[tuple[int, int], ...]
     pairs_scanned: int
     allow_zero: bool = True
+    decade_counts: tuple[tuple[int, int], ...] = ()
 
     @property
     def done(self) -> bool:
@@ -432,32 +434,19 @@ def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summ
     return _Summary(lo, hi, pair_count, lo + first, lo + _last_set(packed), tuple(candidates))
 
 
-def _cut_points(limit: int) -> list[int]:
-    """The decades 10^k < limit, then limit: every scan's state is yielded
-    at x + 1 for each, so that its pair count there is R(x)."""
-    return [10**k for k in range(1, len(str(limit))) if 10**k < limit] + [limit]
+def _decades(limit: int) -> list[int]:
+    """The decades 10^k < limit, whose counts R(10^k) the scan's state records."""
+    return [10**k for k in range(1, len(str(limit))) if 10**k < limit]
 
 
-def _summarize_parts(args: tuple[int, int, int, bool]) -> list[_Summary]:
-    """Mark the window [lo, hi) once and summarize it cut at each edge x + 1
-    inside it, x in _cut_points(limit): one part, most often.  Each part is
-    summarized on its bytes with the bits outside it cleared, in place, and
-    the two end bytes are put back for the neighbouring parts.  A window
-    with no edge inside is the one part whose masks clear only the pad bits,
-    which mark_segment leaves at 0."""
+def _scan_window(args: tuple[int, int, int, bool]) -> tuple[_Summary, list[tuple[int, int]]]:
+    """Mark the window [lo, hi) and summarize it; beside the summary, the
+    count of representable n in [max(lo, 1), x] for each decade x inside it."""
     lo, hi, limit, allow_zero = args
     packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
-    edges = [x + 1 for x in _cut_points(limit) if lo < x + 1 < hi]
-    parts = []
-    for a, b in itertools.pairwise([lo, *edges, hi]):
-        i = (a - lo) >> 3
-        part = packed[i : (b - lo + 7) >> 3]
-        ends = part[[0, -1]]
-        part[0] &= 0xFF << (a - lo) % 8 & 0xFF
-        part[-1] &= 0xFF >> (7 - (b - lo - 1) % 8)
-        parts.append(replace(_summarize_window(part, lo + 8 * i, b, limit), lo=a))
-        part[[0, -1]] = ends
-    return parts
+    counts = [(x, _count_set(packed, max(lo, 1) - lo, x + 1 - lo))
+              for x in _decades(limit) if lo <= x < hi]
+    return _summarize_window(packed, lo, hi, limit), counts
 
 
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
@@ -487,10 +476,13 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
                 pending.popleft().cancel()
 
 
-def _absorb(cp: Checkpoint, sm: _Summary) -> Checkpoint:
-    """cp with the window sm, which starts at cp.position, folded in."""
+def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Checkpoint:
+    """cp with the window sm, which starts at cp.position, folded in, and
+    R(x) from its counts up to each decade x inside it."""
+    cp = replace(cp, position=sm.hi, decade_counts=cp.decade_counts + tuple(
+        (x, cp.pairs_scanned + count) for x, count in counts))
     if sm.first is None:
-        return replace(cp, position=sm.hi)
+        return cp
     records, prev = cp.gap_records, cp.last_representable
     head = () if prev is None else ((prev, sm.first - prev),)
     for s, gap in head + sm.candidates:
@@ -502,7 +494,6 @@ def _absorb(cp: Checkpoint, sm: _Summary) -> Checkpoint:
             records += ((gap, s),)
     return replace(
         cp,
-        position=sm.hi,
         last_representable=sm.last,
         current_max=cp.current_max if len(records) == len(cp.gap_records) else _champion(records),
         gap_records=records,
@@ -523,9 +514,9 @@ def _scan(
 
     The windows step by segment_size from the start, end at limit + 1 too,
     and reach limit + MAX_GAP, as far as the successor of a pair with
-    s <= limit can lie within the gap budget.  Each is marked once and
-    summarized in parts (_summarize_parts), so the edges are its end and
-    the decade edges inside it.
+    s <= limit can lie within the gap budget.  Each is marked and
+    summarized once (_scan_window), with its counts up to the decades
+    inside it for decade_counts.
     The last state yielded is done, and a scan that runs out of windows
     first raises BudgetError.  A resume recomputes current_max from
     gap_records, and from a done state it yields that state alone.
@@ -554,8 +545,8 @@ def _scan(
     saved_at, saved_time = cp.position, time.perf_counter()
     windows = _windows(cp.position, limit + MAX_GAP, segment_size, limit)
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
-    for sm in itertools.chain.from_iterable(_ordered_map(_summarize_parts, args, workers)):
-        cp = _absorb(cp, sm)
+    for sm, counts in _ordered_map(_scan_window, args, workers):
+        cp = _absorb(cp, sm, counts)
         if checkpoint_path is not None and cp.gap_records and (
             cp.done
             or cp.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
@@ -692,17 +683,16 @@ def density(
     """Exact counts R(x) of representable n in [1, x], with normalization,
     at the decades 10^k < limit and at limit, in ascending order.
 
-    Every scan yields its state at x + 1 for each such x, and R(x) is that
-    state's pair count.  The normalized value is count * sqrt(ln x) / x.
+    Read from the finished state: its decade_counts, then its pair count,
+    which is R(limit).  The normalized value is count * sqrt(ln x) / x.
     """
-    counts = {st.position - 1: st.pairs_scanned
-              for st in _scan(limit, segment_size, workers, allow_zero)}
+    state = _finished(limit, segment_size, workers, allow_zero)
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for x in _cut_points(limit):
-            normalized = Decimal(counts[x]) * Decimal(x).ln().sqrt() / Decimal(x)
-            out.append(DensityPoint(x, counts[x], +normalized))
+        for x, count in (dict(state.decade_counts) | {limit: state.pairs_scanned}).items():
+            normalized = Decimal(count) * Decimal(x).ln().sqrt() / Decimal(x)
+            out.append(DensityPoint(x, count, +normalized))
     return out
 
 
@@ -734,7 +724,7 @@ def cross_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format: key=value lines, UTF-8, version 1
+# Checkpoint file format: key=value lines, UTF-8, version 2
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_KEYS = (
@@ -747,6 +737,7 @@ _CHECKPOINT_KEYS = (
     "gap_records",
     "pairs_scanned",
     "allow_zero",
+    "decade_counts",
 )
 
 
@@ -758,7 +749,9 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
     Concurrent writers never share a temp file, and a failure leaves the
     previous checkpoint in place and removes the temp file.
     """
-    records = ",".join(f"{gap}:{s}" for gap, s in cp.gap_records)
+    def pairs(items: Iterable[tuple[int, int]]) -> str:
+        return ",".join(f"{a}:{b}" for a, b in items)
+
     lines = [
         f"version={cp.version}",
         f"limit={cp.limit}",
@@ -766,9 +759,10 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         f"last_representable={cp.last_representable}",
         f"max_s={cp.current_max.s}",
         f"max_gap={cp.current_max.gap}",
-        f"gap_records={records}",
+        f"gap_records={pairs(cp.gap_records)}",
         f"pairs_scanned={cp.pairs_scanned}",
         f"allow_zero={int(cp.allow_zero)}",
+        f"decade_counts={pairs(cp.decade_counts)}",
     ]
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -793,9 +787,10 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
 
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    """Parse and validate; unknown fields, duplicates and gaps in the record
-    table are all rejected.  A file that cannot be read raises
-    CheckpointError naming checkpoint-path."""
+    """Parse and validate; other versions, unknown fields, duplicates, gaps
+    in the record table and counts that no scan could reach are all
+    rejected.  A file that cannot be read raises CheckpointError naming
+    checkpoint-path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -816,9 +811,9 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         if key in fields:
             raise CheckpointError(f"checkpoint: duplicate field {key!r}")
         fields[key] = value.strip()
-    # files written before allow_zero was recorded come from scans that
-    # allowed zero summands
-    fields.setdefault("allow_zero", "1")
+    # before the missing fields: a version 1 file has no decade_counts
+    if fields.get("version", str(CHECKPOINT_VERSION)) != str(CHECKPOINT_VERSION):
+        raise CheckpointError(f"checkpoint: unsupported version {fields['version']}")
     missing = [k for k in _CHECKPOINT_KEYS if k not in fields]
     if missing:
         raise CheckpointError(f"checkpoint: missing fields {missing}")
@@ -829,9 +824,17 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         except ValueError:
             raise CheckpointError(f"checkpoint: field {key!r} is not an integer") from None
 
-    version = as_int("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint: unsupported version {version}")
+    def as_pairs(key: str) -> list[tuple[int, int]]:
+        # a:b,a:b,... of integers; an empty field is an empty list
+        out = []
+        for item in fields[key].split(",") if fields[key] else ():
+            try:
+                a, b = item.split(":")
+                out.append((int(a), int(b)))
+            except ValueError:
+                raise CheckpointError(f"checkpoint: bad {key} entry {item!r}") from None
+        return out
+
     limit = as_int("limit")
     position = as_int("position")
     last = as_int("last_representable")
@@ -848,40 +851,29 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint: last_representable {last} not below position {position}"
         )
-    records: list[tuple[int, int]] = []
-    raw = fields["gap_records"]
-    if raw:
-        for item in raw.split(","):
-            gap_txt, sep, s_txt = item.partition(":")
-            if not sep:
-                raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}")
-            try:
-                gap, s = int(gap_txt), int(s_txt)
-            except ValueError:
-                raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}") from None
-            if not (1 <= gap <= MAX_GAP and 1 <= s <= MAX_S):
-                raise CheckpointError(f"checkpoint: bad gap_records entry {item!r}")
-            if records and (gap <= records[-1][0] or s <= records[-1][1]):
-                raise CheckpointError("checkpoint: gap_records not strictly increasing")
-            if s > min(limit, last):
-                raise CheckpointError(
-                    f"checkpoint: gap_records entry {item!r} lies past limit {limit} "
-                    f"or last_representable {last}"
-                )
-            records.append((gap, s))
+    if pairs > min(last, limit):
+        raise CheckpointError(
+            f"checkpoint: pairs_scanned {pairs} exceeds last_representable {last} or limit {limit}"
+        )
+    # a record's s is at most the limit and the last value scanned
+    records = as_pairs("gap_records")
+    for (prev_gap, prev_s), (gap, s) in zip([(0, 0), *records], records):
+        if not (prev_gap < gap <= MAX_GAP and prev_s < s <= min(limit, last, MAX_S)):
+            raise CheckpointError(f"checkpoint: gap_records entry '{gap}:{s}' is out of order, "
+                                  f"over budget or past limit {limit} or last_representable {last}")
+    # R(x) for decades already scanned: pairs_scanned, R(min(position - 1,
+    # limit)), bounds each
+    counts = as_pairs("decade_counts")
+    below = min(limit, position)
+    for (prev_x, prev_count), (x, count) in zip([(0, 0), *counts], counts):
+        if not (x in _decades(below) and x > prev_x and prev_count <= count <= min(x, pairs)):
+            raise CheckpointError(f"checkpoint: decade_counts entry '{x}:{count}' is out of order "
+                                  f"or not R(x) at a decade below {below}")
     # the stored maximum is redundant; a disagreement marks a corrupt file
     best = _champion(records)
     if best is None or (best.s, best.gap) != (max_s, max_gap):
         raise CheckpointError(
             f"checkpoint: max_s/max_gap inconsistent with gap_records, got {max_s}/{max_gap}"
         )
-    return Checkpoint(
-        version=version,
-        limit=limit,
-        position=position,
-        last_representable=last,
-        current_max=best,
-        gap_records=tuple(records),
-        pairs_scanned=pairs,
-        allow_zero=fields["allow_zero"] == "1",
-    )
+    return Checkpoint(CHECKPOINT_VERSION, limit, position, last, best, tuple(records), pairs,
+                      fields["allow_zero"] == "1", tuple(counts))

@@ -5,7 +5,7 @@ Subcommands: verify (threshold scan), records (gap record table), density
 Each validates its arguments, calls one library function through the
 analysis module (verify, gap_records, density, cross_check) and serializes
 what it returns; no scanning happens here.  density reports the counts at
-the decades below --limit and at --limit, where every scan yields its
+the decades below --limit and at --limit, read from the scan's finished
 state.  Every report is a table, rows that share the same keys: json
 writes verify and check as one object and records and density as an array
 of objects; csv writes the keys as a header line and then one line per row,
@@ -130,6 +130,9 @@ def _validate(config: RunConfig) -> None:
         raise ValueError(f"workers: must be in [1, 256], got {config.workers}")
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume: requires --checkpoint-path")
+    if config.output_path and config.checkpoint_path and (
+            os.path.realpath(config.output_path) == os.path.realpath(config.checkpoint_path)):
+        raise ValueError(f"output-path: {config.output_path} is the checkpoint-path file")
     # Checked before any scanning.  The report is opened in place, so an
     # existing file (such as /dev/null) need only be writable; a checkpoint is
     # renamed into place, so its directory must be writable.
@@ -334,8 +337,7 @@ def run(config: RunConfig) -> int:
         elif config.subcommand == "records":
             report, code = analysis.gap_records(config.limit, **scan_kwargs), EXIT_PASS
         elif config.subcommand == "density":
-            report = analysis.density(config.limit, **scan_kwargs)
-            code = EXIT_PASS
+            report, code = analysis.density(config.limit, **scan_kwargs), EXIT_PASS
         elif config.subcommand == "check":
             report = analysis.cross_check(config.limit, **scan_kwargs)
             code = EXIT_PASS if report.mismatches == 0 else EXIT_FAIL

@@ -1,4 +1,5 @@
 import os
+from collections import deque
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -33,6 +34,7 @@ from twosquares import (
 
 from twosquares import analysis
 from twosquares.analysis import _Summary, _summarize_window
+from twosquares.representability import representable_mask
 from twosquares.cli import emit_report
 from twosquares.sieve import mark_segment
 
@@ -280,10 +282,10 @@ class TestVerify:
     def test_progress_sees_each_state_once_the_table_is_not_empty(self):
         seen = []
         report = verify(20, Threshold(2, 1), segment_size=2, progress=seen.append)
-        # the window [0, 2) holds no pair with s >= 1; the decade 10 ends a
-        # state at 11 and the read-ahead ends at 26, where 25 turns up
+        # the window [0, 2) holds no pair with s >= 1; the limit ends a
+        # window at 21 and the read-ahead ends at 26, where 25 turns up
         assert [cp.position for cp in seen] == [
-            4, 6, 8, 10, 11, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
+            4, 6, 8, 10, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
         ]
         assert [cp.done for cp in seen] == [False] * (len(seen) - 1) + [True]
         assert seen[-1].pairs_scanned == report.pairs_scanned
@@ -432,7 +434,7 @@ class TestDensity:
     def test_one_scan_marks_each_value_once(self, monkeypatch):
         windows = record_windows(monkeypatch)
         assert [p.count for p in density(100, segment_size=1 << 16)] == [7, 43]
-        # a window up to the limit 100, cut after 10 but marked whole, then
+        # a window up to the limit 100, counted up to the decade 10, then
         # one read-ahead window up to the first step edge, where 101 turns
         # up: [0, 101] marked once, in one pass
         assert windows == [(0, 101), (101, 1 << 16)]
@@ -495,13 +497,16 @@ class TestCrossCheck:
 class TestCheckpointIO:
     def sample(self):
         return Checkpoint(
-            version=1,
+            version=2,
             limit=10**7,
             position=2 * 10**6,
             last_representable=2 * 10**6 - 3,
             current_max=RatioRecord.of(1493, 15),
             gap_records=tuple(RECORDS_TO_2000) + ((19, 5165), (20, 16109)),
             pairs_scanned=123456,
+            # not every decade below position: a state may be resumed from
+            # a file that lacks some
+            decade_counts=((10, 7), (100, 43), (1000, 330), (10**4, 2749), (10**5, 24028)),
         )
 
     def test_roundtrip(self, tmp_path):
@@ -545,9 +550,27 @@ class TestCheckpointIO:
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("version=1", "version=2"))
+        path.write_text(path.read_text().replace("version=2", "version=3"))
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(path)
+
+    def test_version_1_file_refused(self, tmp_path):
+        # a version 1 file has no decade_counts line; the version is named
+        # rather than the missing field
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        lines = path.read_text().replace("version=2", "version=1").splitlines()
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith("decade_counts=")) + "\n")
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            read_checkpoint(path)
+
+    def test_pairs_scanned_past_last_representable_or_limit_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        for cp in (replace(self.sample(), pairs_scanned=2 * 10**6 - 2),
+                   replace(self.sample(), limit=200000, pairs_scanned=200001)):
+            write_checkpoint(cp, path)
+            with pytest.raises(CheckpointError, match="pairs_scanned"):
+                read_checkpoint(path)
 
     def test_position_order_enforced(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -617,7 +640,7 @@ class TestCheckpointIO:
         # 2 / 16^(1/4) == 1 / 1^(1/4): the stored maximum must be (1, 1)
         path = tmp_path / "state.txt"
         cp = Checkpoint(
-            version=1, limit=100, position=17, last_representable=16,
+            version=2, limit=100, position=17, last_representable=16,
             current_max=RatioRecord.of(1, 1), gap_records=((1, 1), (2, 16)),
             pairs_scanned=11,
         )
@@ -635,13 +658,6 @@ class TestCheckpointIO:
             assert f"allow_zero={int(allow_zero)}\n" in path.read_text()
             assert read_checkpoint(path) == cp
 
-    def test_missing_allow_zero_reads_as_allowed(self, tmp_path):
-        # files written before the field existed came from allow_zero=True scans
-        path = tmp_path / "state.txt"
-        write_checkpoint(replace(self.sample(), allow_zero=False), path)
-        path.write_text(path.read_text().replace("allow_zero=0\n", ""))
-        assert read_checkpoint(path) == self.sample()
-
     @pytest.mark.parametrize("value", ["2", "true", "", "-1"])
     def test_bad_allow_zero_rejected(self, tmp_path, value):
         path = tmp_path / "state.txt"
@@ -649,6 +665,47 @@ class TestCheckpointIO:
         path.write_text(path.read_text().replace("allow_zero=1", f"allow_zero={value}"))
         with pytest.raises(CheckpointError, match="allow_zero"):
             read_checkpoint(path)
+
+    def test_decade_counts_roundtrip(self, tmp_path):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        assert "decade_counts=10:7,100:43,1000:330,10000:2749,100000:24028\n" in path.read_text()
+        for counts in ((), ((10, 7),)):
+            write_checkpoint(replace(self.sample(), decade_counts=counts), path)
+            assert read_checkpoint(path).decade_counts == counts
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param("10:7,50:20", id="not-a-decade"),
+        pytest.param("10:7,10000000:100", id="decade-past-position"),
+        pytest.param("100:43,10:7", id="decades-not-increasing"),
+        pytest.param("10:7,10:7", id="decade-twice"),
+        pytest.param("10:7,100:6", id="count-decreasing"),
+        pytest.param("10:-1", id="count-negative"),
+        pytest.param("10:11", id="count-above-x"),
+        pytest.param("10:7,10", id="malformed-no-count"),
+        pytest.param("10:7:1", id="malformed-three-fields"),
+        pytest.param("10:seven", id="malformed-not-an-integer"),
+        pytest.param("10:7,", id="malformed-empty-entry"),
+    ])
+    def test_bad_decade_counts_rejected(self, tmp_path, counts):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        text = path.read_text().replace("10:7,100:43,1000:330,10000:2749,100000:24028", counts)
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="decade_counts"):
+            read_checkpoint(path)
+
+    def test_decade_counts_past_position_limit_or_pairs_scanned_rejected(self, tmp_path):
+        # a decade at or past position is not scanned yet, one at the limit
+        # is the limit's own point, and R(x) is at most the pairs scanned
+        path = tmp_path / "state.txt"
+        for cp in (replace(self.sample(), position=10**5, last_representable=10**5 - 2,
+                           pairs_scanned=30000),
+                   replace(self.sample(), limit=10**5, pairs_scanned=30000),
+                   replace(self.sample(), pairs_scanned=20000)):
+            write_checkpoint(cp, path)
+            with pytest.raises(CheckpointError, match="decade_counts"):
+                read_checkpoint(path)
 
     def test_verify_rejects_limit_mismatch(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -658,12 +715,9 @@ class TestCheckpointIO:
             verify(10**6, Threshold(2, 1), cp)
 
 
-# the window edges of a scan to 10^5 in 2^12-wide steps: the steps, the
-# decade cuts, limit + 1 and the end of the read-ahead window
-WINDOW_EDGES_TO_1E5 = [
-    11, 101, 1001, 1 << 12, 2 << 12, 10001, *range(3 << 12, 10**5, 1 << 12),
-    10**5 + 1, 25 << 12,
-]
+# the window edges of a scan to 10^5 in 2^12-wide steps: the steps, limit + 1
+# and the end of the read-ahead window
+WINDOW_EDGES_TO_1E5 = [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12]
 
 
 class TestVerifyResume:
@@ -671,8 +725,8 @@ class TestVerifyResume:
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 17)
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        # the cadence, which no decade cut meets, then the finished state at
-        # the end of the read-ahead window
+        # the cadence, then the finished state at the end of the read-ahead
+        # window
         assert [cp.position for cp in collected] == [*range(1 << 17, 10**6, 1 << 17), 1 << 20]
         ref = replace(base, elapsed=0.0)
         for cp in collected:
@@ -686,8 +740,8 @@ class TestVerifyResume:
         base = emit_report(run(), "json")
         collected = checkpoints_every(1)
         assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
-        # every edge up to the one at limit + 1, the decade edges included,
-        # then the finished state at the end of the read-ahead window
+        # every edge up to the one at limit + 1, then the finished state at
+        # the end of the read-ahead window
         assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
         for cp in collected:
             assert emit_report(run(cp), "json") == base, cp.position
@@ -715,10 +769,10 @@ class TestVerifyResume:
         # the window [0, 2) holds no pair with s >= 1
         collected = checkpoints_every(1)
         verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
-        # a cut after the decade 10; past the limit, 2-wide read-ahead
-        # windows up to 26, where 25 turns up
+        # the limit ends a window at 21; past it, 2-wide read-ahead windows
+        # up to 26, where 25 turns up
         assert [cp.position for cp in collected] == [
-            4, 6, 8, 10, 11, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
+            4, 6, 8, 10, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
         ]
 
     def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
@@ -764,6 +818,29 @@ class TestVerifyResume:
                              segment_size=2**12, allow_zero=written)
             assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
         assert (base.max_record.s, base.max_record.gap, base.pairs_scanned) == (2, 3, 23874)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_every, workers):
+        def finished(resume=None):
+            return deque(analysis._scan(10**5, 1 << 12, workers, True, resume), maxlen=1).pop()
+
+        collected = checkpoints_every(1)
+        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, workers=workers,
+               checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
+        base = finished()
+        assert [x for x, _ in base.decade_counts] == [10, 100, 1000, 10**4]
+        for cp in collected:
+            state = finished(cp)
+            assert (state.decade_counts, state.gap_records, state.pairs_scanned) == (
+                base.decade_counts, base.gap_records, base.pairs_scanned), cp.position
+
+    def test_finished_checkpoint_holds_the_density_counts(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, checkpoint_path=path)
+        cp = read_checkpoint(path)
+        points = [(p.x, p.count) for p in density(10**5)]
+        assert [*cp.decade_counts, (10**5, cp.pairs_scanned)] == points
 
     def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
@@ -932,17 +1009,17 @@ class TestSummarizeWindow:
         assert got == naive_summary(*args)
 
 
-class TestSummarizeParts:
-    """A window with cut edges inside it: marked once, summarized part by part."""
+class TestScanWindow:
+    """The scan's window worker: one mark, one summary, and the window's
+    count up to each decade inside it."""
 
     @staticmethod
-    def check(lo, hi, limit, allow_zero, floor):
-        edges = [x + 1 for x in (10, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8,
-                                 10**9, 10**10, 10**11, limit) if x <= limit and lo < x + 1 < hi]
-        parts = list(zip([lo, *edges], [*edges, hi]))
-        with mock.patch.object(analysis, "_SCREEN_FLOOR", floor):
-            got = analysis._summarize_parts((lo, hi, limit, allow_zero))
-        assert got == [naive_summary(a, b, limit, allow_zero) for a, b in parts]
+    def check(lo, hi, limit, allow_zero):
+        got = analysis._scan_window((lo, hi, limit, allow_zero))
+        before = brute_count(lo - 1, allow_zero)
+        counts = [(x, brute_count(x, allow_zero) - before)
+                  for x in (10, 100, 1000, 10**4, 10**5) if lo <= x < hi and x < limit]
+        assert got == (summarize(lo, hi, limit, allow_zero), counts)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -950,18 +1027,29 @@ class TestSummarizeParts:
         span=st.integers(min_value=1, max_value=120000),
         limit_at=st.integers(min_value=-2000, max_value=200000),
         allow_zero=st.booleans(),
-        floor=st.sampled_from([15, analysis._SCREEN_FLOOR]),
     )
-    def test_parts_match_their_windows_marked_alone(self, lo, span, limit_at, allow_zero, floor):
-        self.check(lo, lo + span, max(2, lo + limit_at), allow_zero, floor)
+    def test_counts_match_brute_count(self, lo, span, limit_at, allow_zero):
+        self.check(lo, lo + span, max(2, lo + limit_at), allow_zero)
 
     @pytest.mark.parametrize("k", range(6, 13))
-    def test_a_part_edge_at_each_decade_up_to_the_budget(self, k):
-        # the edge 10^k + 1 sits at offset 3001 + k: seven bit positions
-        # within a byte as k varies
-        self.check(10**k - 3000 - k, 10**k + 3000, 10**12, True, 15)
+    def test_the_window_around_each_decade_up_to_the_budget(self, k):
+        # 10^k sits at offset 3000 + k: seven bit positions within a byte as
+        # k varies; 10^12 is the largest limit, never a decade below one
+        lo, x = 10**k - 3000 - k, 10**k
+        summary, counts = analysis._scan_window((lo, x + 3000, 10**12, True))
+        assert summary == summarize(lo, x + 3000, 10**12, True)
+        assert counts == ([(x, int(representable_mask(lo, x + 1).sum()))] if k < 12 else [])
 
-    def test_verify_marks_each_window_once_and_summarizes_every_part(self, monkeypatch):
+    @pytest.mark.parametrize("segment_size", [2, 10, 11, 101, 137, 1000])
+    def test_segment_sizes_with_decades_at_window_ends(self, segment_size):
+        # windows start at 10, 100, 1000 for sizes 2, 10 and 1000, and end
+        # after 10 (11 | 11), 100 (101 | 101), 1000 (11 | 1001) and 10^4
+        # (137 | 10001)
+        pts = density(10**4 + 3, segment_size=segment_size)
+        assert [(p.x, p.count) for p in pts] == [
+            (x, brute_count(x)) for x in (10, 100, 1000, 10**4, 10**4 + 3)]
+
+    def test_verify_marks_and_summarizes_each_window_once(self, monkeypatch):
         calls = {"_summarize_window": 0, "mark_segment": 0}
 
         def counting(name):
@@ -976,14 +1064,13 @@ class TestSummarizeParts:
         for name in calls:
             counting(name)
         assert verify(10**4, Threshold.parse("2414/1000")).passed
-        # [0, 10001) cut after 10, 100 and 1000 is four parts, then the
-        # read-ahead window: five summaries of two marked windows
-        assert calls == {"_summarize_window": 5, "mark_segment": 2}
+        # [0, 10001), which holds the decades 10, 100 and 1000, then the
+        # read-ahead window: two windows, each marked and summarized once
+        assert calls == {"_summarize_window": 2, "mark_segment": 2}
 
-    def test_a_window_without_edges_inside_is_one_summary(self):
-        assert analysis._summarize_parts((11, 101, 10**6, True)) == [
-            summarize(11, 101, 10**6, True)
-        ]
+    def test_a_window_without_decades_has_no_counts(self):
+        assert analysis._scan_window((1001, 10**4, 10**6, True)) == (
+            summarize(1001, 10**4, 10**6, True), [])
 
 
 def full_summary_of(lo, bits, limit):

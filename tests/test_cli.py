@@ -109,6 +109,23 @@ class TestExitCodes:
         assert run(config) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    def test_report_over_the_checkpoint_is_two(self, tmp_path):
+        # the report would replace the finished checkpoint, and a later
+        # --resume would fail to parse it; an alias through a symlinked
+        # directory names the same file
+        ck = tmp_path / "ck.txt"
+        (tmp_path / "alias").symlink_to(tmp_path)
+        args = ("verify", "--limit", "2000", "--format", "json", "--checkpoint-path", str(ck))
+        assert run_cli(*args).returncode == 0
+        written = ck.read_bytes()
+        for out in (ck, tmp_path / "alias" / "ck.txt"):
+            for extra in ((), ("--resume",)):
+                proc = run_cli(*args, *extra, "--output-path", str(out))
+                assert proc.returncode == 2
+                assert proc.stderr.startswith("error: output-path: ") and "Traceback" not in proc.stderr
+                assert ck.read_bytes() == written
+        assert run_cli(*args, "--resume").returncode == 0
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_report_write_is_two(self):
         proc = run_cli("check", "--limit", "100", "--output-path", "/dev/full")
