@@ -24,8 +24,10 @@ last set bit before the run and the first one after it.  Those pairs, with
 a running maximum seeded with m, give exactly the window's records.
 """
 
+import itertools
 import math
 import os
+import pickle
 import tempfile
 import time
 from collections import deque
@@ -450,30 +452,45 @@ def _scan_window(args: tuple[int, int, int, bool]) -> tuple[_Summary, list[tuple
 
 
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
-    """Apply fn across args in order, optionally through a process pool.
+    """Apply fn across args in order, here and in workers - 1 forked children.
 
-    Results come back strictly in submission order regardless of worker
-    count, which is what keeps reports byte-identical.
-    """
+    Child i pickles fn(item k) for k = i (mod workers) of its own copy of the
+    args to its pipe; this process computes k = 0 (mod workers) and reads the
+    others from their children in turn, so results keep submission order."""
     if workers <= 1:
         for a in args_iter:
             yield fn(a)
         return
-    # deferred: importing the process pool costs single-worker runs ~15 ms
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        try:
-            for a in args_iter:
-                pending.append(pool.submit(fn, a))
-                if len(pending) >= workers * 2:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            while pending:
-                pending.popleft().cancel()
+    import signal  # deferred: its import costs about 0.4 ms, and one worker kills no child
+    pids, pipes = [], []
+    try:
+        for i in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb", buffering=0) as out:
+                if (pid := os.fork()) == 0:  # the child: writes its results and never returns
+                    try:
+                        pipes[-1].close()
+                        for a in itertools.islice(args_iter, i, None, workers):
+                            out.write(pickle.dumps(fn(a)))
+                    except BaseException as exc:
+                        out.write(pickle.dumps(exc))
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        for k, a in enumerate(args_iter):
+            got = fn(a) if k % workers == 0 else pickle.load(pipes[k % workers - 1])
+            if isinstance(got, BaseException):
+                raise got
+            yield got
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(f"workers: child {k % workers} ended before item {k}") from None
+    finally:  # kill and reap every child, however the caller stops
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Checkpoint:
@@ -543,6 +560,9 @@ def _scan(
         yield cp
         return
     saved_at, saved_time = cp.position, time.perf_counter()
+    # no more processes than windows: one per step, one more where limit cuts a step
+    cut = cp.position <= limit and (limit + 1 - cp.position) % segment_size > 0
+    workers = min(workers, len(range(cp.position, limit + MAX_GAP + 1, segment_size)) + cut)
     windows = _windows(cp.position, limit + MAX_GAP, segment_size, limit)
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
@@ -576,8 +596,8 @@ def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
     if not isinstance(segment_size, int) or segment_size < 2:
         raise ValueError(f"segment_size: must be an integer >= 2, got {segment_size!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers: must be an integer >= 1, got {workers!r}")
+    if not isinstance(workers, int) or workers < 1 or workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers: must be an integer >= 1 (1 without os.fork), got {workers!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +736,7 @@ def cross_check(
     """Compare sieve membership with the even-exponent criterion for every
     n in [1, limit], one window at a time, in order across workers."""
     _validate_scan_args(limit, segment_size, workers)
-    # no more processes than windows: a pool for one window only costs its start-up
+    # no more processes than windows: a fork for no window only costs its start-up
     workers = min(workers, limit // segment_size + 1)
     counts, ats = zip(*_ordered_map(_check_window, _windows(0, limit, segment_size), workers))
     first = next((at for at in ats if at is not None), None)

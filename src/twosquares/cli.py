@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                        help="window size in integers, a power of two")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel sieve workers (default 1)")
+                       help="processes that scan windows, this one included (default 1)")
         p.add_argument("--format", dest="output_format", default="human",
                        choices=("human", "json", "csv"))
         p.add_argument("--output-path", default=None,

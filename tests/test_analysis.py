@@ -54,7 +54,8 @@ def pair(s, gap):
 
 
 def record_windows(monkeypatch):
-    """List every (lo, hi) the scan marks from now on; single worker only."""
+    """List every (lo, hi) the scan marks in this process from now on: at
+    several workers, the windows k = 0 (mod workers) of its plan."""
     windows = []
     real = analysis.mark_segment
 
@@ -268,16 +269,20 @@ class TestVerify:
 
     def test_two_workers_draw_only_the_windows_one_worker_marks(self, monkeypatch):
         # six windows up to 10^8, the first one cut at the decades 10 .. 10^7
-        # but marked once, and one read-ahead window; the pool draws none
-        # past the window that ends the scan
+        # but marked once, and one read-ahead window; at 2 workers this
+        # process draws the same windows, none past the one that ends the
+        # scan, and marks windows 0, 2, 4 and 6 itself
         drawn = draw_windows(monkeypatch)
         marked = record_windows(monkeypatch)
         t = Threshold.parse("2414/1000")
         assert verify(10**8, t).passed
         assert len(marked) == 7 and drawn == marked
+        plan = list(marked)
         drawn.clear()
+        marked.clear()
         assert verify(10**8, t, workers=2).passed
-        assert drawn == marked
+        assert drawn == plan
+        assert marked == plan[0::2]
 
     def test_progress_sees_each_state_once_the_table_is_not_empty(self):
         seen = []
@@ -443,14 +448,14 @@ class TestDensity:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_scan_draws_the_same_windows(monkeypatch, workers):
     # the window plan is fixed by limit, segment_size and the scan's start,
-    # whichever report reads the scan: the steps, the limit and the
-    # read-ahead, and at 2 workers the same few windows the pool draws ahead
+    # whichever report reads the scan and however many workers: the steps,
+    # the limit and the read-ahead, each drawn once by this process
     drawn = draw_windows(monkeypatch)
     scan = dict(segment_size=1 << 12, workers=workers)
     verify(10**5, Threshold.parse("2414/1000"), **scan)
     plan = list(drawn)
-    assert plan[:26] == [*((lo, lo + (1 << 12)) for lo in range(0, 24 << 12, 1 << 12)),
-                         (24 << 12, 10**5 + 1), (10**5 + 1, 25 << 12)]
+    assert plan == [*((lo, lo + (1 << 12)) for lo in range(0, 24 << 12, 1 << 12)),
+                    (24 << 12, 10**5 + 1), (10**5 + 1, 25 << 12)]
     for report in (gap_records, density):
         drawn.clear()
         report(10**5, **scan)
@@ -474,14 +479,12 @@ class TestCrossCheck:
         assert cross_check(5000, 1024, workers=8) == want
 
     def test_one_window_starts_no_pool(self, monkeypatch):
-        import concurrent.futures
+        def no_fork():
+            raise AssertionError("forked a process for one window")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a process pool for one window")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert cross_check(200000, 1 << 20, workers=2) == CheckReport(200000, 200000, 0, None)
-        with pytest.raises(AssertionError, match="process pool"):
+        with pytest.raises(AssertionError, match="forked"):
             cross_check(5000, 1024, workers=2)
 
     @pytest.mark.parametrize(
@@ -492,6 +495,81 @@ class TestCrossCheck:
     def test_rejects_bad_arguments_naming_the_field(self, limit, segment_size, field):
         with pytest.raises(ValueError, match=field):
             cross_check(limit, segment_size)
+
+
+def assert_no_child():
+    # waitpid raises once this process has no child left, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """A scan to 10^5 in windows of 2^12 at 2 workers forks one child, which
+    marks the odd windows of the plan."""
+
+    SCAN = dict(segment_size=1 << 12, workers=2)
+    T = Threshold.parse("2414/1000")
+
+    def planted(self, monkeypatch, lo, act):
+        """Mark as before, but call act(lo) in a child on the window at lo."""
+        parent, real = os.getpid(), analysis.mark_segment
+
+        def marking(lo_, hi, **kwargs):
+            if lo_ == lo and os.getpid() != parent:
+                act(lo_)
+            return real(lo_, hi, **kwargs)
+
+        monkeypatch.setattr(analysis, "mark_segment", marking)
+
+    def test_no_more_processes_than_windows(self, monkeypatch):
+        # verify --limit 10000 plans 2 windows, [0, 10001) and the
+        # read-ahead; the fork starts no process, so its pipe ends at once
+        forks, killed, reaped = [], [], []
+
+        def fork():
+            forks.append(10**9 + len(forks))  # above any pid the kernel gives
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+        monkeypatch.setattr(os, "waitpid", lambda pid, options: reaped.append(pid) or (pid, 0))
+        with pytest.raises(RuntimeError, match="workers: child 1 ended before item 1"):
+            verify(10**4, self.T, workers=64)
+        assert len(forks) == 1 and killed == reaped == forks
+
+    def test_a_childs_exception_is_raised_here(self, monkeypatch):
+        def fail(lo):
+            raise BudgetError(f"planted at {lo} in a child")
+
+        self.planted(monkeypatch, 3 << 12, fail)
+        with pytest.raises(BudgetError, match=f"^planted at {3 << 12} in a child$"):
+            verify(10**5, self.T, **self.SCAN)
+        assert_no_child()
+
+    def test_a_child_that_dies_fails_the_scan(self, monkeypatch):
+        self.planted(monkeypatch, 3 << 12, lambda lo: os._exit(3))
+        with pytest.raises(RuntimeError, match="workers: child 1 ended before item 3"):
+            verify(10**5, self.T, **self.SCAN)
+        assert_no_child()
+
+    def test_a_scan_closed_early_leaves_no_child(self):
+        scan = analysis._scan(10**5, 1 << 12, 2, True)
+        assert next(scan).position == 1 << 12
+        scan.close()
+        assert_no_child()
+
+    def test_a_finished_scan_leaves_no_child(self):
+        assert verify(10**6, self.T, workers=2).passed
+        assert_no_child()
+
+    def test_a_failed_check_leaves_no_child(self, monkeypatch):
+        def fail(lo):
+            raise ValueError(f"planted at {lo}")
+
+        self.planted(monkeypatch, 1024, fail)
+        with pytest.raises(ValueError, match="planted at 1024"):
+            cross_check(5000, 1024, workers=2)
+        assert_no_child()
 
 
 class TestCheckpointIO:

@@ -111,3 +111,15 @@ def test_entry_point_report_with_forked_workers_matches_golden():
     assert proc.returncode == 1, proc.stderr
     golden = Path(__file__).parent / "golden" / "verify_2413.json"
     assert proc.stdout == golden.read_bytes()
+
+
+def test_entry_point_with_forked_workers_never_imports_concurrent_futures():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['twosquares', 'verify', '--limit', '1000000', '--workers', '2']\n"
+        "try:\n"
+        "    runpy.run_module('twosquares', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert run_python(code)[-3:] == ["exit", "0", "False"]
