@@ -44,6 +44,7 @@ __all__ = [
     "MAX_GAP",
     "MAX_S",
     "MAX_DENOMINATOR",
+    "MAX_WORKERS",
     "BudgetError",
     "CheckpointError",
     "RatioRecord",
@@ -71,6 +72,7 @@ __all__ = [
 MAX_GAP = 10**5
 MAX_S = 10**12
 MAX_DENOMINATOR = 10**3
+MAX_WORKERS = 256  # processes a scan or check may use, this one included
 
 CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_EVERY = 1 << 28
@@ -452,41 +454,48 @@ def _scan_window(args: tuple[int, int, int, bool]) -> tuple[_Summary, list[tuple
 
 
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
-    """Apply fn across args in order, here and in workers - 1 forked children.
+    """Apply fn across args in order, here and in forked children.
 
-    Child i pickles fn(item k) for k = i (mod workers) of its own copy of the
-    args to its pipe; this process computes k = 0 (mod workers) and reads the
-    others from their children in turn, so results keep submission order."""
-    if workers <= 1:
-        for a in args_iter:
-            yield fn(a)
-        return
-    import signal  # deferred: its import costs about 0.4 ms, and one worker kills no child
+    The first workers items (all, if fewer) are drawn before any fork, and
+    n drawn items make n processes.  Child i pickles to its pipe fn of
+    drawn item i and of the items k = i (mod n) of its copy of the undrawn
+    rest; this process walks both in turn, computes k = 0 (mod n) itself
+    and reads item k from child k % n: results keep submission order, and
+    each item is drawn here once.  A child's exception is sent if its
+    pickle can be rebuilt, else a RuntimeError that names it."""
+    rest = iter(args_iter)
+    head = list(itertools.islice(rest, workers))
+    n = len(head)
     pids, pipes = [], []
     try:
-        for i in range(1, workers):
+        for i in range(1, n):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             with open(w, "wb", buffering=0) as out:
                 if (pid := os.fork()) == 0:  # the child: writes its results and never returns
                     try:
                         pipes[-1].close()
-                        for a in itertools.islice(args_iter, i, None, workers):
+                        for a in itertools.chain((head[i],), itertools.islice(rest, i, None, n)):
                             out.write(pickle.dumps(fn(a)))
                     except BaseException as exc:
+                        try:  # send only an exception that the parent can rebuild
+                            pickle.loads(pickle.dumps(exc))
+                        except Exception:
+                            exc = RuntimeError(f"workers: child {i}: {type(exc).__name__}: {exc}")
                         out.write(pickle.dumps(exc))
                     finally:
                         os._exit(0)
             pids.append(pid)
-        for k, a in enumerate(args_iter):
-            got = fn(a) if k % workers == 0 else pickle.load(pipes[k % workers - 1])
+        for k, a in enumerate(itertools.chain(head, rest)):
+            got = fn(a) if k % n == 0 else pickle.load(pipes[k % n - 1])
             if isinstance(got, BaseException):
                 raise got
             yield got
     except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(f"workers: child {k % workers} ended before item {k}") from None
+        raise RuntimeError(f"workers: child {k % n} ended before item {k}") from None
     finally:  # kill and reap every child, however the caller stops
         for pid in pids:
+            import signal  # deferred: its import costs about 0.4 ms, and one process kills no child
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for pipe in pipes:
@@ -560,9 +569,6 @@ def _scan(
         yield cp
         return
     saved_at, saved_time = cp.position, time.perf_counter()
-    # no more processes than windows: one per step, one more where limit cuts a step
-    cut = cp.position <= limit and (limit + 1 - cp.position) % segment_size > 0
-    workers = min(workers, len(range(cp.position, limit + MAX_GAP + 1, segment_size)) + cut)
     windows = _windows(cp.position, limit + MAX_GAP, segment_size, limit)
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
@@ -596,8 +602,9 @@ def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
     if not isinstance(segment_size, int) or segment_size < 2:
         raise ValueError(f"segment_size: must be an integer >= 2, got {segment_size!r}")
-    if not isinstance(workers, int) or workers < 1 or workers > 1 and not hasattr(os, "fork"):
-        raise ValueError(f"workers: must be an integer >= 1 (1 without os.fork), got {workers!r}")
+    most = MAX_WORKERS if hasattr(os, "fork") else 1  # a second process is a fork
+    if not isinstance(workers, int) or not 1 <= workers <= most:
+        raise ValueError(f"workers: must be an integer in [1, {most}], got {workers!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +743,6 @@ def cross_check(
     """Compare sieve membership with the even-exponent criterion for every
     n in [1, limit], one window at a time, in order across workers."""
     _validate_scan_args(limit, segment_size, workers)
-    # no more processes than windows: a fork for no window only costs its start-up
-    workers = min(workers, limit // segment_size + 1)
     counts, ats = zip(*_ordered_map(_check_window, _windows(0, limit, segment_size), workers))
     first = next((at for at in ats if at is not None), None)
     return CheckReport(limit=limit, checked=limit, mismatches=sum(counts), first_mismatch=first)

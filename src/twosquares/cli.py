@@ -2,17 +2,20 @@
 
 Subcommands: verify (threshold scan), records (gap record table), density
 (count statistics), check (sieve vs the bulk even-exponent criterion).
-Each validates its arguments, calls one library function through the
-analysis module (verify, gap_records, density, cross_check) and serializes
-what it returns; no scanning happens here.  density reports the counts at
-the decades below --limit and at --limit, read from the scan's finished
-state.  Every report is a table, rows that share the same keys: json
-writes verify and check as one object and records and density as an array
-of objects; csv writes the keys as a header line and then one line per row,
-with an empty cell for None and booleans in lower case.  Reports go to stdout or --output-path; progress
-(position, pair count, rate and the current maximum-ratio record, read from
-the scan's Checkpoint state) and diagnostics go to stderr only, so the
-report stream stays byte-deterministic for a given configuration.
+Each calls one library function through the analysis module (verify,
+gap_records, density, cross_check) and serializes what it returns; no
+scanning happens here.  The CLI checks only its own options (the paths, the
+power-of-two segment size, --resume needing a path); the library checks
+limit and workers, so both share one bound on workers.  density reports the
+counts at the decades below --limit and at --limit, read from the scan's
+finished state.  Every report is a table, rows that share the same keys:
+json writes verify and check as one object and records and density as an
+array of objects; csv writes the keys as a header line and then one line
+per row, with an empty cell for None and booleans in lower case.  Reports
+go to stdout or --output-path; progress (position, pair count, rate and the
+current maximum-ratio record, read from the scan's Checkpoint state) and
+diagnostics go to stderr only, so the report stream stays
+byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
 exceeded, scientifically interesting), 2 usage or configuration error,
@@ -24,7 +27,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 
 from . import analysis
@@ -39,7 +41,7 @@ from .analysis import (
 from .representability import find_witness
 from .sieve import DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE
 
-__all__ = ["RunConfig", "run", "emit_report", "main"]
+__all__ = ["build_parser", "run", "emit_report", "main"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,19 +51,6 @@ DEFAULT_LIMIT = 10**8
 DEFAULT_THRESHOLD = "2414/1000"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    limit: int
-    threshold: str | None
-    segment_size: int
-    workers: int
-    checkpoint_path: str | None
-    resume: bool
-    output_format: str
-    output_path: str | None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twosquares",
@@ -69,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         "threshold verification, density statistics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # verify's own options, so that every subcommand's namespace has them
+    parser.set_defaults(threshold=None, checkpoint_path=None, resume=False)
 
     def common(p: argparse.ArgumentParser, default_limit: int = DEFAULT_LIMIT) -> None:
         p.add_argument("--limit", type=int, default=default_limit,
@@ -76,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                        help="window size in integers, a power of two")
         p.add_argument("--workers", type=int, default=1,
-                       help="processes that scan windows, this one included (default 1)")
+                       help="processes that scan windows, this one included "
+                            f"(1 to {analysis.MAX_WORKERS}, default 1)")
         p.add_argument("--format", dest="output_format", default="human",
                        choices=("human", "json", "csv"))
         p.add_argument("--output-path", default=None,
@@ -105,39 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        limit=args.limit,
-        threshold=getattr(args, "threshold", None),
-        segment_size=args.segment_size,
-        workers=args.workers,
-        checkpoint_path=getattr(args, "checkpoint_path", None),
-        resume=getattr(args, "resume", False),
-        output_format=args.output_format,
-        output_path=args.output_path,
-    )
-
-
-def _validate(config: RunConfig) -> None:
-    # the limit is checked by the library, before any window
-    size = config.segment_size
+def _validate(args: argparse.Namespace) -> None:
+    size = args.segment_size
     if not 2 <= size <= DEFAULT_MEMORY_CAP or size & (size - 1):
         raise ValueError(
             f"segment-size: must be a power of two in [2, {DEFAULT_MEMORY_CAP}], got {size}"
         )
-    if config.workers < 1 or config.workers > 256:
-        raise ValueError(f"workers: must be in [1, 256], got {config.workers}")
-    if config.resume and not config.checkpoint_path:
+    if args.resume and not args.checkpoint_path:
         raise ValueError("resume: requires --checkpoint-path")
-    if config.output_path and config.checkpoint_path and (
-            os.path.realpath(config.output_path) == os.path.realpath(config.checkpoint_path)):
-        raise ValueError(f"output-path: {config.output_path} is the checkpoint-path file")
+    if args.output_path and args.checkpoint_path and (
+            os.path.realpath(args.output_path) == os.path.realpath(args.checkpoint_path)):
+        raise ValueError(f"output-path: {args.output_path} is the checkpoint-path file")
     # Checked before any scanning.  The report is opened in place, so an
     # existing file (such as /dev/null) need only be writable; a checkpoint is
     # renamed into place, so its directory must be writable.
-    for field, path in (("output-path", config.output_path),
-                        ("checkpoint-path", config.checkpoint_path)):
+    for field, path in (("output-path", args.output_path),
+                        ("checkpoint-path", args.checkpoint_path)):
         if path is None:
             continue
         if not path or os.path.isdir(path):
@@ -316,17 +291,17 @@ def _progress_printer(start: int = 0):
     return cb
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one subcommand parsed by build_parser(); returns the exit status."""
     try:
-        _validate(config)
-        scan_kwargs = dict(segment_size=config.segment_size, workers=config.workers)
-        if config.subcommand == "verify":
-            threshold = Threshold.parse(config.threshold)
-            path = config.checkpoint_path
-            checkpoint = analysis.read_checkpoint(path) if config.resume else None
+        _validate(args)
+        scan_kwargs = dict(segment_size=args.segment_size, workers=args.workers)
+        if args.subcommand == "verify":
+            threshold = Threshold.parse(args.threshold)
+            path = args.checkpoint_path
+            checkpoint = analysis.read_checkpoint(path) if args.resume else None
             report = analysis.verify(
-                config.limit,
+                args.limit,
                 threshold,
                 checkpoint,
                 checkpoint_path=path,
@@ -334,16 +309,16 @@ def run(config: RunConfig) -> int:
                 **scan_kwargs,
             )
             code = EXIT_PASS if report.passed else EXIT_FAIL
-        elif config.subcommand == "records":
-            report, code = analysis.gap_records(config.limit, **scan_kwargs), EXIT_PASS
-        elif config.subcommand == "density":
-            report, code = analysis.density(config.limit, **scan_kwargs), EXIT_PASS
-        elif config.subcommand == "check":
-            report = analysis.cross_check(config.limit, **scan_kwargs)
+        elif args.subcommand == "records":
+            report, code = analysis.gap_records(args.limit, **scan_kwargs), EXIT_PASS
+        elif args.subcommand == "density":
+            report, code = analysis.density(args.limit, **scan_kwargs), EXIT_PASS
+        elif args.subcommand == "check":
+            report = analysis.cross_check(args.limit, **scan_kwargs)
             code = EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
         else:
-            raise ValueError(f"subcommand: unknown {config.subcommand!r}")
-        _write_output(emit_report(report, config.output_format), config.output_path)
+            raise ValueError(f"subcommand: unknown {args.subcommand!r}")
+        _write_output(emit_report(report, args.output_format), args.output_path)
         return code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -371,5 +346,4 @@ def _write_output(text: str, output_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    sys.exit(run(_config_from_args(args)))
+    sys.exit(run(build_parser().parse_args(argv)))

@@ -503,6 +503,79 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Local(Exception):
+    """An exception whose __init__ does not take its args: pickle writes it,
+    but cannot rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("count", range(6))
+def test_ordered_map_forks_one_child_per_drawn_item_past_the_first(monkeypatch, count, workers):
+    # the empty iterator and one worker fork nothing; at most 5 processes
+    real, forks, drawn = os.fork, [], []
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    def items():
+        for a in range(count):
+            drawn.append(a)
+            yield a
+
+    monkeypatch.setattr(os, "fork", fork)
+    got = list(analysis._ordered_map(lambda a: a * a + 1, items(), workers))
+    assert got == [a * a + 1 for a in range(count)]
+    assert len(forks) == max(0, min(workers, count) - 1)
+    assert drawn == list(range(count))  # each item drawn here, once
+    assert_no_child()
+
+
+class TestWorkersBound:
+    """The library refuses workers outside [1, MAX_WORKERS], and above 1
+    where os has no fork, before any window; no process starts here."""
+
+    T = Threshold.parse("2414/1000")
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks = []
+
+        def fork():
+            forks.append(None)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def test_above_the_bound_is_refused(self, forks):
+        assert analysis.MAX_WORKERS == 256
+        with pytest.raises(ValueError, match=r"^workers: .* \[1, 256\], got 257$"):
+            verify(10**4, self.T, workers=257)
+        with pytest.raises(ValueError, match="workers"):
+            cross_check(100, workers=257)
+        assert forks == []
+
+    def test_the_bound_on_two_windows_forks_once(self, forks):
+        # verify --limit 10000 plans [0, 10001) and the read-ahead;
+        # cross_check(100, 64) plans [0, 64) and [64, 101)
+        with pytest.raises(OSError, match="fork refused"):
+            verify(10**4, self.T, workers=256)
+        assert len(forks) == 1
+        with pytest.raises(OSError, match="fork refused"):
+            cross_check(100, 64, workers=256)
+        assert len(forks) == 2
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match=r"^workers: must be an integer in \[1, 1\], got 2$"):
+            verify(10**4, self.T, workers=2)
+        assert verify(10**4, self.T, workers=1).passed
+
+
 class TestForkedWorkers:
     """A scan to 10^5 in windows of 2^12 at 2 workers forks one child, which
     marks the odd windows of the plan."""
@@ -544,6 +617,20 @@ class TestForkedWorkers:
         self.planted(monkeypatch, 3 << 12, fail)
         with pytest.raises(BudgetError, match=f"^planted at {3 << 12} in a child$"):
             verify(10**5, self.T, **self.SCAN)
+        assert_no_child()
+
+    @pytest.mark.parametrize("exc, name", [
+        (Local(1, 2), "Local: 1/2"),  # pickled, but cannot be rebuilt
+        # no module-level class of its name to pickle it by
+        (type("Unpicklable", (Exception,), {})("3/4"), "Unpicklable: 3/4"),
+    ])
+    def test_an_exception_that_cannot_be_rebuilt_is_named(self, monkeypatch, exc, name):
+        def fail(lo):
+            raise exc
+
+        self.planted(monkeypatch, 4096, fail)
+        with pytest.raises(RuntimeError, match=f"^workers: child 1: {name}$"):
+            cross_check(10000, 4096, workers=2)
         assert_no_child()
 
     def test_a_child_that_dies_fails_the_scan(self, monkeypatch):

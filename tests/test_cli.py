@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from twosquares import Checkpoint, RatioRecord, Threshold, analysis, cli, verify
-from twosquares.cli import RunConfig, run
+from twosquares.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +53,7 @@ class TestExitCodes:
             ("check", "--limit", "100", "--output-path", "/no/such/dir/out.json"),
             ("verify", "--limit", "300000000", "--checkpoint-path", "/no/such/dir/ck"),
             ("density", "--limit", str(10**12 + 1)),
+            ("verify", "--limit", "2000", "--workers", "257"),
         ],
     )
     def test_usage_errors_are_two(self, args):
@@ -77,6 +78,9 @@ class TestExitCodes:
         # every subcommand names the field of an over-budget limit, before any work
         proc = run_cli("density", "--limit", str(10**12 + 1))
         assert "limit:" in proc.stderr
+        # the library's bound on workers, which the CLI shares
+        proc = run_cli("verify", "--limit", "2000", "--workers", "257")
+        assert proc.stderr.startswith("error: workers: ")
 
     def test_unreadable_checkpoint_is_two_naming_the_path(self, tmp_path):
         # refused by the path check, and by the read in a writable directory
@@ -100,13 +104,11 @@ class TestExitCodes:
 
         monkeypatch.setattr(analysis, "verify", no_scan)
         monkeypatch.setattr(analysis, "cross_check", no_scan)
-        config = RunConfig(
-            subcommand=subcommand, limit=10**5, threshold="2414/1000",
-            segment_size=1 << 12, workers=1, resume=False, output_format="json",
-            checkpoint_path="/no/such/dir/ck" if field == "checkpoint-path" else None,
-            output_path="/no/such/dir/out.json" if field == "output-path" else None,
-        )
-        assert run(config) == 2
+        args = build_parser().parse_args([
+            subcommand, "--limit", str(10**5), "--segment-size", str(1 << 12), "--workers", "1",
+            "--format", "json", f"--{field}", f"/no/such/dir/{field}",
+        ])
+        assert run(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_report_over_the_checkpoint_is_two(self, tmp_path):
@@ -158,12 +160,12 @@ class TestExitCodes:
 
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", 1 << 12)
         monkeypatch.setattr(analysis, "write_checkpoint", disk_full)
-        config = RunConfig(
-            subcommand="verify", limit=10**5, threshold="2414/1000",
-            segment_size=1 << 12, workers=1, checkpoint_path=str(tmp_path / "ck"),
-            resume=False, output_format="json", output_path=None,
-        )
-        assert run(config) == 2
+        args = build_parser().parse_args([
+            "verify", "--limit", str(10**5), "--threshold", "2414/1000",
+            "--segment-size", str(1 << 12), "--workers", "1",
+            "--checkpoint-path", str(tmp_path / "ck"), "--format", "json",
+        ])
+        assert run(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "checkpoint-path" in captured.err and "No space left" in captured.err
@@ -393,13 +395,11 @@ class TestCheckCommand:
             return seg
 
         monkeypatch.setattr(analysis, "mark_segment", flip_3000)
-        config = RunConfig(
-            subcommand="check", limit=5000, threshold=None,
-            segment_size=1024, workers=1, checkpoint_path=None,
-            resume=False, output_format="json",
-            output_path=str(tmp_path / "r.json"),
-        )
-        assert run(config) == 1
+        args = build_parser().parse_args([
+            "check", "--limit", "5000", "--segment-size", "1024", "--workers", "1",
+            "--format", "json", "--output-path", str(tmp_path / "r.json"),
+        ])
+        assert run(args) == 1
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc == {
             "limit": 5000, "checked": 5000, "mismatches": 1,
@@ -408,23 +408,23 @@ class TestCheckCommand:
 
 
 class TestRunConfigApi:
+    """run() on a namespace from build_parser(), without a subprocess."""
+
     def test_run_returns_exit_code(self, tmp_path, capsys):
-        config = RunConfig(
-            subcommand="verify", limit=2000, threshold="2413/1000",
-            segment_size=1 << 20, workers=1, checkpoint_path=None,
-            resume=False, output_format="json",
-            output_path=str(tmp_path / "r.json"),
-        )
-        assert run(config) == 1
+        args = build_parser().parse_args([
+            "verify", "--limit", "2000", "--threshold", "2413/1000",
+            "--segment-size", str(1 << 20), "--workers", "1",
+            "--format", "json", "--output-path", str(tmp_path / "r.json"),
+        ])
+        assert run(args) == 1
         assert json.loads((tmp_path / "r.json").read_text())["passed"] is False
 
     def test_invalid_config_returns_two(self):
-        config = RunConfig(
-            subcommand="verify", limit=2000, threshold="2414/1000",
-            segment_size=1000, workers=1, checkpoint_path=None,
-            resume=False, output_format="json", output_path=None,
-        )
-        assert run(config) == 2
+        args = build_parser().parse_args([
+            "verify", "--limit", "2000", "--threshold", "2414/1000",
+            "--segment-size", "1000", "--workers", "1", "--format", "json",
+        ])
+        assert run(args) == 2
 
 
 # Reports written by the parent of the scan-core refactor (json, csv) and of
