@@ -28,16 +28,14 @@ import itertools
 import math
 import os
 import pickle
-import tempfile
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
 
-from .representability import representable_mask
 from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
 
 __all__ = [
@@ -125,8 +123,7 @@ def _ratio_display(s: int, gap: int) -> Decimal:
         return +(Decimal(gap) / Decimal(s).sqrt().sqrt())
 
 
-@dataclass(frozen=True)
-class RatioRecord:
+class RatioRecord(NamedTuple):
     """A pair's gap together with a display-only decimal for gap / s^(1/4).
 
     Ordering decisions never consult ratio_display; they go through the
@@ -142,26 +139,28 @@ class RatioRecord:
         return cls(s, gap, _ratio_display(s, gap))
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Rational threshold c = p/q in lowest terms, 0 < p/q <= 8, q <= 10^3."""
+class Threshold(NamedTuple("_ThresholdFields", [("p", int), ("q", int)])):
+    """Rational threshold c = p/q in lowest terms, 0 < p/q <= 8, q <= 10^3;
+    checked when called, by _make, by _replace (through _make) and unpickled."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+    def __new__(cls, p: int, q: int) -> "Threshold":
+        if not isinstance(p, int) or not isinstance(q, int):
             raise ValueError("threshold: p and q must be integers")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"threshold: p and q must be positive, got {self.p}/{self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"threshold: {self.p}/{self.q} is not in lowest terms")
-        if self.q > MAX_DENOMINATOR:
-            raise BudgetError(
-                f"threshold: denominator {self.q} exceeds budget {MAX_DENOMINATOR}"
-            )
-        if self.p > 8 * self.q:
-            raise ValueError(f"threshold: {self.p}/{self.q} is outside (0, 8]")
+        if p < 1 or q < 1:
+            raise ValueError(f"threshold: p and q must be positive, got {p}/{q}")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"threshold: {p}/{q} is not in lowest terms")
+        if q > MAX_DENOMINATOR:
+            raise BudgetError(f"threshold: denominator {q} exceeds budget {MAX_DENOMINATOR}")
+        if p > 8 * q:
+            raise ValueError(f"threshold: {p}/{q} is outside (0, 8]")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Threshold":
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "Threshold":
@@ -196,8 +195,7 @@ class Threshold:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a threshold scan over all pairs with s <= limit."""
 
     limit: int
@@ -209,8 +207,7 @@ class VerificationReport:
     first_offender: GapPair | None = None
 
 
-@dataclass(frozen=True)
-class DensityPoint:
+class DensityPoint(NamedTuple):
     """Count of representable n in [1, x] with its normalized value."""
 
     x: int
@@ -218,8 +215,7 @@ class DensityPoint:
     normalized: Decimal
 
 
-@dataclass(frozen=True)
-class NormalizedGapStats:
+class NormalizedGapStats(NamedTuple):
     """Record gap scaled by the two classical growth normalizations."""
 
     s: int
@@ -228,8 +224,7 @@ class NormalizedGapStats:
     cramer_norm: Decimal
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """The scan's state, and what a checkpoint file holds; position is the
     next unscanned value.  last_representable and current_max are None
     until the scan meets its first representable value and first pair.
@@ -252,8 +247,7 @@ class Checkpoint:
         return self.last_representable is not None and self.last_representable > self.limit
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Sieve membership against the even-exponent criterion on [1, limit]."""
 
     limit: int
@@ -324,8 +318,7 @@ def _first_offender(records: Iterable[tuple[int, int]], t: Threshold) -> GapPair
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Summary:
+class _Summary(NamedTuple):
     """Per-window digest, sufficient for every record reduction."""
 
     lo: int
@@ -505,7 +498,7 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
 def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Checkpoint:
     """cp with the window sm, which starts at cp.position, folded in, and
     R(x) from its counts up to each decade x inside it."""
-    cp = replace(cp, position=sm.hi, decade_counts=cp.decade_counts + tuple(
+    cp = cp._replace(position=sm.hi, decade_counts=cp.decade_counts + tuple(
         (x, cp.pairs_scanned + count) for x, count in counts))
     if sm.first is None:
         return cp
@@ -518,8 +511,7 @@ def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Chec
             raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
         if not records or gap > records[-1][0]:
             records += ((gap, s),)
-    return replace(
-        cp,
+    return cp._replace(
         last_representable=sm.last,
         current_max=cp.current_max if len(records) == len(cp.gap_records) else _champion(records),
         gap_records=records,
@@ -564,7 +556,7 @@ def _scan(
     ):
         if got != want:
             raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
-    cp = replace(cp, current_max=_champion(cp.gap_records))
+    cp = cp._replace(current_max=_champion(cp.gap_records))
     if cp.done:  # resumed from the finished state
         yield cp
         return
@@ -725,6 +717,7 @@ def density(
 
 def _check_window(window: tuple[int, int]) -> tuple[int, int | None]:
     # the window's mismatch count and its first mismatch, or None
+    from .representability import representable_mask  # loaded by cross_check
     lo, hi = window
     packed = mark_segment(lo, hi).packed
     base = max(lo, 1)
@@ -743,6 +736,7 @@ def cross_check(
     """Compare sieve membership with the even-exponent criterion for every
     n in [1, limit], one window at a time, in order across workers."""
     _validate_scan_args(limit, segment_size, workers)
+    from . import representability  # noqa: F401  here once, not in each forked child
     counts, ats = zip(*_ordered_map(_check_window, _windows(0, limit, segment_size), workers))
     first = next((at for at in ats if at is not None), None)
     return CheckReport(limit=limit, checked=limit, mismatches=sum(counts), first_mismatch=first)
@@ -772,8 +766,13 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
     The text goes to a uniquely named temp file beside the target, which is
     fsynced and renamed over it; the directory is fsynced after the rename.
     Concurrent writers never share a temp file, and a failure leaves the
-    previous checkpoint in place and removes the temp file.
+    previous checkpoint in place and removes the temp file.  A state with
+    no record yet raises CheckpointError before any file is made.
     """
+    import tempfile  # numpy alone does not load it, and most runs write no checkpoint
+    if not cp.gap_records or cp.current_max is None:
+        raise CheckpointError("checkpoint: no record to write, gap_records or current_max is empty")
+
     def pairs(items: Iterable[tuple[int, int]]) -> str:
         return ",".join(f"{a}:{b}" for a, b in items)
 

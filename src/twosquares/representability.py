@@ -9,7 +9,7 @@ reports.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ _TRIAL_LIMIT = 10_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Complete prime factorization; primes strictly increasing."""
 
     n: int
@@ -48,8 +47,7 @@ class Factorization:
         return out
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Pair x <= y with x^2 + y^2 equal to the queried integer."""
 
     x: int

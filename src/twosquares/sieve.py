@@ -15,7 +15,7 @@ offsets of lattice points inside a block are computed in uint32, modulo
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ _CHUNK = 1 << 14
 _RAMP = np.arange(_CHUNK + math.isqrt(_BLOCK_WIDTHS[-1][1]) + 2, dtype=np.uint32)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Membership bitmap for the window [lo, hi), one bit per value.
 
     Bit i % 8 of byte i // 8 of packed (numpy's little bit order) is set
@@ -76,8 +75,7 @@ class Segment:
         return np.unpackbits(self.packed, count=self.hi - self.lo, bitorder="little").view(np.bool_)
 
 
-@dataclass(frozen=True)
-class GapPair:
+class GapPair(NamedTuple):
     """Consecutive representable integers s < s_next; nothing representable between."""
 
     s: int

@@ -1,6 +1,6 @@
 import os
+import pickle
 from collections import deque
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -188,6 +188,25 @@ class TestThresholdParsing:
     def test_denominator_budget(self):
         with pytest.raises(BudgetError):
             Threshold(7, 1999)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Threshold(3, 6),
+        lambda: Threshold._make((3, 6)),
+        lambda: Threshold(1, 2)._replace(q=1001),
+    ], ids=["call", "make", "replace"])
+    def test_every_way_of_building_one_is_checked(self, build):
+        with pytest.raises(ValueError, match="threshold"):
+            build()
+
+
+@pytest.mark.parametrize("record", [
+    Threshold(1207, 500),
+    Checkpoint(2, 100, 30, 29, RatioRecord.of(20, 5), ((1, 1), (5, 20)), 13, True, ((10, 7),)),
+    _Summary(0, 64, 27, 1, 61, ((1, 1), (2, 2), (3, 5))),
+], ids=["Threshold", "Checkpoint", "_Summary"])
+def test_records_survive_a_pickle_round_trip(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
 
 
 class TestCriticalConstant:
@@ -731,8 +750,8 @@ class TestCheckpointIO:
 
     def test_pairs_scanned_past_last_representable_or_limit_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
-        for cp in (replace(self.sample(), pairs_scanned=2 * 10**6 - 2),
-                   replace(self.sample(), limit=200000, pairs_scanned=200001)):
+        for cp in (self.sample()._replace(pairs_scanned=2 * 10**6 - 2),
+                   self.sample()._replace(limit=200000, pairs_scanned=200001)):
             write_checkpoint(cp, path)
             with pytest.raises(CheckpointError, match="pairs_scanned"):
                 read_checkpoint(path)
@@ -771,11 +790,11 @@ class TestCheckpointIO:
         # a record's s is at most the limit and at most the last value scanned;
         # the stored maximum is fixed up to match the forged entry
         path = tmp_path / "state.txt"
-        cp = replace(self.sample(), limit=limit)
+        cp = self.sample()._replace(limit=limit)
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
-        write_checkpoint(replace(cp, current_max=RatioRecord.of(s, 100),
-                                 gap_records=cp.gap_records + ((100, s),)), path)
+        write_checkpoint(cp._replace(current_max=RatioRecord.of(s, 100),
+                                     gap_records=cp.gap_records + ((100, s),)), path)
         with pytest.raises(CheckpointError, match="gap_records"):
             read_checkpoint(path)
 
@@ -790,14 +809,19 @@ class TestCheckpointIO:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            write_checkpoint(replace(old, position=3 * 10**6), path)
+            write_checkpoint(old._replace(position=3 * 10**6), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
+
+    def test_a_state_with_no_record_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(CheckpointError, match="gap_records"):
+            write_checkpoint(Checkpoint(2, 100, 0, None, None, (), 0), tmp_path / "state.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_leave_no_temp_files(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        write_checkpoint(replace(self.sample(), position=3 * 10**6), path)
+        write_checkpoint(self.sample()._replace(position=3 * 10**6), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.txt"]
         assert read_checkpoint(path).position == 3 * 10**6
 
@@ -811,14 +835,14 @@ class TestCheckpointIO:
         )
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
-        write_checkpoint(replace(cp, current_max=RatioRecord.of(16, 2)), path)
+        write_checkpoint(cp._replace(current_max=RatioRecord.of(16, 2)), path)
         with pytest.raises(CheckpointError, match="max"):
             read_checkpoint(path)
 
     def test_allow_zero_roundtrip(self, tmp_path):
         path = tmp_path / "state.txt"
         for allow_zero in (True, False):
-            cp = replace(self.sample(), allow_zero=allow_zero)
+            cp = self.sample()._replace(allow_zero=allow_zero)
             write_checkpoint(cp, path)
             assert f"allow_zero={int(allow_zero)}\n" in path.read_text()
             assert read_checkpoint(path) == cp
@@ -836,7 +860,7 @@ class TestCheckpointIO:
         write_checkpoint(self.sample(), path)
         assert "decade_counts=10:7,100:43,1000:330,10000:2749,100000:24028\n" in path.read_text()
         for counts in ((), ((10, 7),)):
-            write_checkpoint(replace(self.sample(), decade_counts=counts), path)
+            write_checkpoint(self.sample()._replace(decade_counts=counts), path)
             assert read_checkpoint(path).decade_counts == counts
 
     @pytest.mark.parametrize("counts", [
@@ -864,10 +888,10 @@ class TestCheckpointIO:
         # a decade at or past position is not scanned yet, one at the limit
         # is the limit's own point, and R(x) is at most the pairs scanned
         path = tmp_path / "state.txt"
-        for cp in (replace(self.sample(), position=10**5, last_representable=10**5 - 2,
-                           pairs_scanned=30000),
-                   replace(self.sample(), limit=10**5, pairs_scanned=30000),
-                   replace(self.sample(), pairs_scanned=20000)):
+        for cp in (self.sample()._replace(position=10**5, last_representable=10**5 - 2,
+                                          pairs_scanned=30000),
+                   self.sample()._replace(limit=10**5, pairs_scanned=30000),
+                   self.sample()._replace(pairs_scanned=20000)):
             write_checkpoint(cp, path)
             with pytest.raises(CheckpointError, match="decade_counts"):
                 read_checkpoint(path)
@@ -893,10 +917,10 @@ class TestVerifyResume:
         # the cadence, then the finished state at the end of the read-ahead
         # window
         assert [cp.position for cp in collected] == [*range(1 << 17, 10**6, 1 << 17), 1 << 20]
-        ref = replace(base, elapsed=0.0)
+        ref = base._replace(elapsed=0.0)
         for cp in collected:
             resumed = verify(10**6, t, cp, segment_size=1 << 16)
-            assert replace(resumed, elapsed=0.0) == ref
+            assert resumed._replace(elapsed=0.0) == ref
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_at_every_window_edge(self, tmp_path, checkpoints_every, workers):
@@ -954,7 +978,7 @@ class TestVerifyResume:
         collected = checkpoints_every(1 << 15)
         base = verify(10**5, t, segment_size=1 << 14, checkpoint_path=str(tmp_path / "ck.txt"))
         resumed = verify(10**5, t, collected[0], segment_size=1 << 12)
-        assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+        assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert resumed.first_offender == GapPair(1, 2)
 
     def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_every):
@@ -964,9 +988,9 @@ class TestVerifyResume:
         collected = checkpoints_every(1 << 17)
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
         assert collected[0].position == 1 << 17
-        cp = replace(collected[0], current_max=RatioRecord.of(1, 1))
+        cp = collected[0]._replace(current_max=RatioRecord.of(1, 1))
         resumed = verify(10**6, t, cp, segment_size=1 << 16)
-        assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+        assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
     def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every):
@@ -981,7 +1005,7 @@ class TestVerifyResume:
                 verify(10**5, t, collected[0], segment_size=2**12, allow_zero=not written)
             resumed = verify(10**5, t, read_checkpoint(tmp_path / "ck.txt"),
                              segment_size=2**12, allow_zero=written)
-            assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+            assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert (base.max_record.s, base.max_record.gap, base.pairs_scanned) == (2, 3, 23874)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1014,7 +1038,7 @@ class TestVerifyResume:
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(path))
         cp = read_checkpoint(path)
         resumed = verify(10**6, t, cp)
-        assert replace(resumed, elapsed=0.0) == replace(base, elapsed=0.0)
+        assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
 
 
 class TestSignificant:

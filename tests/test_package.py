@@ -123,3 +123,34 @@ def test_entry_point_with_forked_workers_never_imports_concurrent_futures():
         "    print('exit', exc.code, 'concurrent.futures' in sys.modules)\n"
     )
     assert run_python(code)[-3:] == ["exit", "0", "False"]
+
+
+def test_a_passing_verify_imports_neither_dataclasses_nor_the_oracle():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "twosquares", "verify", "--limit", "2",
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "twosquares.sieve" in imported
+    assert not {"dataclasses", "twosquares.representability"} & imported
+
+
+def test_cross_check_loads_the_oracle_before_it_forks():
+    code = (
+        "import os, sys\n"
+        "from twosquares import analysis\n"
+        "print('twosquares.representability' in sys.modules)\n"
+        "loaded, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    loaded.append('twosquares.representability' in sys.modules)\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "report = analysis.cross_check(10000, 4096, workers=2)\n"
+        "print(loaded, report.mismatches)\n"
+    )
+    assert run_python(code) == ["False", "[True]", "0"]
