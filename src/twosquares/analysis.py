@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
+from .sieve import DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
 
 __all__ = [
     "MAX_GAP",
@@ -187,8 +187,6 @@ class Threshold(NamedTuple("_ThresholdFields", [("p", int), ("q", int)])):
             p = int(whole + frac) if frac else int(whole)
             q = 10 ** len(frac)
         g = math.gcd(p, q)
-        if g == 0:
-            raise ValueError("threshold: must be positive")
         return cls(p // g, q // g)
 
     def __str__(self) -> str:
@@ -530,11 +528,11 @@ def _scan(
     """Reduce every pair with s <= limit, from 0 or from a checkpoint of the
     same limit and allow_zero, yielding the state at each window edge.
 
-    The windows step by segment_size from the start, end at limit + 1 too,
-    and reach limit + MAX_GAP, as far as the successor of a pair with
-    s <= limit can lie within the gap budget.  Each is marked and
-    summarized once (_scan_window), with its counts up to the decades
-    inside it for decade_counts.
+    The windows step by segment_size from the start up to limit + 1, then
+    read ahead from limit + 1 to limit + MAX_GAP, as far as the successor
+    of a pair with s <= limit can lie within the gap budget.  Each is
+    marked and summarized once (_scan_window), with its counts up to the
+    decades inside it for decade_counts.
     The last state yielded is done, and a scan that runs out of windows
     first raises BudgetError.  A resume recomputes current_max from
     gap_records, and from a done state it yields that state alone.
@@ -561,7 +559,10 @@ def _scan(
         yield cp
         return
     saved_at, saved_time = cp.position, time.perf_counter()
-    windows = _windows(cp.position, limit + MAX_GAP, segment_size, limit)
+    windows = itertools.chain(
+        _windows(cp.position, limit, segment_size),
+        _windows(max(cp.position, limit + 1), limit + MAX_GAP, segment_size),
+    )
     args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
         cp = _absorb(cp, sm, counts)
@@ -592,8 +593,9 @@ def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
         raise ValueError(f"limit: must be an integer >= 2, got {limit}")
     if limit > MAX_S:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
-    if not isinstance(segment_size, int) or segment_size < 2:
-        raise ValueError(f"segment_size: must be an integer >= 2, got {segment_size!r}")
+    if not isinstance(segment_size, int) or not 2 <= segment_size <= DEFAULT_MEMORY_CAP:
+        raise ValueError(f"segment_size: must be an integer in [2, {DEFAULT_MEMORY_CAP}], "
+                         f"got {segment_size!r}")
     most = MAX_WORKERS if hasattr(os, "fork") else 1  # a second process is a fork
     if not isinstance(workers, int) or not 1 <= workers <= most:
         raise ValueError(f"workers: must be an integer in [1, {most}], got {workers!r}")

@@ -220,21 +220,8 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     return Segment(lo, hi, packed)
 
 
-def _windows(
-    start: int, limit: int, segment_size: int, cut: int | None = None
-) -> Iterator[tuple[int, int]]:
-    """Windows [lo, hi) covering [start, limit], the last one clamped to limit + 1.
-
-    Windows step by segment_size from start, and a cut x in [start, limit)
-    also ends one at x + 1.  The iterator is lazy however many windows
-    there are.
-    """
-    steps = range(start + segment_size, limit + 1, segment_size)
-    lo = start
-    for hi in itertools.chain(steps, (limit + 1,)):
-        if cut is not None and lo < cut + 1 < hi:
-            yield lo, cut + 1
-            lo = cut + 1
-        if hi > lo:
-            yield lo, hi
-            lo = hi
+def _windows(start: int, end: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    """Windows [lo, hi) stepping by segment_size from start over [start, end],
+    the last one clamped to end + 1; none if start > end, and lazy."""
+    for lo in range(start, end + 1, segment_size):
+        yield lo, min(lo + segment_size, end + 1)

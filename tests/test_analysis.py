@@ -287,8 +287,8 @@ class TestVerify:
             assert report.passed == (not expected_failed), (p, q)
 
     def test_two_workers_draw_only_the_windows_one_worker_marks(self, monkeypatch):
-        # six windows up to 10^8, the first one cut at the decades 10 .. 10^7
-        # but marked once, and one read-ahead window; at 2 workers this
+        # six windows up to 10^8, the first one holding the decades 10 .. 10^7
+        # and marked once, and one read-ahead window; at 2 workers this
         # process draws the same windows, none past the one that ends the
         # scan, and marks windows 0, 2, 4 and 6 itself
         drawn = draw_windows(monkeypatch)
@@ -307,10 +307,9 @@ class TestVerify:
         seen = []
         report = verify(20, Threshold(2, 1), segment_size=2, progress=seen.append)
         # the window [0, 2) holds no pair with s >= 1; the limit ends a
-        # window at 21 and the read-ahead ends at 26, where 25 turns up
-        assert [cp.position for cp in seen] == [
-            4, 6, 8, 10, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
-        ]
+        # window at 21, and the read-ahead steps by 2 from there and ends at
+        # 27, where 25 turns up
+        assert [cp.position for cp in seen] == [*range(4, 21, 2), 21, 23, 25, 27]
         assert [cp.done for cp in seen] == [False] * (len(seen) - 1) + [True]
         assert seen[-1].pairs_scanned == report.pairs_scanned
         assert seen[-1].current_max == report.max_record
@@ -352,14 +351,15 @@ class TestGapRecords:
             assert report.pairs_scanned == len(brute_pairs(0, limit, allow_zero))
 
     def test_read_ahead_crosses_windows(self, monkeypatch):
-        # with 2-wide windows, [1494, 1508) is eight empty windows, four of
-        # them past the limit, so the last pair (1493, 1508) must stitch
-        # across them into the read-ahead window where 1508 turns up
+        # with 2-wide windows, [1494, 1508) is seven empty windows, three of
+        # them read-ahead windows stepping from the limit's edge 1501, so the
+        # last pair (1493, 1508) must stitch across them into the read-ahead
+        # window where 1508 turns up
         windows = record_windows(monkeypatch)
         assert gap_records(1500, segment_size=2)[-1] == (15, 1493)
-        assert windows[-9:] == [
+        assert windows[-8:] == [
             (1494, 1496), (1496, 1498), (1498, 1500), (1500, 1501),
-            (1501, 1502), (1502, 1504), (1504, 1506), (1506, 1508), (1508, 1510),
+            (1501, 1503), (1503, 1505), (1505, 1507), (1507, 1509),
         ]
 
     def test_windows_are_clamped_to_limit(self, monkeypatch):
@@ -459,22 +459,23 @@ class TestDensity:
         windows = record_windows(monkeypatch)
         assert [p.count for p in density(100, segment_size=1 << 16)] == [7, 43]
         # a window up to the limit 100, counted up to the decade 10, then
-        # one read-ahead window up to the first step edge, where 101 turns
-        # up: [0, 101] marked once, in one pass
-        assert windows == [(0, 101), (101, 1 << 16)]
+        # one read-ahead window of segment_size values from limit + 1, where
+        # 101 turns up: [0, 101] marked once, in one pass
+        assert windows == [(0, 101), (101, 101 + (1 << 16))]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_scan_draws_the_same_windows(monkeypatch, workers):
     # the window plan is fixed by limit, segment_size and the scan's start,
     # whichever report reads the scan and however many workers: the steps,
-    # the limit and the read-ahead, each drawn once by this process
+    # the limit and the read-ahead, which steps from limit + 1 and whose
+    # first window holds 100009, each drawn once by this process
     drawn = draw_windows(monkeypatch)
     scan = dict(segment_size=1 << 12, workers=workers)
     verify(10**5, Threshold.parse("2414/1000"), **scan)
     plan = list(drawn)
     assert plan == [*((lo, lo + (1 << 12)) for lo in range(0, 24 << 12, 1 << 12)),
-                    (24 << 12, 10**5 + 1), (10**5 + 1, 25 << 12)]
+                    (24 << 12, 10**5 + 1), (10**5 + 1, 10**5 + 1 + (1 << 12))]
     for report in (gap_records, density):
         drawn.clear()
         report(10**5, **scan)
@@ -514,6 +515,25 @@ class TestCrossCheck:
     def test_rejects_bad_arguments_naming_the_field(self, limit, segment_size, field):
         with pytest.raises(ValueError, match=field):
             cross_check(limit, segment_size)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "scan", [partial(verify, threshold=Threshold(2, 1)), gap_records, density, cross_check],
+    ids=["verify", "gap_records", "density", "cross_check"],
+)
+def test_segment_size_over_the_memory_cap_is_refused_naming_it(monkeypatch, scan, workers):
+    # mark_segment would refuse such a window without naming the field; the
+    # scan names it before any mark or fork, even for a limit below one window
+    def refuse(*args, **kwargs):
+        raise AssertionError("marked or forked before the check")
+
+    monkeypatch.setattr(analysis, "mark_segment", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    for limit, size in [(2**31 + 10, 2**31), (100, analysis.DEFAULT_MEMORY_CAP + 1)]:
+        with pytest.raises(ValueError, match="^segment_size: "):
+            scan(limit, segment_size=size, workers=workers)
+    assert analysis._validate_scan_args(100, analysis.DEFAULT_MEMORY_CAP, workers) is None
 
 
 def assert_no_child():
@@ -905,8 +925,9 @@ class TestCheckpointIO:
 
 
 # the window edges of a scan to 10^5 in 2^12-wide steps: the steps, limit + 1
-# and the end of the read-ahead window
-WINDOW_EDGES_TO_1E5 = [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 25 << 12]
+# and the end of the read-ahead window, one step past limit + 1, which holds
+# 100009, the successor of the last pair
+WINDOW_EDGES_TO_1E5 = [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 10**5 + 1 + (1 << 12)]
 
 
 class TestVerifyResume:
@@ -915,8 +936,9 @@ class TestVerifyResume:
         collected = checkpoints_every(1 << 17)
         base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
         # the cadence, then the finished state at the end of the read-ahead
-        # window
-        assert [cp.position for cp in collected] == [*range(1 << 17, 10**6, 1 << 17), 1 << 20]
+        # window, one step past limit + 1
+        assert [cp.position for cp in collected] == [
+            *range(1 << 17, 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
         ref = base._replace(elapsed=0.0)
         for cp in collected:
             resumed = verify(10**6, t, cp, segment_size=1 << 16)
@@ -935,6 +957,18 @@ class TestVerifyResume:
         for cp in collected:
             assert emit_report(run(cp), "json") == base, cp.position
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_at_every_read_ahead_edge(self, tmp_path, checkpoints_every, workers):
+        # at 20 in 2-wide windows the read-ahead is three windows stepping
+        # from 21; a state past the limit resumes into the read-ahead's rest
+        run = partial(verify, 20, Threshold(2, 1), segment_size=2, workers=workers)
+        base = emit_report(run(), "json")
+        collected = checkpoints_every(1)
+        run(checkpoint_path=str(tmp_path / "ck.txt"))
+        assert [cp.position for cp in collected][-4:] == [21, 23, 25, 27]
+        for cp in collected:
+            assert emit_report(run(cp), "json") == base, cp.position
+
     def test_time_trigger_checkpoints_every_window(self, tmp_path, monkeypatch, checkpoints_every):
         # the integer cadence keeps its default, which a 10^5 run never reaches
         collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
@@ -944,13 +978,14 @@ class TestVerifyResume:
         assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
 
     def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every):
-        # neither trigger fires in a 10^5 run; the window [100001, 102400),
-        # which holds 100009, the successor of the last pair, still writes it
+        # neither trigger fires in a 10^5 run; the read-ahead window
+        # [100001, 104097), which holds 100009, the successor of the last
+        # pair, still writes it
         collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
         base = verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
                       checkpoint_path=str(tmp_path / "ck.txt"))
         (cp,) = collected
-        assert cp.position == 25 << 12 and cp.last_representable > 10**5
+        assert cp.position == 10**5 + 1 + (1 << 12) and cp.last_representable > 10**5
         assert read_checkpoint(tmp_path / "ck.txt") == cp
         assert cp.pairs_scanned == base.pairs_scanned
 
@@ -959,10 +994,8 @@ class TestVerifyResume:
         collected = checkpoints_every(1)
         verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
         # the limit ends a window at 21; past it, 2-wide read-ahead windows
-        # up to 26, where 25 turns up
-        assert [cp.position for cp in collected] == [
-            4, 6, 8, 10, 12, *range(14, 20, 2), 20, 21, 22, 24, 26
-        ]
+        # step from 21 up to 27, where 25 turns up
+        assert [cp.position for cp in collected] == [*range(4, 21, 2), 21, 23, 25, 27]
 
     def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
         t = Threshold.parse("2414/1000")
@@ -971,7 +1004,9 @@ class TestVerifyResume:
         assert collected[0].position == 1 << 16
         later = checkpoints_every(1 << 17)
         verify(10**6, t, collected[0], segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in later] == [*range(3 << 16, 10**6, 1 << 17), 1 << 20]
+        # the read-ahead steps from limit + 1, so the scan ends one step past it
+        assert [cp.position for cp in later] == [
+            *range(3 << 16, 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
 
     def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every):
         t = Threshold(1, 1)  # fails immediately at (1, 2)

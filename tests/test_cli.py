@@ -2,8 +2,11 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -312,6 +315,91 @@ class TestResume:
                        "--checkpoint-path", str(ck))
         assert proc.returncode == 2
         assert "limit" in proc.stderr
+
+
+# Runs cli.main on its arguments with a checkpoint at every window edge;
+# prints the pid of each child it forks, then holds after the first write.
+KILL_DRILL = """
+import os, sys, time
+from twosquares import analysis, cli
+
+fork, write = os.fork, analysis.write_checkpoint
+
+def forking():
+    pid = fork()
+    if pid:
+        print("child", pid, flush=True)
+    return pid
+
+def writing(cp, path):
+    write(cp, path)
+    print("written", cp.position, flush=True)
+    time.sleep(600)
+
+analysis.DEFAULT_CHECKPOINT_EVERY = 1
+os.fork, analysis.write_checkpoint = forking, writing
+cli.main(sys.argv[1:])
+"""
+
+
+def process_state(pid):
+    """The state letter of a process from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def running(pids):
+    return [pid for pid in pids if process_state(pid) not in (None, "Z")]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
+                    reason="needs os.fork and Linux /proc")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_killed_run_leaves_no_child_and_resumes_to_the_same_report(tmp_path, workers):
+    # About 2400 windows: the children's results overfill their pipes, so
+    # they are still running when the parent is killed after its first
+    # checkpoint, and its finally never runs.  A child whose pipe has lost
+    # its reader fails its next write and exits; at 3 workers the second
+    # child holds the first one's read end too, so they end last first.
+    args = ["verify", "--limit", "10000000", "--segment-size", "4096",
+            "--workers", str(workers), "--format", "json"]
+    want = run_cli(*args)
+    assert want.returncode == 0, want.stderr
+    path = str(tmp_path / "ck.txt")
+    drill = subprocess.Popen([sys.executable, "-c", KILL_DRILL, *args, "--checkpoint-path", path],
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    watchdog = threading.Timer(60, drill.kill)
+    watchdog.start()
+    children, written = [], None
+    try:
+        for line in drill.stdout:
+            word, value = line.split()
+            if word == "written":
+                written = int(value)
+                break
+            children.append(int(value))
+        assert written == 4096 and len(children) == workers - 1
+        assert running(children) == children
+        drill.kill()
+        drill.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while running(children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert running(children) == []
+    finally:
+        watchdog.cancel()
+        watchdog.join()
+        drill.kill()
+        drill.wait(timeout=10)
+        drill.stdout.close()
+        for pid in running(children):
+            os.kill(pid, signal.SIGKILL)
+    resumed = run_cli(*args, "--checkpoint-path", path, "--resume")
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == want.stdout
 
 
 class TestRecordsCommand:

@@ -126,18 +126,19 @@ def test_entry_point_with_forked_workers_never_imports_concurrent_futures():
 
 
 def test_a_passing_verify_imports_neither_dataclasses_nor_the_oracle():
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "twosquares", "verify", "--limit", "2",
-         "--format", "json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+    # sys.modules at exit: -X importtime lists only modules that an import
+    # statement loads, not those that twosquares.__getattr__ loads, such as
+    # twosquares.analysis, the control
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['twosquares', 'verify', '--limit', '2', '--format', 'json']\n"
+        "try:\n"
+        "    runpy.run_module('twosquares', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    names = ('twosquares.analysis', 'dataclasses', 'twosquares.representability')\n"
+        "    print('exit', exc.code, *(name in sys.modules for name in names))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "twosquares.sieve" in imported
-    assert not {"dataclasses", "twosquares.representability"} & imported
+    assert run_python(code)[-5:] == ["exit", "0", "True", "False", "False"]
 
 
 def test_cross_check_loads_the_oracle_before_it_forks():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,45 +270,41 @@ class TestWindows:
         "start, limit, size", [(0, 10, 4), (0, 100, 16), (7, 64, 8), (5, 6, 2)]
     )
     def test_without_cuts_steps_by_segment_size(self, start, limit, size):
-        # the sequence verify, records and check have always scanned
+        # the grid that check scans, and that verify, records and density
+        # chain for the limit's windows and for the read-ahead's
         expected = [(lo, min(lo + size, limit + 1)) for lo in range(start, limit + 1, size)]
         assert list(sieve._windows(start, limit, size)) == expected
 
-    def test_cuts_end_windows_after_each_point(self):
-        steps = [(16 * k, 16 * k + 16) for k in range(2, 6)]
-        assert list(sieve._windows(0, 100, 16, cut=10)) == [
-            (0, 11), (11, 16), (16, 32), *steps, (96, 101),
-        ]
-        assert list(sieve._windows(0, 100, 16, cut=31)) == [
-            (0, 16), (16, 32), *steps, (96, 101),
-        ]
-        assert list(sieve._windows(0, 100, 16, cut=99))[-2:] == [(96, 100), (100, 101)]
-        for cut in (100, 500):
-            assert list(sieve._windows(0, 100, 16, cut=cut)) == list(sieve._windows(0, 100, 16))
-
     @settings(max_examples=200, deadline=None)
     @given(
-        start=st.integers(0, 300),
-        span=st.integers(0, 400),
+        limit=st.integers(2, 300),
+        gap=st.integers(1, 300),
         size=st.integers(2, 64),
-        where=st.sampled_from(["start", "step", "last", "limit", "past", "before"]),
-        k=st.integers(0, 20),
+        data=st.data(),
     )
-    def test_cut_windows_cover_the_range_once(self, start, span, size, where, k):
-        limit = start + span
-        cut = {"start": start, "step": start + (k + 1) * size - 1, "last": limit - 1,
-               "limit": limit, "past": limit + 1 + k, "before": start - 1 - k}[where]
-        windows = list(sieve._windows(start, limit, size, cut=cut))
-        # contiguous, [start, limit] exactly, none wider than size
-        assert windows[0][0] == start and windows[-1][1] == limit + 1
-        assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
-        assert all(0 < hi - lo <= size for lo, hi in windows)
-        # windows end at the stepped edges, after the cut if in range and at limit + 1
-        steps = set(range(start + size, limit + 1, size))
-        assert [hi for _, hi in windows] == sorted(
-            steps | ({cut + 1} if start <= cut <= limit else set()) | {limit + 1}
-        )
+    def test_scan_plan_reads_ahead_from_the_limit(self, limit, gap, size, data):
+        # the plan _scan draws from a state at start, with the gap budget
+        # set to gap; with no window computed, it runs out and raises
+        start = data.draw(st.integers(0, limit + gap), label="start")
+        plan = []
+
+        def draw(fn, args, workers):
+            plan.extend((lo, hi) for lo, hi, *_ in args)
+            return iter(())
+
+        cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, None, None, (), 0)
+        with mock.patch.object(analysis, "MAX_GAP", gap), \
+                mock.patch.object(analysis, "_ordered_map", draw):
+            with pytest.raises(analysis.BudgetError):
+                list(analysis._scan(limit, size, 1, True, cp))
+        # contiguous, [start, limit + gap] exactly, none wider than size
+        assert plan[0][0] == start and plan[-1][1] == limit + gap + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
+        assert all(0 < hi - lo <= size for lo, hi in plan)
+        # a window ends at limit + 1 whenever the plan starts at or below
+        # the limit, so no window holds both s <= limit and read-ahead values
+        assert (limit + 1 in {hi for _, hi in plan}) == (start <= limit)
 
     def test_stays_lazy(self):
         # 5 * 10^11 windows: the first comes without listing the others
-        assert next(iter(sieve._windows(0, 10**12, 2, cut=10**12 - 1))) == (0, 2)
+        assert next(iter(sieve._windows(0, 10**12, 2))) == (0, 2)
