@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE, GapPair, _windows, mark_segment
+from .sieve import (DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE, GapPair, _is_int, _windows,
+                    mark_segment)
 
 __all__ = [
     "MAX_GAP",
@@ -146,8 +147,8 @@ class Threshold(NamedTuple("_ThresholdFields", [("p", int), ("q", int)])):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "Threshold":
-        if not isinstance(p, int) or not isinstance(q, int):
-            raise ValueError("threshold: p and q must be integers")
+        if not _is_int(p) or not _is_int(q):
+            raise ValueError(f"threshold: p and q must be integers, got {p!r}/{q!r}")
         if p < 1 or q < 1:
             raise ValueError(f"threshold: p and q must be positive, got {p}/{q}")
         if math.gcd(p, q) != 1:
@@ -589,15 +590,15 @@ def _finished(limit: int, segment_size: int, workers: int, allow_zero: bool) -> 
 
 
 def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
-    if not isinstance(limit, int) or limit < 2:
+    if not _is_int(limit) or limit < 2:
         raise ValueError(f"limit: must be an integer >= 2, got {limit}")
     if limit > MAX_S:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
-    if not isinstance(segment_size, int) or not 2 <= segment_size <= DEFAULT_MEMORY_CAP:
+    if not _is_int(segment_size) or not 2 <= segment_size <= DEFAULT_MEMORY_CAP:
         raise ValueError(f"segment_size: must be an integer in [2, {DEFAULT_MEMORY_CAP}], "
                          f"got {segment_size!r}")
     most = MAX_WORKERS if hasattr(os, "fork") else 1  # a second process is a fork
-    if not isinstance(workers, int) or not 1 <= workers <= most:
+    if not _is_int(workers) or not 1 <= workers <= most:
         raise ValueError(f"workers: must be an integer in [1, {most}], got {workers!r}")
 
 
@@ -814,8 +815,8 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate; other versions, unknown fields, duplicates, gaps
-    in the record table and counts that no scan could reach are all
-    rejected.  A file that cannot be read raises CheckpointError naming
+    in the record table, and positions and counts that no scan could reach
+    are all rejected.  A file that cannot be read raises CheckpointError naming
     checkpoint-path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -881,6 +882,10 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint: pairs_scanned {pairs} exceeds last_representable {last} or limit {limit}"
         )
+    # every window a scan draws ends at or below limit + MAX_GAP + 1
+    if position > limit + MAX_GAP + 1:
+        raise CheckpointError(f"checkpoint: position {position} is past limit + MAX_GAP + 1 "
+                              f"= {limit + MAX_GAP + 1}, which no scan reaches")
     # a record's s is at most the limit and the last value scanned
     records = as_pairs("gap_records")
     for (prev_gap, prev_s), (gap, s) in zip([(0, 0), *records], records):

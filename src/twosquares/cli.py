@@ -4,22 +4,22 @@ Subcommands: verify (threshold scan), records (gap record table), density
 (count statistics), check (sieve vs the bulk even-exponent criterion).
 Each calls one library function through the analysis module (verify,
 gap_records, density, cross_check) and serializes what it returns; no
-scanning happens here.  The CLI checks only its own options (the paths, the
-power-of-two segment size, --resume needing a path); the library checks
-limit and workers, so both share one bound on workers.  density reports the
-counts at the decades below --limit and at --limit, read from the scan's
-finished state.  Every report is a table, rows that share the same keys:
-json writes verify and check as one object and records and density as an
-array of objects; csv writes the keys as a header line and then one line
-per row, with an empty cell for None and booleans in lower case.  Reports
-go to stdout or --output-path; progress (position, pair count, rate and the
-current maximum-ratio record, read from the scan's Checkpoint state) and
-diagnostics go to stderr only, so the report stream stays
-byte-deterministic for a given configuration.
+scanning happens here, and every scan uses the library's default window
+size.  The CLI checks only its own options (the paths, --resume needing a
+path); the library checks the rest, so both share one bound on workers.
+density reports the counts at the decades below --limit and at --limit,
+read from the scan's finished state.  Every report is a table, rows that
+share the same keys: json writes verify and check as one object and
+records and density as an array of objects; csv writes the keys as a
+header line and then one line per row, with an empty cell for None and
+booleans in lower case.  Reports go to stdout or --output-path; progress
+(position, pair count, rate and the current maximum-ratio record, read
+from the scan's Checkpoint state) and diagnostics go to stderr only, so
+the report stream stays byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
 exceeded, scientifically interesting), 2 usage or configuration error,
-or a report that could not be written.
+or a report that could not be written, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -38,13 +38,14 @@ from .analysis import (
     VerificationReport,
     significant,
 )
-from .sieve import DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE
+from .sieve import DEFAULT_SEGMENT_SIZE
 
 __all__ = ["build_parser", "run", "emit_report", "main"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 
 DEFAULT_LIMIT = 10**8
 DEFAULT_THRESHOLD = "2414/1000"
@@ -63,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_limit: int = DEFAULT_LIMIT) -> None:
         p.add_argument("--limit", type=int, default=default_limit,
                        help=f"scan pairs with s up to this bound (default {default_limit})")
-        p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
-                       help="window size in integers, a power of two")
         p.add_argument("--workers", type=int, default=1,
                        help="processes that scan windows, this one included "
                             f"(1 to {analysis.MAX_WORKERS}, default 1)")
@@ -97,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    size = args.segment_size
-    if not 2 <= size <= DEFAULT_MEMORY_CAP or size & (size - 1):
-        raise ValueError(
-            f"segment-size: must be a power of two in [2, {DEFAULT_MEMORY_CAP}], got {size}"
-        )
     if args.resume and not args.checkpoint_path:
         raise ValueError("resume: requires --checkpoint-path")
     if args.output_path and args.checkpoint_path and (
@@ -297,7 +291,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute one subcommand parsed by build_parser(); returns the exit status."""
     try:
         _validate(args)
-        scan_kwargs = dict(segment_size=args.segment_size, workers=args.workers)
+        # read at call time, so that a test can patch cli.DEFAULT_SEGMENT_SIZE
+        scan_kwargs = dict(segment_size=DEFAULT_SEGMENT_SIZE, workers=args.workers)
         if args.subcommand == "verify":
             threshold = Threshold.parse(args.threshold)
             path = args.checkpoint_path
@@ -325,6 +320,12 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        path = args.checkpoint_path
+        written = path and os.path.exists(path)
+        hint = f", resume with --resume --checkpoint-path {path}" if written else ""
+        sys.stderr.write(f"error: interrupted{hint}\n")
+        return EXIT_INTERRUPTED
 
 
 def _write_output(text: str, output_path: str | None) -> None:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import MAX_VALUE
+from .sieve import MAX_VALUE, _is_int
 
 __all__ = [
     "Factorization",
@@ -67,7 +67,7 @@ _TRIAL_PRIMES = (2, *_odd_primes(_TRIAL_LIMIT - 1).tolist())
 
 
 def _check_positive(n, op: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"{op}: n must be an integer, got {type(n).__name__}")
     if n < 1:
         raise ValueError(f"{op}: n must be >= 1, got {n}")
@@ -202,8 +202,9 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
     count is 0 and it lies in none of those classes.  Integer arithmetic
     only; costs O(hi - lo) bytes plus a sieve up to sqrt(hi).
     """
-    if not isinstance(lo, int) or not isinstance(hi, int):
-        raise ValueError("representable_mask: lo and hi must be integers")
+    for name, v in (("lo", lo), ("hi", hi)):
+        if not _is_int(v):
+            raise ValueError(f"representable_mask: {name} must be an integer, got {v!r}")
     if lo < 1:
         raise ValueError(f"representable_mask: lo must be >= 1, got {lo}")
     if hi <= lo:

@@ -86,6 +86,11 @@ class GapPair(NamedTuple):
         return self.s_next - self.s
 
 
+def _is_int(v) -> bool:
+    """An int and not a bool, which Python counts as an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _ceil_sqrt(v: int) -> int:
     # least y >= 0 with y*y >= v
     if v <= 0:
@@ -164,8 +169,9 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     [0, b1 - b0) with b1 - b0 <= 2^21 < 2^32, and the residue is the offset
     itself.  It is widened to intp once, for the scatter.
     """
-    if not isinstance(lo, int) or not isinstance(hi, int):
-        raise ValueError("mark_segment: lo and hi must be integers")
+    for name, v in (("lo", lo), ("hi", hi)):
+        if not _is_int(v):
+            raise ValueError(f"mark_segment: {name} must be an integer, got {v!r}")
     if lo < 0 or hi <= lo or hi > MAX_VALUE:
         raise ValueError(
             f"mark_segment: need 0 <= lo < hi <= {MAX_VALUE}, got lo={lo}, hi={hi}"

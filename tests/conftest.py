@@ -1,6 +1,6 @@
 import pytest
 
-from twosquares import analysis
+from twosquares import analysis, cli
 
 
 @pytest.fixture
@@ -19,5 +19,16 @@ def checkpoints_every(monkeypatch):
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", every)
         monkeypatch.setattr(analysis, "write_checkpoint", collect)
         return written
+
+    return setup
+
+
+@pytest.fixture
+def cli_windows(monkeypatch):
+    """cli_windows(n) sets the window size of every scan the CLI runs in
+    this process to n integers."""
+
+    def setup(size: int) -> None:
+        monkeypatch.setattr(cli, "DEFAULT_SEGMENT_SIZE", size)
 
     return setup

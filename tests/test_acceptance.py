@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import twosquares as ts
+from twosquares import cli
 from twosquares.cli import emit_report
 
 from reference import brute_champion, brute_membership
@@ -142,20 +143,21 @@ def test_criterion_4_oracle_equivalence_to_1e6():
         assert elapsed < 60, f"equivalence sweep took {elapsed:.0f}s"
 
 
-def test_criterion_5_reports_invariant_under_windowing_and_workers():
+def test_criterion_5_reports_invariant_under_windowing_and_workers(tmp_path, cli_windows):
     with criterion(5, "limit-10^6 reports byte-identical across segment "
                       "sizes {2^14, 2^20} and workers {1, 2, 8}"):
+        out = tmp_path / "report"
         for fmt in ("json", "csv"):
             outputs = set()
             for seg in (1 << 14, 1 << 20):
+                cli_windows(seg)
                 for workers in (1, 2, 8):
-                    proc = run_cli("verify", "--limit", "1000000",
-                                   "--threshold", "2414/1000",
-                                   "--format", fmt,
-                                   "--segment-size", str(seg),
-                                   "--workers", str(workers))
-                    assert proc.returncode == 0
-                    outputs.add(proc.stdout)
+                    with pytest.raises(SystemExit) as exit_info:
+                        cli.main(["verify", "--limit", "1000000", "--threshold", "2414/1000",
+                                  "--format", fmt, "--workers", str(workers),
+                                  "--output-path", str(out)])
+                    assert exit_info.value.code == 0
+                    outputs.add(out.read_bytes())
             assert len(outputs) == 1, f"{fmt} reports diverged"
 
 

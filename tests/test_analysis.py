@@ -193,7 +193,9 @@ class TestThresholdParsing:
         lambda: Threshold(3, 6),
         lambda: Threshold._make((3, 6)),
         lambda: Threshold(1, 2)._replace(q=1001),
-    ], ids=["call", "make", "replace"])
+        lambda: Threshold(True, 1),
+        lambda: Threshold(1, True),
+    ], ids=["call", "make", "replace", "bool-p", "bool-q"])
     def test_every_way_of_building_one_is_checked(self, build):
         with pytest.raises(ValueError, match="threshold"):
             build()
@@ -436,10 +438,12 @@ class TestDensity:
         with pytest.raises(ValueError, match="limit"):
             density(1)
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
     def test_rejects_bad_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
             density(100, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            cross_check(1000, workers=workers)
 
     def test_invariant_under_segment_size_and_workers(self):
         a = density(10**5, segment_size=1 << 12)
@@ -805,10 +809,11 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="gap_records"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("limit, s", [(10**6, 2 * 10**6 - 3), (10**7, 2 * 10**6 - 1)])
+    @pytest.mark.parametrize("limit, s", [(19 * 10**5, 2 * 10**6 - 3), (10**7, 2 * 10**6 - 1)])
     def test_record_past_limit_or_last_representable_rejected(self, tmp_path, limit, s):
         # a record's s is at most the limit and at most the last value scanned;
-        # the stored maximum is fixed up to match the forged entry
+        # the stored maximum is fixed up to match the forged entry.  The
+        # position, 2 * 10^6, is one that a scan of either limit reaches.
         path = tmp_path / "state.txt"
         cp = self.sample()._replace(limit=limit)
         write_checkpoint(cp, path)
@@ -910,7 +915,8 @@ class TestCheckpointIO:
         path = tmp_path / "state.txt"
         for cp in (self.sample()._replace(position=10**5, last_representable=10**5 - 2,
                                           pairs_scanned=30000),
-                   self.sample()._replace(limit=10**5, pairs_scanned=30000),
+                   self.sample()._replace(limit=10**5, position=2 * 10**5,
+                                          last_representable=2 * 10**5 - 3, pairs_scanned=30000),
                    self.sample()._replace(pairs_scanned=20000)):
             write_checkpoint(cp, path)
             with pytest.raises(CheckpointError, match="decade_counts"):

@@ -44,7 +44,8 @@ class TestExitCodes:
             ("verify", "--limit", "2000", "--threshold", "0"),
             ("verify", "--limit", "2000", "--threshold", "banana"),
             ("verify", "--limit", "1"),
-            ("verify", "--limit", "2000", "--segment-size", "1000"),
+            # the window size is the library's, not an option
+            ("verify", "--limit", "2000", "--segment-size", "65536"),
             ("verify", "--limit", "2000", "--workers", "0"),
             ("verify", "--resume",),
             ("verify", "--limit", "2000", "--resume", "--checkpoint-path", "/no/such/file"),
@@ -52,7 +53,7 @@ class TestExitCodes:
             ("records", "--format", "yaml"),
             ("bogus",),
             (),
-            ("verify", "--limit", "2000", "--segment-size", str(2**31)),
+            ("check", "--limit", "100", "--output-path", ""),
             ("check", "--limit", "100", "--output-path", "/no/such/dir/out.json"),
             ("verify", "--limit", "300000000", "--checkpoint-path", "/no/such/dir/ck"),
             ("density", "--limit", str(10**12 + 1)),
@@ -66,10 +67,6 @@ class TestExitCodes:
     def test_usage_errors_name_the_field(self):
         proc = run_cli("verify", "--limit", "2000", "--threshold", "2.4135")
         assert "threshold" in proc.stderr
-        proc = run_cli("verify", "--limit", "2000", "--segment-size", "1000")
-        assert "segment-size" in proc.stderr
-        proc = run_cli("verify", "--limit", "2000", "--segment-size", str(2**31))
-        assert "segment-size" in proc.stderr
         # unwritable paths are refused before any scanning
         proc = run_cli("check", "--limit", "100", "--output-path", "/no/such/dir/out.json")
         assert "output-path" in proc.stderr and "Traceback" not in proc.stderr
@@ -108,8 +105,8 @@ class TestExitCodes:
         monkeypatch.setattr(analysis, "verify", no_scan)
         monkeypatch.setattr(analysis, "cross_check", no_scan)
         args = build_parser().parse_args([
-            subcommand, "--limit", str(10**5), "--segment-size", str(1 << 12), "--workers", "1",
-            "--format", "json", f"--{field}", f"/no/such/dir/{field}",
+            subcommand, "--limit", str(10**5), "--workers", "1", "--format", "json",
+            f"--{field}", f"/no/such/dir/{field}",
         ])
         assert run(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
@@ -157,6 +154,26 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: stdout: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("written", [False, True])
+    def test_interrupt_is_130_naming_a_written_checkpoint(self, tmp_path, monkeypatch, capsys,
+                                                          written):
+        def ctrl_c(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "ck.txt"
+        if written:
+            path.write_text("")
+        monkeypatch.setattr(analysis, "verify", ctrl_c)
+        args = build_parser().parse_args(["verify", "--limit", "2000",
+                                          "--checkpoint-path", str(path)])
+        try:
+            code = run(args)
+        except KeyboardInterrupt:  # else pytest would stop the whole session
+            pytest.fail("run() let the interrupt through")
+        assert code == 130
+        hint = f", resume with --resume --checkpoint-path {path}" if written else ""
+        assert capsys.readouterr().err == f"error: interrupted{hint}\n"
+
     def test_failed_checkpoint_write_is_two(self, tmp_path, monkeypatch, capsys):
         def disk_full(cp, path):
             raise OSError(28, "No space left on device")
@@ -164,8 +181,7 @@ class TestExitCodes:
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", 1 << 12)
         monkeypatch.setattr(analysis, "write_checkpoint", disk_full)
         args = build_parser().parse_args([
-            "verify", "--limit", str(10**5), "--threshold", "2414/1000",
-            "--segment-size", str(1 << 12), "--workers", "1",
+            "verify", "--limit", str(10**5), "--threshold", "2414/1000", "--workers", "1",
             "--checkpoint-path", str(tmp_path / "ck"), "--format", "json",
         ])
         assert run(args) == 2
@@ -257,17 +273,18 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    def test_reports_identical_across_workers_and_segments(self, tmp_path):
+    def test_reports_identical_across_workers_and_segments(self, tmp_path, cli_windows):
         outputs = set()
+        out = tmp_path / "report"
         for fmt in ("json", "csv"):
             per_fmt = set()
-            for workers, seg in (("1", str(1 << 14)), ("2", str(1 << 20)),
-                                 ("2", str(1 << 14))):
-                proc = run_cli("verify", "--limit", "100000",
-                               "--threshold", "2414/1000", "--format", fmt,
-                               "--workers", workers, "--segment-size", seg)
-                assert proc.returncode == 0
-                per_fmt.add(proc.stdout)
+            for workers, seg in (("1", 1 << 14), ("2", 1 << 20), ("2", 1 << 14)):
+                cli_windows(seg)
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(["verify", "--limit", "100000", "--threshold", "2414/1000",
+                              "--format", fmt, "--workers", workers, "--output-path", str(out)])
+                assert exit_info.value.code == 0
+                per_fmt.add(out.read_bytes())
             assert len(per_fmt) == 1
             outputs |= per_fmt
         assert len(outputs) == 2  # json and csv differ from each other
@@ -290,8 +307,10 @@ class TestResume:
         assert resumed.stdout == uninterrupted.stdout
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_resume_from_the_finished_state_scans_nothing(self, tmp_path, monkeypatch, workers):
-        argv = ["verify", "--limit", "100000", "--segment-size", "4096", "--workers", workers,
+    def test_resume_from_the_finished_state_scans_nothing(self, tmp_path, monkeypatch, workers,
+                                                          cli_windows):
+        cli_windows(1 << 12)
+        argv = ["verify", "--limit", "100000", "--workers", workers,
                 "--checkpoint-path", str(tmp_path / "ck.txt"), "--format", "json"]
 
         def run_to(out, *extra):
@@ -307,6 +326,23 @@ class TestResume:
         monkeypatch.setattr(analysis, "mark_segment", no_scan)
         assert run_to(tmp_path / "resumed.json", "--resume") == base
 
+    @pytest.mark.parametrize("state, edit", [
+        (0, {"position": 500000}),
+        (-1, {"last_representable": 900000, "position": 900001}),
+    ], ids=["mid-run", "finished"])
+    def test_position_that_no_scan_reaches_is_two(self, tmp_path, checkpoints_every, state, edit):
+        # a scan of limit 10^5 draws no window past limit + MAX_GAP + 1
+        ck = tmp_path / "ck.txt"
+        written = checkpoints_every(1 << 12)
+        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, checkpoint_path=str(ck))
+        analysis.write_checkpoint(written[state], str(ck))
+        fields = dict(line.split("=", 1) for line in ck.read_text().splitlines())
+        fields.update({key: str(value) for key, value in edit.items()})
+        ck.write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
+        proc = run_cli("verify", "--limit", "100000", "--resume", "--checkpoint-path", str(ck))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: checkpoint: position ") and proc.stdout == ""
+
     def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every):
         ck = tmp_path / "ck.txt"
         checkpoints_every(1 << 18)
@@ -317,8 +353,9 @@ class TestResume:
         assert "limit" in proc.stderr
 
 
-# Runs cli.main on its arguments with a checkpoint at every window edge;
-# prints the pid of each child it forks, then holds after the first write.
+# Runs cli.main on its arguments in 4096-value windows with a checkpoint at
+# every window edge; prints the pid of each child it forks, then holds after
+# the first write.
 KILL_DRILL = """
 import os, sys, time
 from twosquares import analysis, cli
@@ -337,6 +374,7 @@ def writing(cp, path):
     time.sleep(600)
 
 analysis.DEFAULT_CHECKPOINT_EVERY = 1
+cli.DEFAULT_SEGMENT_SIZE = 4096
 os.fork, analysis.write_checkpoint = forking, writing
 cli.main(sys.argv[1:])
 """
@@ -355,22 +393,14 @@ def running(pids):
     return [pid for pid in pids if process_state(pid) not in (None, "Z")]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
-                    reason="needs os.fork and Linux /proc")
-@pytest.mark.parametrize("workers", [2, 3])
-def test_killed_run_leaves_no_child_and_resumes_to_the_same_report(tmp_path, workers):
-    # About 2400 windows: the children's results overfill their pipes, so
-    # they are still running when the parent is killed after its first
-    # checkpoint, and its finally never runs.  A child whose pipe has lost
-    # its reader fails its next write and exits; at 3 workers the second
-    # child holds the first one's read end too, so they end last first.
-    args = ["verify", "--limit", "10000000", "--segment-size", "4096",
-            "--workers", str(workers), "--format", "json"]
-    want = run_cli(*args)
-    assert want.returncode == 0, want.stderr
-    path = str(tmp_path / "ck.txt")
-    drill = subprocess.Popen([sys.executable, "-c", KILL_DRILL, *args, "--checkpoint-path", path],
-                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+def interrupt_drill(argv, workers, send):
+    """Start KILL_DRILL on argv in a session of its own, call send(pid) once
+    it has written its first checkpoint, and wait until every child it forked
+    is gone or a zombie.  Returns the position written, the drill's exit
+    status and its stderr."""
+    drill = subprocess.Popen([sys.executable, "-c", KILL_DRILL, *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
     watchdog = threading.Timer(60, drill.kill)
     watchdog.start()
     children, written = [], None
@@ -381,22 +411,69 @@ def test_killed_run_leaves_no_child_and_resumes_to_the_same_report(tmp_path, wor
                 written = int(value)
                 break
             children.append(int(value))
-        assert written == 4096 and len(children) == workers - 1
+        assert written is not None and len(children) == workers - 1
         assert running(children) == children
-        drill.kill()
-        drill.wait(timeout=10)
+        send(drill.pid)
+        code = drill.wait(timeout=10)
         deadline = time.monotonic() + 10
         while running(children) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert running(children) == []
+        return written, code, drill.stderr.read()
     finally:
         watchdog.cancel()
         watchdog.join()
         drill.kill()
         drill.wait(timeout=10)
         drill.stdout.close()
+        drill.stderr.close()
         for pid in running(children):
             os.kill(pid, signal.SIGKILL)
+
+
+needs_fork_and_proc = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
+    reason="needs os.fork and Linux /proc")
+DRILL_ARGS = ["verify", "--limit", "10000000", "--format", "json"]
+
+
+@needs_fork_and_proc
+@pytest.mark.parametrize("workers", [2, 3])
+def test_killed_run_leaves_no_child_and_resumes_to_the_same_report(tmp_path, workers):
+    # About 2400 windows: the children's results overfill their pipes, so
+    # they are still running when the parent is killed after its first
+    # checkpoint, and its finally never runs.  A child whose pipe has lost
+    # its reader fails its next write and exits; at 3 workers the second
+    # child holds the first one's read end too, so they end last first.
+    # The reference run scans the default windows.
+    args = [*DRILL_ARGS, "--workers", str(workers)]
+    want = run_cli(*args)
+    assert want.returncode == 0, want.stderr
+    path = str(tmp_path / "ck.txt")
+    # killed in a leg from a fresh start, then in a leg resumed from its file
+    for extra, start in (((), 0), (("--resume",), 4096)):
+        written, code, _ = interrupt_drill([*args, "--checkpoint-path", path, *extra], workers,
+                                           lambda pid: os.kill(pid, signal.SIGKILL))
+        assert (written, code) == (start + 4096, -signal.SIGKILL)
+    resumed = run_cli(*args, "--checkpoint-path", path, "--resume")
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == want.stdout
+
+
+@needs_fork_and_proc
+@pytest.mark.parametrize("workers", [2, 3])
+def test_interrupted_run_exits_130_and_resumes_to_the_same_report(tmp_path, workers):
+    # Ctrl-C at a terminal sends SIGINT to the whole foreground process
+    # group, the forked children included
+    args = [*DRILL_ARGS, "--workers", str(workers)]
+    want = run_cli(*args)
+    assert want.returncode == 0, want.stderr
+    path = str(tmp_path / "ck.txt")
+    written, code, err = interrupt_drill([*args, "--checkpoint-path", path], workers,
+                                         lambda pid: os.killpg(pid, signal.SIGINT))
+    assert (written, code) == (4096, 130)
+    assert "Traceback" not in err
+    assert err.endswith(f"error: interrupted, resume with --resume --checkpoint-path {path}\n")
     resumed = run_cli(*args, "--checkpoint-path", path, "--resume")
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout == want.stdout
@@ -484,7 +561,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(analysis, "mark_segment", flip_3000)
         args = build_parser().parse_args([
-            "check", "--limit", "5000", "--segment-size", "1024", "--workers", "1",
+            "check", "--limit", "5000", "--workers", "1",
             "--format", "json", "--output-path", str(tmp_path / "r.json"),
         ])
         assert run(args) == 1
@@ -500,8 +577,7 @@ class TestRunConfigApi:
 
     def test_run_returns_exit_code(self, tmp_path, capsys):
         args = build_parser().parse_args([
-            "verify", "--limit", "2000", "--threshold", "2413/1000",
-            "--segment-size", str(1 << 20), "--workers", "1",
+            "verify", "--limit", "2000", "--threshold", "2413/1000", "--workers", "1",
             "--format", "json", "--output-path", str(tmp_path / "r.json"),
         ])
         assert run(args) == 1
@@ -510,7 +586,7 @@ class TestRunConfigApi:
     def test_invalid_config_returns_two(self):
         args = build_parser().parse_args([
             "verify", "--limit", "2000", "--threshold", "2414/1000",
-            "--segment-size", "1000", "--workers", "1", "--format", "json",
+            "--workers", "0", "--format", "json",
         ])
         assert run(args) == 2
 
@@ -527,16 +603,20 @@ GOLDEN_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
-def test_reports_match_golden(tmp_path, name, argv, code, workers):
-    for fmt, ext in (("json", "json"), ("csv", "csv"), ("human", "txt")):
-        out = tmp_path / f"{name}.{ext}"
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([*argv, "--limit", "1000000", "--format", fmt, "--workers", workers,
-                      "--segment-size", str(1 << 16), "--output-path", str(out)])
-        assert exit_info.value.code == code
-        # the elapsed time is the one line that differs from run to run
-        lines = out.read_bytes().splitlines(keepends=True)
-        got = b"".join(ln for ln in lines if not ln.startswith(b"  elapsed "))
-        assert got == (GOLDEN / f"{name}.{ext}").read_bytes()
+def test_reports_match_golden(tmp_path, name, argv, code, workers, cli_windows):
+    # at the default windows 10^6 is two windows; at 2^16 the decades fall
+    # inside the forked workers' windows
+    for size in (cli.DEFAULT_SEGMENT_SIZE, 1 << 16):
+        cli_windows(size)
+        for fmt, ext in (("json", "json"), ("csv", "csv"), ("human", "txt")):
+            out = tmp_path / f"{name}.{ext}"
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*argv, "--limit", "1000000", "--format", fmt, "--workers", workers,
+                          "--output-path", str(out)])
+            assert exit_info.value.code == code
+            # the elapsed time is the one line that differs from run to run
+            lines = out.read_bytes().splitlines(keepends=True)
+            got = b"".join(ln for ln in lines if not ln.startswith(b"  elapsed "))
+            assert got == (GOLDEN / f"{name}.{ext}").read_bytes(), (size, fmt)

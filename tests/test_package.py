@@ -104,7 +104,7 @@ def test_collector_still_frees_cycles_after_the_entry_import():
 def test_entry_point_report_with_forked_workers_matches_golden():
     proc = subprocess.run(
         [sys.executable, "-m", "twosquares", "verify", "--threshold", "2413/1000",
-         "--limit", "1000000", "--workers", "2", "--segment-size", "65536", "--format", "json"],
+         "--limit", "1000000", "--workers", "2", "--format", "json"],
         capture_output=True,
         timeout=120,
     )

@@ -192,7 +192,7 @@ class TestRepresentableMask:
     @pytest.mark.parametrize(
         "lo,hi,field",
         [(0, 10, "lo"), (-5, 10, "lo"), (10, 10, "hi"), (10, 5, "hi"), (1, 2**63 + 1, "hi"),
-         (2**62, 2**62 + 77, "hi"), (MAX_VALUE - 1, MAX_VALUE + 1, "hi")],
+         (2**62, 2**62 + 77, "hi"), (MAX_VALUE - 1, MAX_VALUE + 1, "hi"), (True, 3, "lo")],
     )
     def test_rejects_bad_windows_naming_the_field(self, lo, hi, field):
         with pytest.raises(ValueError, match=f"representable_mask: {field} must"):

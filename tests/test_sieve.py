@@ -133,6 +133,10 @@ class TestMarkSegment:
             mark_segment(-1, 5)
         with pytest.raises(ValueError):
             mark_segment(0, 2**63)
+        # bool is an int subclass, but no window edge
+        for lo, hi, field in ((False, 8, "lo"), (0, True, "hi"), (False, True, "lo")):
+            with pytest.raises(ValueError, match=f"mark_segment: {field} must be an integer"):
+                mark_segment(lo, hi)
         # rejected before the rows, which grow with sqrt(hi), are allocated
         for lo, hi in ((2**62, 2**62 + 77), (sieve.MAX_VALUE - 1, sieve.MAX_VALUE + 1)):
             with pytest.raises(ValueError, match=f"hi={hi}"):
