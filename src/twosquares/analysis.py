@@ -84,8 +84,8 @@ _SUMMARY_BLOCK = 4096
 # The head ends once its largest gap reaches this; at least 15, so that the
 # zero-byte screen past the head looks for runs of at least one byte
 _SCREEN_FLOOR = 32
-# Bytes of a packed bitmap that the popcount and the zero-byte screen read
-# at a time, 64 KB: their temporaries stay cache-sized however wide the window
+# Bytes of a packed bitmap that the zero-byte screen reads at a time, 64 KB:
+# its temporaries stay cache-sized however wide the window
 _SLICE = 1 << 16
 # Bit offset of the lowest and of the highest set bit of each nonzero byte
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
@@ -348,11 +348,11 @@ def _count_set(packed: np.ndarray, p: int, q: int) -> int:
     if q <= p:
         return 0
     a, b = p >> 3, (q - 1) >> 3
-    # whole bytes a..b, less the bits below p and above q - 1
-    total = sum(
-        int(np.bitwise_count(packed[i : min(i + _SLICE, b + 1)]).sum())
-        for i in range(a, b + 1, _SLICE)
-    )
+    # whole bytes a..b as 64-bit words and 0-7 tail bytes, less the bits below p and above q - 1
+    whole = packed[a : b + 1]
+    k = whole.size & -8
+    total = int(np.bitwise_count(whole[:k].view(np.uint64)).sum())
+    total += int(np.bitwise_count(whole[k:]).sum())
     total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
     total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
     return total

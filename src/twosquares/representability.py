@@ -3,17 +3,18 @@
 An integer n >= 1 is a sum of two squares (zero summands allowed) exactly
 when every prime p = 3 (mod 4) divides n to an even power.  Everything here
 decides membership from that criterion, independently of the enumeration
-sieve: per integer through factoring, or for a whole window at once by
-sieving the primes p = 3 (mod 4).  Explicit witnesses serve human-readable
-reports.
+sieve: per integer by trial division, or for a whole window at once by
+sieving the primes p = 3 (mod 4), both for 1 <= n <= MAX_VALUE = 2^42.
+Explicit witnesses serve human-readable reports.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import MAX_VALUE, _is_int
+from .sieve import DEFAULT_MEMORY_CAP, MAX_VALUE, _is_int
 
 __all__ = [
     "Factorization",
@@ -23,15 +24,6 @@ __all__ = [
     "representable_mask",
     "find_witness",
 ]
-
-MAX_N = 2**63 - 1
-
-# Trial division handles everything below _TRIAL_LIMIT**2 on its own;
-# larger cofactors are split with deterministic Miller-Rabin plus Brent rho.
-_TRIAL_LIMIT = 10_000
-
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Factorization(NamedTuple):
@@ -63,7 +55,10 @@ def _odd_primes(bound: int) -> np.ndarray:
     return np.flatnonzero(~composite[3::2]) * 2 + 3
 
 
-_TRIAL_PRIMES = (2, *_odd_primes(_TRIAL_LIMIT - 1).tolist())
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    """The primes up to isqrt(MAX_VALUE) = 2^21, built on the first factorization."""
+    return (2, *_odd_primes(math.isqrt(MAX_VALUE)).tolist())
 
 
 def _check_positive(n, op: str) -> None:
@@ -71,96 +66,22 @@ def _check_positive(n, op: str) -> None:
         raise ValueError(f"{op}: n must be an integer, got {type(n).__name__}")
     if n < 1:
         raise ValueError(f"{op}: n must be >= 1, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"{op}: n must be <= 2**63 - 1, got {n}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """Some nontrivial factor of an odd composite n.
-
-    Deterministic: sweeps the polynomial offset c upward, so repeated calls
-    always return the same factor.
-    """
-    if n % 2 == 0:
-        return 2
-    r0 = math.isqrt(n)
-    if r0 * r0 == n:
-        return r0
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g, x, ys = 1, 2, 2
-        m = 128
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"failed to split {n}")
-
-
-def _split_large(m: int) -> dict[int, int]:
-    """Prime/exponent map for m, assuming m has no prime factor <= _TRIAL_LIMIT."""
-    counts: dict[int, int] = {}
-    stack = [m]
-    while stack:
-        v = stack.pop()
-        if _is_prime(v):
-            counts[v] = counts.get(v, 0) + 1
-            continue
-        f = _brent_rho(v)
-        stack.append(f)
-        stack.append(v // f)
-    return counts
+    if n > MAX_VALUE:
+        raise ValueError(f"{op}: n must be <= {MAX_VALUE}, got {n}")
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n; empty factor list for n = 1.
+    """Complete prime factorization of n, 1 <= n <= MAX_VALUE; empty for n = 1.
 
-    Trial division by the primes below 10^4, then deterministic
-    Miller-Rabin and Brent rho for any remaining cofactor, so arbitrary
-    64-bit inputs complete quickly.  Pure function, no caches.
+    Trial division by the primes p with p^2 <= m, m the part of n not yet
+    divided out.  What is left above 1 has no prime factor up to its own
+    square root, so it is prime.  Pure function; the prime table, up to
+    isqrt(MAX_VALUE), is built once, on the first call.
     """
     _check_positive(n, "factorize")
     m = n
-    counts: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    factors = []
+    for p in _trial_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -168,16 +89,10 @@ def factorize(n: int) -> Factorization:
             while m % p == 0:
                 e += 1
                 m //= p
-            counts[p] = e
+            factors.append((p, e))
     if m > 1:
-        # m has no prime factor among the primes tried, and m < p^2 if the
-        # loop stopped early, so a cofactor below _TRIAL_LIMIT^2 is prime
-        if m < _TRIAL_LIMIT**2:
-            counts[m] = 1
-        else:
-            for p, e in _split_large(m).items():
-                counts[p] = counts.get(p, 0) + e
-    return Factorization(n, tuple(sorted(counts.items())))
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
 
 
 def is_sum_of_two_squares(n: int) -> bool:
@@ -200,7 +115,8 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
     the odd part of n is 3 (mod 4), and those n are exactly
     n = 3 * 2^k (mod 2^(k+2)).  So n is representable exactly when its
     count is 0 and it lies in none of those classes.  Integer arithmetic
-    only; costs O(hi - lo) bytes plus a sieve up to sqrt(hi).
+    only; costs a byte per value, for at most DEFAULT_MEMORY_CAP values as in
+    mark_segment, plus a sieve up to sqrt(hi).
     """
     for name, v in (("lo", lo), ("hi", hi)):
         if not _is_int(v):
@@ -211,6 +127,10 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"representable_mask: hi must be > lo, got hi={hi}, lo={lo}")
     if hi > MAX_VALUE:
         raise ValueError(f"representable_mask: hi must be <= {MAX_VALUE}, got {hi}")
+    if hi - lo > DEFAULT_MEMORY_CAP:
+        raise ValueError(
+            f"representable_mask: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
+        )
     # int8 suffices: each distinct prime leaves at most 1 on n, and no
     # n < 2^42 has 20 distinct prime factors
     width = hi - lo

@@ -1135,24 +1135,18 @@ class TestPackedBitmap:
                     assert analysis._count_set(packed, p, q) == int(np.count_nonzero(bits[p:q]))
                     assert analysis._set_offsets(packed, p, q).tolist() == (np.flatnonzero(bits[p:q]) + p).tolist()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        bits=st.lists(st.booleans(), min_size=1, max_size=300),
-        ends=st.tuples(st.integers(0, 300), st.integers(0, 300)),
-        width=st.sampled_from([1, 2, 3, 5, analysis._SLICE]),
-    )
-    def test_count_in_slices_matches_unpacked(self, bits, ends, width):
-        # the popcount reads width bytes at a time; any p, q in the bitmap
-        bits = np.array(bits)
-        p, q = (min(e, bits.size) for e in ends)
+    def test_count_in_words_matches_unpacked(self):
+        # the popcount reads bytes p // 8 .. (q - 1) // 8 as 64-bit words from
+        # any byte, aligned or not, and 0-7 ragged bytes after them one by one
+        rng = np.random.default_rng(20261020)
+        bits = rng.random(8 * 64) < 0.5
         packed = np.packbits(bits, bitorder="little")
-        saved = analysis._SLICE
-        analysis._SLICE = width
-        try:
-            got = analysis._count_set(packed, p, q)
-        finally:
-            analysis._SLICE = saved
-        assert got == int(bits[p:q].sum())
+        for a in range(9):
+            for nbytes in range(1, 40):
+                for i in range(8):
+                    for j in range(8):
+                        p, q = 8 * a + i, 8 * (a + nbytes - 1) + j + 1
+                        assert analysis._count_set(packed, p, q) == int(bits[p:q].sum()), (p, q)
 
 
 class TestSummarizeWindow:

@@ -155,3 +155,22 @@ def test_cross_check_loads_the_oracle_before_it_forks():
         "print(loaded, report.mismatches)\n"
     )
     assert run_python(code) == ["False", "[True]", "0"]
+
+
+def test_check_builds_no_trial_division_table():
+    # check needs only representable_mask; factorize builds its prime table
+    # on its first call, and importing the module builds none
+    code = (
+        "import runpy, sys\n"
+        "from twosquares import representability\n"
+        "print('import', representability._trial_primes.cache_info().currsize)\n"
+        "sys.argv = ['twosquares', 'check', '--limit', '1000000', '--workers', '2', '--format', 'json']\n"
+        "try:\n"
+        "    runpy.run_module('twosquares', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, representability._trial_primes.cache_info().currsize)\n"
+    )
+    out = run_python(code)
+    assert out[:2] == ["import", "0"] and out[-3:] == ["exit", "0", "0"]
+    golden = Path(__file__).parent / "golden" / "check.json"
+    assert " ".join(out[2:-3]) == " ".join(golden.read_text().split())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from twosquares import (
     mark_segment,
     representable_mask,
 )
+from twosquares import representability
 from twosquares.sieve import MAX_VALUE
 
 from reference import brute_is_sum, trial_factorize
@@ -31,6 +34,12 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(bad)
 
+    @pytest.mark.parametrize("fn", [factorize, is_sum_of_two_squares, find_witness])
+    def test_refuses_past_the_sieve_bound_naming_n(self, fn):
+        # the domain is the sieve's own, [1, 2^42]
+        with pytest.raises(ValueError, match=f"{fn.__name__}: n must be <= {MAX_VALUE}, got {MAX_VALUE + 1}"):
+            fn(MAX_VALUE + 1)
+
     def test_matches_plain_trial_division_on_prefix(self):
         for n in range(1, 3000):
             assert factorize(n).factors == tuple(trial_factorize(n))
@@ -38,11 +47,27 @@ class TestFactorize:
     @pytest.mark.parametrize(
         "n",
         [9973, 10007, 9973**2, 9973 * 10007, 10007**2, 10007 * 10009, 99999989,
-         10**8, 10**8 + 7, 2 * 10007**2, 3**2 * 9973**3, 9967 * 9973 * 10007],
+         10**8, 10**8 + 7, 2 * 10007**2, 9967 * 9973 * 10007,
+         2097143, 2097169, 2097143**2, 2097133 * 2097169, 2**42 - 1, 2**42],
     )
     def test_matches_plain_trial_division_at_the_trial_limit(self, n):
-        # 9973 is the last trial prime and 10007 the first prime past it
+        # 2097143 is the last prime in the table, the primes up to 2^21, and
+        # 2097169 the first past it; 9973 and 10007 straddle 10^4
         assert factorize(n).factors == tuple(trial_factorize(n))
+
+    def test_products_of_two_primes_near_the_table_edge(self):
+        # the slowest inputs: both factors near 2^21, so the division runs
+        # through nearly the whole table
+        near = [n for n in range(2**21 - 600, 2**21 + 100) if trial_factorize(n) == [(n, 1)]]
+        rng = random.Random(20261020)
+        for _ in range(20):
+            p, q = sorted(rng.sample(near, 2))
+            if p * q > MAX_VALUE:
+                p = near[0]
+            assert factorize(p * q).factors == ((p, 1), (q, 1)), (p, q)
+        for p in near[-8:]:
+            if p * p <= MAX_VALUE:
+                assert factorize(p * p).factors == ((p, 2),)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):
@@ -50,8 +75,8 @@ class TestFactorize:
         assert f.recompose() == n
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=2**63 - 1))
-    def test_roundtrip_64bit(self, n):
+    @given(st.integers(min_value=1, max_value=MAX_VALUE))
+    def test_roundtrip_full_domain(self, n):
         f = factorize(n)
         assert f.recompose() == n
         primes = [p for p, _ in f.factors]
@@ -60,7 +85,7 @@ class TestFactorize:
         assert all(e >= 1 for _, e in f.factors)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=2, max_value=2**63 - 1))
+    @given(st.integers(min_value=2, max_value=MAX_VALUE))
     def test_listed_primes_are_prime(self, n):
         sympy = pytest.importorskip("sympy")
         for p, _ in factorize(n).factors:
@@ -114,13 +139,18 @@ class TestIsSumOfTwoSquares:
             assert is_sum_of_two_squares(a * b)
 
     def test_large_prime_one_mod_four(self):
-        # 2^62 - 87 is prime and equals 1 mod 4
-        assert is_sum_of_two_squares(2**62 - 87)
+        # 2^42 - 11 is the largest prime below 2^42 that equals 1 mod 4
+        n = 2**42 - 11
+        assert trial_factorize(n) == [(n, 1)]
+        assert factorize(n).factors == ((n, 1),)
+        assert is_sum_of_two_squares(n)
 
     def test_large_prime_three_mod_four(self):
-        # 2^62 - 57 is prime and equals 3 mod 4, as is 2^61 - 1
-        assert not is_sum_of_two_squares(2**62 - 57)
-        assert not is_sum_of_two_squares(2**61 - 1)
+        # 2^42 - 17 is the largest prime below 2^42 that equals 3 mod 4
+        n = 2**42 - 17
+        assert trial_factorize(n) == [(n, 1)]
+        assert factorize(n).factors == ((n, 1),)
+        assert not is_sum_of_two_squares(n)
 
 
 def prime_3_mod_4_from(n):
@@ -198,6 +228,13 @@ class TestRepresentableMask:
         with pytest.raises(ValueError, match=f"representable_mask: {field} must"):
             representable_mask(lo, hi)
 
+    def test_refuses_windows_over_the_memory_cap(self, monkeypatch):
+        # a lowered cap, so that a missing check cannot allocate a large count
+        monkeypatch.setattr(representability, "DEFAULT_MEMORY_CAP", 1000)
+        with pytest.raises(ValueError, match="representable_mask: window of 1001 values exceeds memory cap 1000"):
+            representable_mask(10**12, 10**12 + 1001)
+        assert representable_mask(10**12, 10**12 + 1000).size == 1000
+
 
 class TestFindWitness:
     def test_25(self):
@@ -214,6 +251,13 @@ class TestFindWitness:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             find_witness(0)
+
+    def test_largest_prime_one_mod_four(self):
+        # 2^42 - 11, the largest prime below 2^42 that equals 1 mod 4: the
+        # x loop may run to isqrt(n / 2), about 1.5 * 10^6 steps
+        n = 2**42 - 11
+        w = find_witness(n)
+        assert w is not None and 0 <= w.x <= w.y and w.x**2 + w.y**2 == n
 
     def test_exact_agreement_with_predicate_on_prefix(self):
         for n in range(1, 3000):
