@@ -237,7 +237,6 @@ class Checkpoint(NamedTuple):
     current_max: RatioRecord | None
     gap_records: tuple[tuple[int, int], ...]
     pairs_scanned: int
-    allow_zero: bool = True
     decade_counts: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -435,11 +434,11 @@ def _decades(limit: int) -> list[int]:
     return [10**k for k in range(1, len(str(limit))) if 10**k < limit]
 
 
-def _scan_window(args: tuple[int, int, int, bool]) -> tuple[_Summary, list[tuple[int, int]]]:
+def _scan_window(args: tuple[int, int, int]) -> tuple[_Summary, list[tuple[int, int]]]:
     """Mark the window [lo, hi) and summarize it; beside the summary, the
     count of representable n in [max(lo, 1), x] for each decade x inside it."""
-    lo, hi, limit, allow_zero = args
-    packed = mark_segment(lo, hi, allow_zero=allow_zero).packed
+    lo, hi, limit = args
+    packed = mark_segment(lo, hi).packed
     counts = [(x, _count_set(packed, max(lo, 1) - lo, x + 1 - lo))
               for x in _decades(limit) if lo <= x < hi]
     return _summarize_window(packed, lo, hi, limit), counts
@@ -522,12 +521,11 @@ def _scan(
     limit: int,
     segment_size: int,
     workers: int,
-    allow_zero: bool,
     resume: Checkpoint | None = None,
     checkpoint_path: str | os.PathLike | None = None,
 ) -> Iterator[Checkpoint]:
     """Reduce every pair with s <= limit, from 0 or from a checkpoint of the
-    same limit and allow_zero, yielding the state at each window edge.
+    same limit, yielding the state at each window edge.
 
     The windows step by segment_size from the start up to limit + 1, then
     read ahead from limit + 1 to limit + MAX_GAP, as far as the successor
@@ -547,12 +545,9 @@ def _scan(
     _validate_scan_args(limit, segment_size, workers)
     cp = resume
     if cp is None:
-        cp = Checkpoint(CHECKPOINT_VERSION, limit, 0, None, None, (), 0, allow_zero)
-    for name, got, want in (
-        ("version", cp.version, CHECKPOINT_VERSION),
-        ("limit", cp.limit, limit),
-        ("allow_zero", cp.allow_zero, allow_zero),
-    ):
+        cp = Checkpoint(CHECKPOINT_VERSION, limit, 0, None, None, (), 0)
+    for name, got, want in (("version", cp.version, CHECKPOINT_VERSION),
+                            ("limit", cp.limit, limit)):
         if got != want:
             raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
     cp = cp._replace(current_max=_champion(cp.gap_records))
@@ -564,7 +559,7 @@ def _scan(
         _windows(cp.position, limit, segment_size),
         _windows(max(cp.position, limit + 1), limit + MAX_GAP, segment_size),
     )
-    args = ((lo, hi, limit, allow_zero) for lo, hi in windows)
+    args = ((lo, hi, limit) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
         cp = _absorb(cp, sm, counts)
         if checkpoint_path is not None and cp.gap_records and (
@@ -585,8 +580,8 @@ def _scan(
     raise BudgetError(f"pair: gap at s={cp.last_representable} exceeds budget {MAX_GAP}")
 
 
-def _finished(limit: int, segment_size: int, workers: int, allow_zero: bool) -> Checkpoint:
-    return deque(_scan(limit, segment_size, workers, allow_zero), maxlen=1).pop()
+def _finished(limit: int, segment_size: int, workers: int) -> Checkpoint:
+    return deque(_scan(limit, segment_size, workers), maxlen=1).pop()
 
 
 def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
@@ -612,14 +607,13 @@ def critical_constant(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    allow_zero: bool = True,
 ) -> RatioRecord:
     """The pair with s <= limit maximizing gap / s^(1/4), exact comparisons.
 
     On an exact ratio tie the smaller s wins, so the result does not depend
     on scan order or window size.
     """
-    return _finished(limit, segment_size, workers, allow_zero).current_max
+    return _finished(limit, segment_size, workers).current_max
 
 
 def gap_records(
@@ -627,14 +621,13 @@ def gap_records(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    allow_zero: bool = True,
 ) -> list[tuple[int, int]]:
     """First occurrence of each record gap among pairs with s <= limit.
 
     Returned as (gap, first_s), sorted by gap; only gaps strictly larger
     than every earlier gap appear.
     """
-    return list(_finished(limit, segment_size, workers, allow_zero).gap_records)
+    return list(_finished(limit, segment_size, workers).gap_records)
 
 
 def verify(
@@ -644,7 +637,6 @@ def verify(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    allow_zero: bool = True,
     checkpoint_path: str | os.PathLike | None = None,
     progress: Callable[[Checkpoint], None] | None = None,
 ) -> VerificationReport:
@@ -661,7 +653,7 @@ def verify(
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    for state in _scan(limit, segment_size, workers, allow_zero, checkpoint, checkpoint_path):
+    for state in _scan(limit, segment_size, workers, checkpoint, checkpoint_path):
         if progress is not None and state.gap_records:
             progress(state)
     offender = _first_offender(state.gap_records, threshold)
@@ -700,7 +692,6 @@ def density(
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    allow_zero: bool = True,
 ) -> list[DensityPoint]:
     """Exact counts R(x) of representable n in [1, x], with normalization,
     at the decades 10^k < limit and at limit, in ascending order.
@@ -708,7 +699,7 @@ def density(
     Read from the finished state: its decade_counts, then its pair count,
     which is R(limit).  The normalized value is count * sqrt(ln x) / x.
     """
-    state = _finished(limit, segment_size, workers, allow_zero)
+    state = _finished(limit, segment_size, workers)
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
@@ -788,7 +779,7 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         f"max_gap={cp.current_max.gap}",
         f"gap_records={pairs(cp.gap_records)}",
         f"pairs_scanned={cp.pairs_scanned}",
-        f"allow_zero={int(cp.allow_zero)}",
+        "allow_zero=1",  # every scan counts 0 as a summand
         f"decade_counts={pairs(cp.decade_counts)}",
     ]
     path = os.fspath(path)
@@ -815,9 +806,9 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate; other versions, unknown fields, duplicates, gaps
-    in the record table, and positions and counts that no scan could reach
-    are all rejected.  A file that cannot be read raises CheckpointError naming
-    checkpoint-path."""
+    in the record table, an allow_zero other than 1, and positions and
+    counts that no scan could reach are all rejected.  A file that cannot
+    be read raises CheckpointError naming checkpoint-path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -845,11 +836,15 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     if missing:
         raise CheckpointError(f"checkpoint: missing fields {missing}")
 
-    def as_int(key: str) -> int:
+    def as_int(key: str, least: int) -> int:
         try:
-            return int(fields[key])
+            value = int(fields[key])
         except ValueError:
             raise CheckpointError(f"checkpoint: field {key!r} is not an integer") from None
+        if value < least:
+            raise CheckpointError(
+                f"checkpoint: field {key!r} must be at least {least}, got {value}")
+        return value
 
     def as_pairs(key: str) -> list[tuple[int, int]]:
         # a:b,a:b,... of integers; an empty field is an empty list
@@ -862,18 +857,16 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 raise CheckpointError(f"checkpoint: bad {key} entry {item!r}") from None
         return out
 
-    limit = as_int("limit")
-    position = as_int("position")
-    last = as_int("last_representable")
-    max_s = as_int("max_s")
-    max_gap = as_int("max_gap")
-    pairs = as_int("pairs_scanned")
-    if fields["allow_zero"] not in ("0", "1"):
-        raise CheckpointError(
-            f"checkpoint: field 'allow_zero' must be 0 or 1, got {fields['allow_zero']!r}"
-        )
-    if limit < 2 or position < 0 or pairs < 0 or max_s < 1 or max_gap < 1 or last < 1:
-        raise CheckpointError("checkpoint: field out of range")
+    limit = as_int("limit", 2)
+    position = as_int("position", 0)
+    last = as_int("last_representable", 1)
+    max_s = as_int("max_s", 1)
+    max_gap = as_int("max_gap", 1)
+    pairs = as_int("pairs_scanned", 0)
+    # 0 came from scans that required both summands to be at least 1
+    if fields["allow_zero"] != "1":
+        raise CheckpointError("checkpoint: field 'allow_zero' must be 1, as every scan counts 0 "
+                              f"as a summand, got {fields['allow_zero']!r}")
     if last >= position:
         raise CheckpointError(
             f"checkpoint: last_representable {last} not below position {position}"
@@ -907,4 +900,4 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
             f"checkpoint: max_s/max_gap inconsistent with gap_records, got {max_s}/{max_gap}"
         )
     return Checkpoint(CHECKPOINT_VERSION, limit, position, last, best, tuple(records), pairs,
-                      fields["allow_zero"] == "1", tuple(counts))
+                      tuple(counts))

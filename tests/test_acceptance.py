@@ -198,18 +198,32 @@ def test_criterion_7_density_approaches_constant_from_above():
 def test_criterion_8_zero_summand_convention_robustness():
     with criterion(8, "zero-disallowed convention re-run; discrepancies "
                       "reported as findings"):
-        strict_1000 = ts.critical_constant(1000, allow_zero=False)
-        strict_1e6 = ts.critical_constant(10**6, allow_zero=False)
+        # the scan counts 0 as a summand; the strict convention is the
+        # marker's strict bitmap, read as consecutive values, 200 past 10^6
+        # for the last successor
+        values = np.flatnonzero(ts.mark_segment(0, 10**6 + 200, allow_zero=False).bits).tolist()
+        pairs = [ts.GapPair(s, s_next) for s, s_next in zip(values, values[1:]) if s <= 10**6]
+
+        def champion(candidates):
+            # an exact ratio tie keeps the smaller s, as the scan does
+            champ = None
+            for pair in candidates:
+                if champ is None or ts.ratio_less(champ, pair):
+                    champ = pair
+            return champ
+
+        strict_1000 = champion(p for p in pairs if p.s <= 1000)
+        strict_1e6 = champion(pairs)
 
         # live independent oracle at the small limit
         assert (strict_1000.s, strict_1000.gap) == brute_champion(1000, allow_zero=False)
 
         if (strict_1000.s, strict_1000.gap) != (20, 5):
+            ratio = ts.RatioRecord.of(strict_1000.s, strict_1000.gap).ratio_display
             print(
                 "criterion 8 finding: with zero summands disallowed the "
                 f"limit-1000 max record moves from (s=20, gap=5) to "
-                f"(s={strict_1000.s}, gap={strict_1000.gap}, "
-                f"ratio {ts.significant(strict_1000.ratio_display)})"
+                f"(s={strict_1000.s}, gap={strict_1000.gap}, ratio {ts.significant(ratio)})"
             )
         if (strict_1e6.s, strict_1e6.gap) != (1493, 15):
             print(
@@ -226,19 +240,14 @@ def test_criterion_8_zero_summand_convention_robustness():
         # away from that small-s artifact the headline records persist:
         # both stay in the strict record table, and among pairs with s >= 5
         # the maximum is still (s=1493, gap=15)
-        strict_records = ts.gap_records(10**6, allow_zero=False)
+        strict_records = []
+        for p in pairs:
+            if not strict_records or p.gap > strict_records[-1][0]:
+                strict_records.append((p.gap, p.s))
         assert (5, 20) in strict_records
         assert (15, 1493) in strict_records
 
-        # consecutive strict values, 200 past 10^6 for the last successor
-        values = np.flatnonzero(ts.mark_segment(0, 10**6 + 200, allow_zero=False).bits).tolist()
-        champ = None
-        for s, s_next in zip(values, values[1:]):
-            if not 5 <= s <= 10**6:
-                continue
-            pair = ts.GapPair(s, s_next)
-            if champ is None or ts.ratio_less(champ, pair):
-                champ = pair
+        champ = champion(p for p in pairs if p.s >= 5)
         assert (champ.s, champ.gap) == (1493, 15)
         print(
             "criterion 8 finding: restricted to s >= 5 the zero-disallowed "

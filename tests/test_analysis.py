@@ -67,6 +67,14 @@ def record_windows(monkeypatch):
     return windows
 
 
+def mark_with(monkeypatch, allow_zero):
+    """Have the scan mark its windows in the given summand convention.  The
+    scan counts 0 as a summand; only this patch feeds it the strict bitmap,
+    whose values start at 2 and whose gaps differ, to check its reduce on
+    a second bitmap."""
+    monkeypatch.setattr(analysis, "mark_segment", partial(mark_segment, allow_zero=allow_zero))
+
+
 def draw_windows(monkeypatch):
     """List every (lo, hi) the scan draws from now on, in the parent
     process, whatever the worker count."""
@@ -203,12 +211,21 @@ class TestThresholdParsing:
 
 @pytest.mark.parametrize("record", [
     Threshold(1207, 500),
-    Checkpoint(2, 100, 30, 29, RatioRecord.of(20, 5), ((1, 1), (5, 20)), 13, True, ((10, 7),)),
+    Checkpoint(2, 100, 30, 29, RatioRecord.of(20, 5), ((1, 1), (5, 20)), 13, ((10, 7),)),
     _Summary(0, 64, 27, 1, 61, ((1, 1), (2, 2), (3, 5))),
 ], ids=["Threshold", "Checkpoint", "_Summary"])
 def test_records_survive_a_pickle_round_trip(record):
     back = pickle.loads(pickle.dumps(record))
     assert back == record and type(back) is type(record)
+
+
+@pytest.mark.parametrize("entry", [critical_constant, gap_records, density,
+                                   partial(verify, threshold=Threshold(8, 1))],
+                         ids=["critical_constant", "gap_records", "density", "verify"])
+def test_the_scan_takes_no_summand_convention(entry):
+    # every scan counts 0 as a summand, the paper's convention
+    with pytest.raises(TypeError, match="allow_zero"):
+        entry(100, allow_zero=True)
 
 
 class TestCriticalConstant:
@@ -337,19 +354,18 @@ class TestGapRecords:
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
-    def test_brute_records_at_every_window_size(self, segment_size, allow_zero):
+    def test_brute_records_at_every_window_size(self, monkeypatch, segment_size, allow_zero):
         # at 1500 the last pair, (1493, 1508), ends in a read-ahead window
+        mark_with(monkeypatch, allow_zero)
         for limit in (50, 777, 1500, 20000):
-            got = gap_records(limit, segment_size=segment_size, allow_zero=allow_zero)
-            assert got == brute_records(limit, allow_zero)
+            assert gap_records(limit, segment_size=segment_size) == brute_records(limit, allow_zero)
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
-    def test_pairs_scanned_matches_brute_pairs(self, segment_size, allow_zero):
+    def test_pairs_scanned_matches_brute_pairs(self, monkeypatch, segment_size, allow_zero):
+        mark_with(monkeypatch, allow_zero)
         for limit in (50, 777, 1500, 20000):
-            report = verify(
-                limit, Threshold(8, 1), segment_size=segment_size, allow_zero=allow_zero
-            )
+            report = verify(limit, Threshold(8, 1), segment_size=segment_size)
             assert report.pairs_scanned == len(brute_pairs(0, limit, allow_zero))
 
     def test_read_ahead_crosses_windows(self, monkeypatch):
@@ -453,9 +469,11 @@ class TestDensity:
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size", [16, 1 << 10])
-    def test_points_at_window_edges_match_brute_count(self, size, workers, allow_zero):
+    def test_points_at_window_edges_match_brute_count(self, monkeypatch, size, workers,
+                                                      allow_zero):
+        mark_with(monkeypatch, allow_zero)
         for limit in [k * size + d for k in (1, 2, 5) for d in (-1, 0, 1)] + [5 * size + 7]:
-            got = density(limit, segment_size=size, workers=workers, allow_zero=allow_zero)
+            got = density(limit, segment_size=size, workers=workers)
             assert got[-1].x == limit
             assert [p.count for p in got] == [brute_count(p.x, allow_zero) for p in got]
 
@@ -683,7 +701,7 @@ class TestForkedWorkers:
         assert_no_child()
 
     def test_a_scan_closed_early_leaves_no_child(self):
-        scan = analysis._scan(10**5, 1 << 12, 2, True)
+        scan = analysis._scan(10**5, 1 << 12, 2)
         assert next(scan).position == 1 << 12
         scan.close()
         assert_no_child()
@@ -865,19 +883,32 @@ class TestCheckpointIO:
             read_checkpoint(path)
 
     def test_allow_zero_roundtrip(self, tmp_path):
+        # version 2 keeps the line: every scan counts 0 as a summand
         path = tmp_path / "state.txt"
-        for allow_zero in (True, False):
-            cp = self.sample()._replace(allow_zero=allow_zero)
-            write_checkpoint(cp, path)
-            assert f"allow_zero={int(allow_zero)}\n" in path.read_text()
-            assert read_checkpoint(path) == cp
+        write_checkpoint(self.sample(), path)
+        assert "allow_zero=1\n" in path.read_text()
+        assert read_checkpoint(path) == self.sample()
 
-    @pytest.mark.parametrize("value", ["2", "true", "", "-1"])
+    @pytest.mark.parametrize("value", ["0", "2", "true", "", "-1"])
     def test_bad_allow_zero_rejected(self, tmp_path, value):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
         path.write_text(path.read_text().replace("allow_zero=1", f"allow_zero={value}"))
         with pytest.raises(CheckpointError, match="allow_zero"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("limit", 1), ("position", -1), ("last_representable", 0), ("max_s", 0),
+        ("max_gap", 0), ("pairs_scanned", -3),
+    ])
+    def test_field_out_of_range_is_named(self, tmp_path, key, value):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        fields = dict(line.split("=", 1) for line in path.read_text().splitlines())
+        fields[key] = str(value)
+        path.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        with pytest.raises(CheckpointError,
+                           match=rf"^checkpoint: field '{key}' must be at least \d, got {value}$"):
             read_checkpoint(path)
 
     def test_decade_counts_roundtrip(self, tmp_path):
@@ -1035,24 +1066,24 @@ class TestVerifyResume:
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
     def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every):
-        # resuming an allow_zero=True scan without zero summands used to
-        # report (1493, 15) with 23926 pairs; a fresh run gives (2, 3), 23874
+        # a file with allow_zero=0 came from a scan that required both
+        # summands to be at least 1, which no scan is any more: reading it
+        # is refused, and a file of this scan's convention resumes
+        ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
-        for written in (True, False):
-            collected = checkpoints_every(2**14)
-            base = verify(10**5, t, segment_size=2**12, allow_zero=written,
-                          checkpoint_path=str(tmp_path / "ck.txt"))
-            with pytest.raises(CheckpointError, match="allow_zero"):
-                verify(10**5, t, collected[0], segment_size=2**12, allow_zero=not written)
-            resumed = verify(10**5, t, read_checkpoint(tmp_path / "ck.txt"),
-                             segment_size=2**12, allow_zero=written)
-            assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
-        assert (base.max_record.s, base.max_record.gap, base.pairs_scanned) == (2, 3, 23874)
+        collected = checkpoints_every(2**14)
+        base = verify(10**5, t, segment_size=2**12, checkpoint_path=str(ck))
+        write_checkpoint(collected[0], ck)
+        resumed = verify(10**5, t, read_checkpoint(ck), segment_size=2**12)
+        assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
+        ck.write_text(ck.read_text().replace("allow_zero=1\n", "allow_zero=0\n"))
+        with pytest.raises(CheckpointError, match="field 'allow_zero' must be 1"):
+            read_checkpoint(ck)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_every, workers):
         def finished(resume=None):
-            return deque(analysis._scan(10**5, 1 << 12, workers, True, resume), maxlen=1).pop()
+            return deque(analysis._scan(10**5, 1 << 12, workers, resume), maxlen=1).pop()
 
         collected = checkpoints_every(1)
         verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, workers=workers,
@@ -1238,29 +1269,28 @@ class TestScanWindow:
     count up to each decade inside it."""
 
     @staticmethod
-    def check(lo, hi, limit, allow_zero):
-        got = analysis._scan_window((lo, hi, limit, allow_zero))
-        before = brute_count(lo - 1, allow_zero)
-        counts = [(x, brute_count(x, allow_zero) - before)
+    def check(lo, hi, limit):
+        got = analysis._scan_window((lo, hi, limit))
+        before = brute_count(lo - 1)
+        counts = [(x, brute_count(x) - before)
                   for x in (10, 100, 1000, 10**4, 10**5) if lo <= x < hi and x < limit]
-        assert got == (summarize(lo, hi, limit, allow_zero), counts)
+        assert got == (summarize(lo, hi, limit, True), counts)
 
     @settings(max_examples=60, deadline=None)
     @given(
         lo=st.integers(min_value=0, max_value=120000),
         span=st.integers(min_value=1, max_value=120000),
         limit_at=st.integers(min_value=-2000, max_value=200000),
-        allow_zero=st.booleans(),
     )
-    def test_counts_match_brute_count(self, lo, span, limit_at, allow_zero):
-        self.check(lo, lo + span, max(2, lo + limit_at), allow_zero)
+    def test_counts_match_brute_count(self, lo, span, limit_at):
+        self.check(lo, lo + span, max(2, lo + limit_at))
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_the_window_around_each_decade_up_to_the_budget(self, k):
         # 10^k sits at offset 3000 + k: seven bit positions within a byte as
         # k varies; 10^12 is the largest limit, never a decade below one
         lo, x = 10**k - 3000 - k, 10**k
-        summary, counts = analysis._scan_window((lo, x + 3000, 10**12, True))
+        summary, counts = analysis._scan_window((lo, x + 3000, 10**12))
         assert summary == summarize(lo, x + 3000, 10**12, True)
         assert counts == ([(x, int(representable_mask(lo, x + 1).sum()))] if k < 12 else [])
 
@@ -1293,7 +1323,7 @@ class TestScanWindow:
         assert calls == {"_summarize_window": 2, "mark_segment": 2}
 
     def test_a_window_without_decades_has_no_counts(self):
-        assert analysis._scan_window((1001, 10**4, 10**6, True)) == (
+        assert analysis._scan_window((1001, 10**4, 10**6)) == (
             summarize(1001, 10**4, 10**6, True), [])
 
 

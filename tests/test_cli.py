@@ -96,6 +96,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "checkpoint" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [("max_gap", 0), ("limit", 1), ("pairs_scanned", -3)])
+    def test_checkpoint_field_out_of_range_is_two_naming_it(self, tmp_path, key, value):
+        ck = tmp_path / "ck.txt"
+        verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(ck))
+        fields = dict(line.split("=", 1) for line in ck.read_text().splitlines())
+        ck.write_text("".join(f"{k}={v}\n" for k, v in (fields | {key: value}).items()))
+        proc = run_cli("verify", "--limit", "100000", "--resume", "--checkpoint-path", str(ck))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: checkpoint: field '{key}' must be at least ")
+        assert proc.stderr.rstrip().endswith(f"got {value}")
+
     @pytest.mark.parametrize("subcommand, field", [("check", "output-path"),
                                                    ("verify", "checkpoint-path")])
     def test_unwritable_paths_fail_before_scanning(self, subcommand, field, monkeypatch, capsys):

@@ -300,7 +300,7 @@ class TestWindows:
         with mock.patch.object(analysis, "MAX_GAP", gap), \
                 mock.patch.object(analysis, "_ordered_map", draw):
             with pytest.raises(analysis.BudgetError):
-                list(analysis._scan(limit, size, 1, True, cp))
+                list(analysis._scan(limit, size, 1, cp))
         # contiguous, [start, limit + gap] exactly, none wider than size
         assert plan[0][0] == start and plan[-1][1] == limit + gap + 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
