@@ -36,8 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import (DEFAULT_MEMORY_CAP, DEFAULT_SEGMENT_SIZE, GapPair, _is_int, _windows,
-                    mark_segment)
+# DEFAULT_SEGMENT_SIZE is read from this module when a scan or check
+# starts, so a test sets every window size by patching it here
+from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _is_int, _windows, mark_segment
 
 __all__ = [
     "MAX_GAP",
@@ -225,10 +226,11 @@ class NormalizedGapStats(NamedTuple):
 
 class Checkpoint(NamedTuple):
     """The scan's state, and what a checkpoint file holds; position is the
-    next unscanned value.  last_representable and current_max are None
-    until the scan meets its first representable value and first pair.
-    decade_counts holds (x, R(x)), R(x) counting the representable n in
-    [1, x], for each decade x = 10^k < limit that the scan has passed."""
+    next unscanned value, 1 before the first window.  last_representable
+    and current_max are None until the scan meets its first representable
+    value and first pair.  decade_counts holds (x, R(x)), R(x) counting
+    the representable n in [1, x], for each decade x = 10^k < limit that
+    the scan has passed."""
 
     version: int
     limit: int
@@ -371,16 +373,15 @@ def _last_set(packed: np.ndarray) -> int:
 
 
 def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summary:
-    # the summary of the window [lo, hi) whose bitmap is packed, its pad bits 0
+    # the summary of the window [lo, hi) whose bitmap is packed, its pad
+    # bits 0; every set value starts a pair, so the scan's windows start at 1
     n = hi - lo
-    # 0 is representable but pairs require positive s
-    start = 1 if lo == 0 else 0
-    pair_count = _count_set(packed, start, min(n, limit + 1 - lo))
+    pair_count = _count_set(packed, 0, min(n, limit + 1 - lo))
     # head: the exact prefix maximum over chunks that double in width,
     # until the largest gap m reaches the screening floor
     candidates: list[tuple[int, int]] = []
     first = last = None
-    m, p, width = 0, start, _SUMMARY_BLOCK
+    m, p, width = 0, 0, _SUMMARY_BLOCK
     while p < n and m < _SCREEN_FLOOR:
         q = min(n, p + width)
         offs = _set_offsets(packed, p, q)
@@ -435,12 +436,12 @@ def _decades(limit: int) -> list[int]:
 
 
 def _scan_window(args: tuple[int, int, int]) -> tuple[_Summary, list[tuple[int, int]]]:
-    """Mark the window [lo, hi) and summarize it; beside the summary, the
-    count of representable n in [max(lo, 1), x] for each decade x inside it."""
+    """Mark the window [lo, hi), lo >= 1, and summarize it; beside the
+    summary, the count of representable n in [lo, x] for each decade x
+    inside it."""
     lo, hi, limit = args
     packed = mark_segment(lo, hi).packed
-    counts = [(x, _count_set(packed, max(lo, 1) - lo, x + 1 - lo))
-              for x in _decades(limit) if lo <= x < hi]
+    counts = [(x, _count_set(packed, 0, x + 1 - lo)) for x in _decades(limit) if lo <= x < hi]
     return _summarize_window(packed, lo, hi, limit), counts
 
 
@@ -503,7 +504,7 @@ def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Chec
     records, prev = cp.gap_records, cp.last_representable
     head = () if prev is None else ((prev, sm.first - prev),)
     for s, gap in head + sm.candidates:
-        if not 1 <= s <= cp.limit:
+        if s > cp.limit:
             continue
         if gap > MAX_GAP:
             raise BudgetError(f"pair: gap {gap} at s={s} exceeds budget {MAX_GAP}")
@@ -519,22 +520,23 @@ def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Chec
 
 def _scan(
     limit: int,
-    segment_size: int,
     workers: int,
     resume: Checkpoint | None = None,
     checkpoint_path: str | os.PathLike | None = None,
 ) -> Iterator[Checkpoint]:
-    """Reduce every pair with s <= limit, from 0 or from a checkpoint of the
+    """Reduce every pair with s <= limit, from 1 or from a checkpoint of the
     same limit, yielding the state at each window edge.
 
-    The windows step by segment_size from the start up to limit + 1, then
+    The windows step by DEFAULT_SEGMENT_SIZE, read when the scan starts,
+    from the start (1, or the checkpoint's position) up to limit + 1, then
     read ahead from limit + 1 to limit + MAX_GAP, as far as the successor
     of a pair with s <= limit can lie within the gap budget.  Each is
     marked and summarized once (_scan_window), with its counts up to the
     decades inside it for decade_counts.
     The last state yielded is done, and a scan that runs out of windows
     first raises BudgetError.  A resume recomputes current_max from
-    gap_records, and from a done state it yields that state alone.
+    gap_records, from a done state it yields that state alone, and a state
+    below position 1 is refused.
 
     With checkpoint_path set, the state is written there at an edge
     once DEFAULT_CHECKPOINT_EVERY integers or DEFAULT_CHECKPOINT_SECONDS
@@ -542,22 +544,24 @@ def _scan(
     comes first, and at the edge that ends the scan; never before the
     first record.  A failed write raises CheckpointError naming checkpoint-path.
     """
-    _validate_scan_args(limit, segment_size, workers)
+    _validate_scan_args(limit, workers)
     cp = resume
     if cp is None:
-        cp = Checkpoint(CHECKPOINT_VERSION, limit, 0, None, None, (), 0)
+        cp = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
     for name, got, want in (("version", cp.version, CHECKPOINT_VERSION),
                             ("limit", cp.limit, limit)):
         if got != want:
             raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
+    if cp.position < 1:
+        raise CheckpointError(f"checkpoint: position {cp.position} is below 1, where every scan starts")
     cp = cp._replace(current_max=_champion(cp.gap_records))
     if cp.done:  # resumed from the finished state
         yield cp
         return
     saved_at, saved_time = cp.position, time.perf_counter()
     windows = itertools.chain(
-        _windows(cp.position, limit, segment_size),
-        _windows(max(cp.position, limit + 1), limit + MAX_GAP, segment_size),
+        _windows(cp.position, limit, DEFAULT_SEGMENT_SIZE),
+        _windows(max(cp.position, limit + 1), limit + MAX_GAP, DEFAULT_SEGMENT_SIZE),
     )
     args = ((lo, hi, limit) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
@@ -580,18 +584,15 @@ def _scan(
     raise BudgetError(f"pair: gap at s={cp.last_representable} exceeds budget {MAX_GAP}")
 
 
-def _finished(limit: int, segment_size: int, workers: int) -> Checkpoint:
-    return deque(_scan(limit, segment_size, workers), maxlen=1).pop()
+def _finished(limit: int, workers: int) -> Checkpoint:
+    return deque(_scan(limit, workers), maxlen=1).pop()
 
 
-def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
+def _validate_scan_args(limit: int, workers: int) -> None:
     if not _is_int(limit) or limit < 2:
         raise ValueError(f"limit: must be an integer >= 2, got {limit}")
     if limit > MAX_S:
         raise BudgetError(f"limit: {limit} exceeds exact-comparison budget {MAX_S}")
-    if not _is_int(segment_size) or not 2 <= segment_size <= DEFAULT_MEMORY_CAP:
-        raise ValueError(f"segment_size: must be an integer in [2, {DEFAULT_MEMORY_CAP}], "
-                         f"got {segment_size!r}")
     most = MAX_WORKERS if hasattr(os, "fork") else 1  # a second process is a fork
     if not _is_int(workers) or not 1 <= workers <= most:
         raise ValueError(f"workers: must be an integer in [1, {most}], got {workers!r}")
@@ -602,32 +603,22 @@ def _validate_scan_args(limit: int, segment_size: int, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def critical_constant(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> RatioRecord:
+def critical_constant(limit: int, *, workers: int = 1) -> RatioRecord:
     """The pair with s <= limit maximizing gap / s^(1/4), exact comparisons.
 
     On an exact ratio tie the smaller s wins, so the result does not depend
     on scan order or window size.
     """
-    return _finished(limit, segment_size, workers).current_max
+    return _finished(limit, workers).current_max
 
 
-def gap_records(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> list[tuple[int, int]]:
+def gap_records(limit: int, *, workers: int = 1) -> list[tuple[int, int]]:
     """First occurrence of each record gap among pairs with s <= limit.
 
     Returned as (gap, first_s), sorted by gap; only gaps strictly larger
     than every earlier gap appear.
     """
-    return list(_finished(limit, segment_size, workers).gap_records)
+    return list(_finished(limit, workers).gap_records)
 
 
 def verify(
@@ -635,7 +626,6 @@ def verify(
     threshold: Threshold,
     checkpoint: Checkpoint | None = None,
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
     checkpoint_path: str | os.PathLike | None = None,
     progress: Callable[[Checkpoint], None] | None = None,
@@ -653,7 +643,7 @@ def verify(
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    for state in _scan(limit, segment_size, workers, checkpoint, checkpoint_path):
+    for state in _scan(limit, workers, checkpoint, checkpoint_path):
         if progress is not None and state.gap_records:
             progress(state)
     offender = _first_offender(state.gap_records, threshold)
@@ -687,19 +677,14 @@ def normalized_stats(records: Iterable[tuple[int, int]]) -> list[NormalizedGapSt
     return out
 
 
-def density(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> list[DensityPoint]:
+def density(limit: int, *, workers: int = 1) -> list[DensityPoint]:
     """Exact counts R(x) of representable n in [1, x], with normalization,
     at the decades 10^k < limit and at limit, in ascending order.
 
     Read from the finished state: its decade_counts, then its pair count,
     which is R(limit).  The normalized value is count * sqrt(ln x) / x.
     """
-    state = _finished(limit, segment_size, workers)
+    state = _finished(limit, workers)
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
@@ -713,25 +698,19 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int | None]:
     # the window's mismatch count and its first mismatch, or None
     from .representability import representable_mask  # loaded by cross_check
     lo, hi = window
-    packed = mark_segment(lo, hi).packed
-    base = max(lo, 1)
-    # the sieve's own bit stands in for 0, which lies outside [1, limit]
-    own = np.unpackbits(packed[:1], count=base - lo, bitorder="little").view(np.bool_)
-    want = np.packbits(np.concatenate((own, representable_mask(base, hi))), bitorder="little")
-    diff = packed ^ want
+    diff = mark_segment(lo, hi).packed ^ np.packbits(representable_mask(lo, hi), bitorder="little")
     wrong = np.flatnonzero(diff)
     at = lo + 8 * int(wrong[0]) + int(_LOW_BIT[diff[wrong[0]]]) if wrong.size else None
     return int(np.bitwise_count(diff[wrong]).sum()), at
 
 
-def cross_check(
-    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *, workers: int = 1
-) -> CheckReport:
+def cross_check(limit: int, *, workers: int = 1) -> CheckReport:
     """Compare sieve membership with the even-exponent criterion for every
-    n in [1, limit], one window at a time, in order across workers."""
-    _validate_scan_args(limit, segment_size, workers)
+    n in [1, limit], over the scan's windows from 1, in order across workers."""
+    _validate_scan_args(limit, workers)
     from . import representability  # noqa: F401  here once, not in each forked child
-    counts, ats = zip(*_ordered_map(_check_window, _windows(0, limit, segment_size), workers))
+    windows = _windows(1, limit, DEFAULT_SEGMENT_SIZE)
+    counts, ats = zip(*_ordered_map(_check_window, windows, workers))
     first = next((at for at in ats if at is not None), None)
     return CheckReport(limit=limit, checked=limit, mismatches=sum(counts), first_mismatch=first)
 
@@ -761,11 +740,15 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
     fsynced and renamed over it; the directory is fsynced after the rename.
     Concurrent writers never share a temp file, and a failure leaves the
     previous checkpoint in place and removes the temp file.  A state with
-    no record yet raises CheckpointError before any file is made.
+    no record yet, or a path that exists and is not a regular file (a FIFO
+    or a device, which the rename would replace), raises CheckpointError
+    before any file is made.
     """
     import tempfile  # numpy alone does not load it, and most runs write no checkpoint
     if not cp.gap_records or cp.current_max is None:
         raise CheckpointError("checkpoint: no record to write, gap_records or current_max is empty")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
 
     def pairs(items: Iterable[tuple[int, int]]) -> str:
         return ",".join(f"{a}:{b}" for a, b in items)

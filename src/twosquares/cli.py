@@ -38,7 +38,6 @@ from .analysis import (
     VerificationReport,
     significant,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE
 
 __all__ = ["build_parser", "run", "emit_report", "main"]
 
@@ -103,13 +102,16 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError(f"output-path: {args.output_path} is the checkpoint-path file")
     # Checked before any scanning.  The report is opened in place, so an
     # existing file (such as /dev/null) need only be writable; a checkpoint is
-    # renamed into place, so its directory must be writable.
+    # renamed into place, so its directory must be writable, and it must not
+    # replace anything but a regular file.
     for field, path in (("output-path", args.output_path),
                         ("checkpoint-path", args.checkpoint_path)):
         if path is None:
             continue
         if not path or os.path.isdir(path):
             raise ValueError(f"{field}: {path!r} is empty or a directory")
+        if field == "checkpoint-path" and os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{field}: {path} exists and is not a regular file")
         parent = os.path.dirname(os.path.abspath(path))
         if field == "output-path" and os.path.exists(path):
             writable = os.access(path, os.W_OK)
@@ -291,8 +293,6 @@ def run(args: argparse.Namespace) -> int:
     """Execute one subcommand parsed by build_parser(); returns the exit status."""
     try:
         _validate(args)
-        # read at call time, so that a test can patch cli.DEFAULT_SEGMENT_SIZE
-        scan_kwargs = dict(segment_size=DEFAULT_SEGMENT_SIZE, workers=args.workers)
         if args.subcommand == "verify":
             threshold = Threshold.parse(args.threshold)
             path = args.checkpoint_path
@@ -303,15 +303,15 @@ def run(args: argparse.Namespace) -> int:
                 checkpoint,
                 checkpoint_path=path,
                 progress=_progress_printer(checkpoint.position if checkpoint else 0),
-                **scan_kwargs,
+                workers=args.workers,
             )
             code = EXIT_PASS if report.passed else EXIT_FAIL
         elif args.subcommand == "records":
-            report, code = analysis.gap_records(args.limit, **scan_kwargs), EXIT_PASS
+            report, code = analysis.gap_records(args.limit, workers=args.workers), EXIT_PASS
         elif args.subcommand == "density":
-            report, code = analysis.density(args.limit, **scan_kwargs), EXIT_PASS
+            report, code = analysis.density(args.limit, workers=args.workers), EXIT_PASS
         elif args.subcommand == "check":
-            report = analysis.cross_check(args.limit, **scan_kwargs)
+            report = analysis.cross_check(args.limit, workers=args.workers)
             code = EXIT_PASS if report.mismatches == 0 else EXIT_FAIL
         else:
             raise ValueError(f"subcommand: unknown {args.subcommand!r}")

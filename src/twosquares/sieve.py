@@ -98,8 +98,12 @@ def _ceil_sqrt(v: int) -> int:
     return math.isqrt(v - 1) + 1
 
 
-def _isqrt(v: np.ndarray) -> np.ndarray:
+def _isqrt(v: np.ndarray, scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """floor(sqrt(v)) for an int64 array with every entry in [0, 2^63).
+
+    scratch, if given, is a float64 array and two int64 arrays of v's shape
+    that the steps write into, the second of which is returned; otherwise
+    they are allocated.
 
     Exact for every such entry.  Let k = isqrt(v), so k < 2^32.  The
     conversion to float64 and np.sqrt each round to nearest, and truncation
@@ -123,18 +127,23 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     3037000499.97... rounds below 3037000500, so s <= 3037000499 and
     s^2 < 2^63.
     """
-    s = np.sqrt(v).astype(np.int64)
-    s -= s * s > v
+    f, s, t = scratch or (np.empty(v.shape), np.empty_like(v), np.empty_like(v))
+    np.sqrt(v, out=f)
+    np.copyto(s, f, casting="unsafe")  # truncates, as astype does
+    np.multiply(s, s, out=t)
+    np.greater(t, v, out=t)
+    np.subtract(s, t, out=s)
     return s
 
 
-def _x_below(e: int, y2: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _x_below(e: int, y2: np.ndarray, out: np.ndarray, roots: tuple[np.ndarray, ...]) -> np.ndarray:
     # for the rows with y^2 < e, a prefix since y2 ascends, the number of
     # x >= 0 with x^2 + y^2 < e: ceil(sqrt(e - y^2)), at least 1; returned as
-    # a view of the prefix of out
+    # a view of the prefix of out, with the prefixes of roots as _isqrt's
+    # scratch
     r = int(np.searchsorted(y2, e))
     v = np.subtract(e - 1, y2[:r], out=out[:r])
-    np.add(_isqrt(v), 1, out=v)
+    np.add(_isqrt(v, tuple(a[:r] for a in roots)), 1, out=v)
     return v
 
 
@@ -194,11 +203,14 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     x_lo, x_hi = np.full_like(y2, xmin), np.full_like(y2, xmin)
     ends = np.empty_like(y2)
     firsts, bases = np.empty(y2.size, np.uint32), np.empty(y2.size, np.uint32)
-    head = _x_below(lo, y2, x_lo)
+    # allocated once, not at each block edge: the allocator hands large
+    # temporaries back to the system, and each reuse would fault them in again
+    roots = (np.empty(y2.size), np.empty_like(y2), np.empty_like(y2))
+    head = _x_below(lo, y2, x_lo, roots)
     np.minimum(head, ys[: head.size], out=head)
     for b0 in range(lo, hi, width):
         b1 = min(b0 + width, hi)
-        top = _x_below(b1, y2, x_hi)
+        top = _x_below(b1, y2, x_hi, roots)
         r = top.size
         np.minimum(top, ys[:r], out=top)
         # the runs overwrite x_lo's prefix, which is not read again: after

@@ -1,6 +1,6 @@
 import pytest
 
-from twosquares import analysis, cli
+from twosquares import analysis
 
 
 @pytest.fixture
@@ -24,11 +24,11 @@ def checkpoints_every(monkeypatch):
 
 
 @pytest.fixture
-def cli_windows(monkeypatch):
-    """cli_windows(n) sets the window size of every scan the CLI runs in
-    this process to n integers."""
+def windows(monkeypatch):
+    """windows(n) sets the window size of every scan and check that runs in
+    this process, through the library or the CLI, to n integers."""
 
     def setup(size: int) -> None:
-        monkeypatch.setattr(cli, "DEFAULT_SEGMENT_SIZE", size)
+        monkeypatch.setattr(analysis, "DEFAULT_SEGMENT_SIZE", size)
 
     return setup

@@ -143,14 +143,14 @@ def test_criterion_4_oracle_equivalence_to_1e6():
         assert elapsed < 60, f"equivalence sweep took {elapsed:.0f}s"
 
 
-def test_criterion_5_reports_invariant_under_windowing_and_workers(tmp_path, cli_windows):
+def test_criterion_5_reports_invariant_under_windowing_and_workers(tmp_path, windows):
     with criterion(5, "limit-10^6 reports byte-identical across segment "
                       "sizes {2^14, 2^20} and workers {1, 2, 8}"):
         out = tmp_path / "report"
         for fmt in ("json", "csv"):
             outputs = set()
             for seg in (1 << 14, 1 << 20):
-                cli_windows(seg)
+                windows(seg)
                 for workers in (1, 2, 8):
                     with pytest.raises(SystemExit) as exit_info:
                         cli.main(["verify", "--limit", "1000000", "--threshold", "2414/1000",
@@ -161,21 +161,18 @@ def test_criterion_5_reports_invariant_under_windowing_and_workers(tmp_path, cli
             assert len(outputs) == 1, f"{fmt} reports diverged"
 
 
-def test_criterion_6_checkpoint_resume_determinism(tmp_path, checkpoints_every):
+def test_criterion_6_checkpoint_resume_determinism(tmp_path, checkpoints_every, windows):
     with criterion(6, "limit-10^7 verify resumed at three random positions "
                       "reproduces the uninterrupted report byte-identically"):
         t = ts.Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 20)
-        base = ts.verify(
-            10**7, t,
-            segment_size=1 << 20,
-            checkpoint_path=str(tmp_path / "ck.txt"),
-        )
+        windows(1 << 20)
+        base = ts.verify(10**7, t, checkpoint_path=str(tmp_path / "ck.txt"))
         base_bytes = emit_report(base, "json")
         assert len(collected) >= 3
         rng = random.Random(20260810)
         for cp in rng.sample(collected, 3):
-            resumed = ts.verify(10**7, t, cp, segment_size=1 << 20)
+            resumed = ts.verify(10**7, t, cp)
             assert emit_report(resumed, "json") == base_bytes, (
                 f"resume at {cp.position} diverged"
             )

@@ -228,6 +228,16 @@ def test_the_scan_takes_no_summand_convention(entry):
         entry(100, allow_zero=True)
 
 
+@pytest.mark.parametrize("entry", [critical_constant, gap_records, density, cross_check,
+                                   partial(verify, threshold=Threshold(8, 1))],
+                         ids=["critical_constant", "gap_records", "density", "cross_check",
+                              "verify"])
+def test_the_scan_takes_no_window_size(entry):
+    # the windows are analysis.DEFAULT_SEGMENT_SIZE values wide, from 1
+    with pytest.raises(TypeError, match="segment_size"):
+        entry(10, segment_size=4)
+
+
 class TestCriticalConstant:
     def test_limit_25(self):
         rec = critical_constant(25)
@@ -254,11 +264,12 @@ class TestCriticalConstant:
                   for r in (critical_constant(m) for m in limits)]
         assert ratios == sorted(ratios)
 
-    def test_invariant_under_segment_size(self):
-        a = critical_constant(10**5, segment_size=1 << 12)
-        b = critical_constant(10**5, segment_size=1 << 16)
-        c = critical_constant(10**5, segment_size=1 << 24)
-        assert a == b == c
+    def test_invariant_under_segment_size(self, windows):
+        got = []
+        for size in (1 << 12, 1 << 16, 1 << 24):
+            windows(size)
+            got.append(critical_constant(10**5))
+        assert got[0] == got[1] == got[2]
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
@@ -322,13 +333,13 @@ class TestVerify:
         assert drawn == plan
         assert marked == plan[0::2]
 
-    def test_progress_sees_each_state_once_the_table_is_not_empty(self):
+    def test_progress_sees_each_state_once_the_table_is_not_empty(self, windows):
         seen = []
-        report = verify(20, Threshold(2, 1), segment_size=2, progress=seen.append)
-        # the window [0, 2) holds no pair with s >= 1; the limit ends a
-        # window at 21, and the read-ahead steps by 2 from there and ends at
-        # 27, where 25 turns up
-        assert [cp.position for cp in seen] == [*range(4, 21, 2), 21, 23, 25, 27]
+        windows(1)
+        report = verify(20, Threshold(2, 1), progress=seen.append)
+        # the window [1, 2) holds no pair; the limit ends a window at 21, and
+        # the read-ahead steps by 1 from there and ends at 26, where 25 turns up
+        assert [cp.position for cp in seen] == list(range(3, 27))
         assert [cp.done for cp in seen] == [False] * (len(seen) - 1) + [True]
         assert seen[-1].pairs_scanned == report.pairs_scanned
         assert seen[-1].current_max == report.max_record
@@ -354,38 +365,43 @@ class TestGapRecords:
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
-    def test_brute_records_at_every_window_size(self, monkeypatch, segment_size, allow_zero):
+    def test_brute_records_at_every_window_size(self, monkeypatch, windows, segment_size,
+                                                 allow_zero):
         # at 1500 the last pair, (1493, 1508), ends in a read-ahead window
         mark_with(monkeypatch, allow_zero)
+        windows(segment_size)
         for limit in (50, 777, 1500, 20000):
-            assert gap_records(limit, segment_size=segment_size) == brute_records(limit, allow_zero)
+            assert gap_records(limit) == brute_records(limit, allow_zero)
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("segment_size", SEGMENT_SIZES)
-    def test_pairs_scanned_matches_brute_pairs(self, monkeypatch, segment_size, allow_zero):
+    def test_pairs_scanned_matches_brute_pairs(self, monkeypatch, windows, segment_size,
+                                               allow_zero):
         mark_with(monkeypatch, allow_zero)
+        windows(segment_size)
         for limit in (50, 777, 1500, 20000):
-            report = verify(limit, Threshold(8, 1), segment_size=segment_size)
+            report = verify(limit, Threshold(8, 1))
             assert report.pairs_scanned == len(brute_pairs(0, limit, allow_zero))
 
-    def test_read_ahead_crosses_windows(self, monkeypatch):
-        # with 2-wide windows, [1494, 1508) is seven empty windows, three of
-        # them read-ahead windows stepping from the limit's edge 1501, so the
-        # last pair (1493, 1508) must stitch across them into the read-ahead
-        # window where 1508 turns up
-        windows = record_windows(monkeypatch)
-        assert gap_records(1500, segment_size=2)[-1] == (15, 1493)
-        assert windows[-8:] == [
-            (1494, 1496), (1496, 1498), (1498, 1500), (1500, 1501),
+    def test_read_ahead_crosses_windows(self, monkeypatch, windows):
+        # with 2-wide windows from 1, [1495, 1507) is six empty windows,
+        # three of them read-ahead windows stepping from the limit's edge
+        # 1501, so the last pair (1493, 1508) must stitch across them into
+        # the read-ahead window where 1508 turns up
+        marked = record_windows(monkeypatch)
+        windows(2)
+        assert gap_records(1500)[-1] == (15, 1493)
+        assert marked[-8:] == [
+            (1493, 1495), (1495, 1497), (1497, 1499), (1499, 1501),
             (1501, 1503), (1503, 1505), (1505, 1507), (1507, 1509),
         ]
 
     def test_windows_are_clamped_to_limit(self, monkeypatch):
         windows = record_windows(monkeypatch)
         assert gap_records(10) == [(1, 1), (2, 2), (3, 5)]
-        # [0, 11), then one read-ahead window up to 10 + MAX_GAP, where 13
+        # [1, 11), then one read-ahead window up to 10 + MAX_GAP, where 13
         # turns up
-        assert windows == [(0, 11), (11, 11 + analysis.MAX_GAP)]
+        assert windows == [(1, 11), (11, 11 + analysis.MAX_GAP)]
 
     def test_successor_past_the_gap_budget_names_the_pair(self, monkeypatch):
         # the successor of 20 is 25, past 20 + MAX_GAP = 24, where the
@@ -461,101 +477,113 @@ class TestDensity:
         with pytest.raises(ValueError, match="workers"):
             cross_check(1000, workers=workers)
 
-    def test_invariant_under_segment_size_and_workers(self):
-        a = density(10**5, segment_size=1 << 12)
-        b = density(10**5, segment_size=1 << 20, workers=2)
+    def test_invariant_under_segment_size_and_workers(self, windows):
+        windows(1 << 12)
+        a = density(10**5)
+        windows(1 << 20)
+        b = density(10**5, workers=2)
         assert a == b
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size", [16, 1 << 10])
-    def test_points_at_window_edges_match_brute_count(self, monkeypatch, size, workers,
+    def test_points_at_window_edges_match_brute_count(self, monkeypatch, windows, size, workers,
                                                       allow_zero):
+        # the windows start at 1 + k * size, so limit + 1 falls on an edge,
+        # one before it and one after it
         mark_with(monkeypatch, allow_zero)
+        windows(size)
         for limit in [k * size + d for k in (1, 2, 5) for d in (-1, 0, 1)] + [5 * size + 7]:
-            got = density(limit, segment_size=size, workers=workers)
+            got = density(limit, workers=workers)
             assert got[-1].x == limit
             assert [p.count for p in got] == [brute_count(p.x, allow_zero) for p in got]
 
-    def test_one_scan_marks_each_value_once(self, monkeypatch):
-        windows = record_windows(monkeypatch)
-        assert [p.count for p in density(100, segment_size=1 << 16)] == [7, 43]
+    def test_one_scan_marks_each_value_once(self, monkeypatch, windows):
+        marked = record_windows(monkeypatch)
+        windows(1 << 16)
+        assert [p.count for p in density(100)] == [7, 43]
         # a window up to the limit 100, counted up to the decade 10, then
-        # one read-ahead window of segment_size values from limit + 1, where
-        # 101 turns up: [0, 101] marked once, in one pass
-        assert windows == [(0, 101), (101, 101 + (1 << 16))]
+        # one read-ahead window of 2^16 values from limit + 1, where 101
+        # turns up: [1, 100 + 2^16] marked once, in one pass
+        assert marked == [(1, 101), (101, 101 + (1 << 16))]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_every_scan_draws_the_same_windows(monkeypatch, workers):
-    # the window plan is fixed by limit, segment_size and the scan's start,
-    # whichever report reads the scan and however many workers: the steps,
-    # the limit and the read-ahead, which steps from limit + 1 and whose
-    # first window holds 100009, each drawn once by this process
+def test_every_scan_draws_the_same_windows(monkeypatch, windows, workers):
+    # the window plan is fixed by limit, the window size and the scan's
+    # start, whichever report reads the scan and however many workers: the
+    # steps from 1, the limit and the read-ahead, which steps from limit + 1
+    # and whose first window holds 100009, each drawn once by this process
     drawn = draw_windows(monkeypatch)
-    scan = dict(segment_size=1 << 12, workers=workers)
-    verify(10**5, Threshold.parse("2414/1000"), **scan)
+    windows(1 << 12)
+    verify(10**5, Threshold.parse("2414/1000"), workers=workers)
     plan = list(drawn)
-    assert plan == [*((lo, lo + (1 << 12)) for lo in range(0, 24 << 12, 1 << 12)),
-                    (24 << 12, 10**5 + 1), (10**5 + 1, 10**5 + 1 + (1 << 12))]
+    assert plan == [*((lo, lo + (1 << 12)) for lo in range(1, 24 << 12, 1 << 12)),
+                    (1 + (24 << 12), 10**5 + 1), (10**5 + 1, 10**5 + 1 + (1 << 12))]
     for report in (gap_records, density):
         drawn.clear()
-        report(10**5, **scan)
+        report(10**5, workers=workers)
         assert drawn == plan, report.__name__
 
 
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(2, 3000), size=st.integers(1, 700))
+def test_scan_and_check_windows_start_at_1_and_are_contiguous(limit, size):
+    # whatever the window size: the scan's windows, the read-ahead's
+    # included, and the check's, which end at limit + 1
+    marked, real = [], analysis.mark_segment
+
+    def recording(lo, hi, **kwargs):
+        marked.append((lo, hi))
+        return real(lo, hi, **kwargs)
+
+    with mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
+            mock.patch.object(analysis, "mark_segment", recording):
+        gap_records(limit)
+        scanned = list(marked)
+        marked.clear()
+        cross_check(limit)
+    for plan in (scanned, marked):
+        assert plan[0][0] == 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
+        assert all(0 < hi - lo <= size for lo, hi in plan)
+    assert marked[-1][1] == limit + 1
+
+
 class TestCrossCheck:
-    def test_sieve_agrees_with_criterion(self):
-        assert cross_check(5000, 1024) == CheckReport(5000, 5000, 0, None)
+    def test_sieve_agrees_with_criterion(self, windows):
+        windows(1024)
+        assert cross_check(5000) == CheckReport(5000, 5000, 0, None)
 
-    def test_counts_and_names_mismatches(self, monkeypatch):
+    def test_counts_and_names_mismatches(self, monkeypatch, windows):
         flip_marks(monkeypatch, 2999, 3000, 4500)
-        assert cross_check(5000, 1024) == CheckReport(5000, 5000, 3, 2999)
+        windows(1024)
+        assert cross_check(5000) == CheckReport(5000, 5000, 3, 2999)
 
-    def test_workers_give_the_same_report(self, monkeypatch):
-        # mismatches in the windows [2048, 3072) and [4096, 5001)
+    def test_workers_give_the_same_report(self, monkeypatch, windows):
+        # mismatches in the windows [2049, 3073) and [4097, 5001)
         flip_marks(monkeypatch, 2999, 3000, 4500)
+        windows(1024)
         want = CheckReport(5000, 5000, 3, 2999)
-        assert cross_check(5000, 1024, workers=1) == want
-        assert cross_check(5000, 1024, workers=2) == want
-        assert cross_check(5000, 1024, workers=8) == want
+        assert cross_check(5000, workers=1) == want
+        assert cross_check(5000, workers=2) == want
+        assert cross_check(5000, workers=8) == want
 
-    def test_one_window_starts_no_pool(self, monkeypatch):
+    def test_one_window_starts_no_pool(self, monkeypatch, windows):
         def no_fork():
             raise AssertionError("forked a process for one window")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert cross_check(200000, 1 << 20, workers=2) == CheckReport(200000, 200000, 0, None)
+        assert cross_check(200000, workers=2) == CheckReport(200000, 200000, 0, None)
+        windows(1024)
         with pytest.raises(AssertionError, match="forked"):
-            cross_check(5000, 1024, workers=2)
+            cross_check(5000, workers=2)
 
-    @pytest.mark.parametrize(
-        "limit, segment_size, field",
-        [(10**12 + 1, 1024, "limit"), (1, 1024, "limit"), (5000, 1, "segment_size"),
-         (5000, 2.5, "segment_size"), (5000, "64", "segment_size")],
-    )
-    def test_rejects_bad_arguments_naming_the_field(self, limit, segment_size, field):
+    @pytest.mark.parametrize("limit, size, field", [(10**12 + 1, 1024, "limit"), (1, 1024, "limit")])
+    def test_rejects_bad_arguments_naming_the_field(self, windows, limit, size, field):
+        windows(size)
         with pytest.raises(ValueError, match=field):
-            cross_check(limit, segment_size)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "scan", [partial(verify, threshold=Threshold(2, 1)), gap_records, density, cross_check],
-    ids=["verify", "gap_records", "density", "cross_check"],
-)
-def test_segment_size_over_the_memory_cap_is_refused_naming_it(monkeypatch, scan, workers):
-    # mark_segment would refuse such a window without naming the field; the
-    # scan names it before any mark or fork, even for a limit below one window
-    def refuse(*args, **kwargs):
-        raise AssertionError("marked or forked before the check")
-
-    monkeypatch.setattr(analysis, "mark_segment", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
-    for limit, size in [(2**31 + 10, 2**31), (100, analysis.DEFAULT_MEMORY_CAP + 1)]:
-        with pytest.raises(ValueError, match="^segment_size: "):
-            scan(limit, segment_size=size, workers=workers)
-    assert analysis._validate_scan_args(100, analysis.DEFAULT_MEMORY_CAP, workers) is None
+            cross_check(limit)
 
 
 def assert_no_child():
@@ -620,14 +648,15 @@ class TestWorkersBound:
             cross_check(100, workers=257)
         assert forks == []
 
-    def test_the_bound_on_two_windows_forks_once(self, forks):
-        # verify --limit 10000 plans [0, 10001) and the read-ahead;
-        # cross_check(100, 64) plans [0, 64) and [64, 101)
+    def test_the_bound_on_two_windows_forks_once(self, forks, windows):
+        # verify --limit 10000 plans [1, 10001) and the read-ahead;
+        # cross_check(100) in 64-wide windows plans [1, 65) and [65, 101)
         with pytest.raises(OSError, match="fork refused"):
             verify(10**4, self.T, workers=256)
         assert len(forks) == 1
+        windows(64)
         with pytest.raises(OSError, match="fork refused"):
-            cross_check(100, 64, workers=256)
+            cross_check(100, workers=256)
         assert len(forks) == 2
 
     def test_one_worker_without_fork(self, monkeypatch):
@@ -641,7 +670,6 @@ class TestForkedWorkers:
     """A scan to 10^5 in windows of 2^12 at 2 workers forks one child, which
     marks the odd windows of the plan."""
 
-    SCAN = dict(segment_size=1 << 12, workers=2)
     T = Threshold.parse("2414/1000")
 
     def planted(self, monkeypatch, lo, act):
@@ -656,7 +684,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(analysis, "mark_segment", marking)
 
     def test_no_more_processes_than_windows(self, monkeypatch):
-        # verify --limit 10000 plans 2 windows, [0, 10001) and the
+        # verify --limit 10000 plans 2 windows, [1, 10001) and the
         # read-ahead; the fork starts no process, so its pipe ends at once
         forks, killed, reaped = [], [], []
 
@@ -671,13 +699,14 @@ class TestForkedWorkers:
             verify(10**4, self.T, workers=64)
         assert len(forks) == 1 and killed == reaped == forks
 
-    def test_a_childs_exception_is_raised_here(self, monkeypatch):
+    def test_a_childs_exception_is_raised_here(self, monkeypatch, windows):
         def fail(lo):
             raise BudgetError(f"planted at {lo} in a child")
 
-        self.planted(monkeypatch, 3 << 12, fail)
-        with pytest.raises(BudgetError, match=f"^planted at {3 << 12} in a child$"):
-            verify(10**5, self.T, **self.SCAN)
+        windows(1 << 12)
+        self.planted(monkeypatch, 1 + (3 << 12), fail)
+        with pytest.raises(BudgetError, match=f"^planted at {1 + (3 << 12)} in a child$"):
+            verify(10**5, self.T, workers=2)
         assert_no_child()
 
     @pytest.mark.parametrize("exc, name", [
@@ -685,24 +714,28 @@ class TestForkedWorkers:
         # no module-level class of its name to pickle it by
         (type("Unpicklable", (Exception,), {})("3/4"), "Unpicklable: 3/4"),
     ])
-    def test_an_exception_that_cannot_be_rebuilt_is_named(self, monkeypatch, exc, name):
+    def test_an_exception_that_cannot_be_rebuilt_is_named(self, monkeypatch, windows, exc,
+                                                          name):
         def fail(lo):
             raise exc
 
-        self.planted(monkeypatch, 4096, fail)
+        windows(4096)
+        self.planted(monkeypatch, 4097, fail)
         with pytest.raises(RuntimeError, match=f"^workers: child 1: {name}$"):
-            cross_check(10000, 4096, workers=2)
+            cross_check(10000, workers=2)
         assert_no_child()
 
-    def test_a_child_that_dies_fails_the_scan(self, monkeypatch):
-        self.planted(monkeypatch, 3 << 12, lambda lo: os._exit(3))
+    def test_a_child_that_dies_fails_the_scan(self, monkeypatch, windows):
+        windows(1 << 12)
+        self.planted(monkeypatch, 1 + (3 << 12), lambda lo: os._exit(3))
         with pytest.raises(RuntimeError, match="workers: child 1 ended before item 3"):
-            verify(10**5, self.T, **self.SCAN)
+            verify(10**5, self.T, workers=2)
         assert_no_child()
 
-    def test_a_scan_closed_early_leaves_no_child(self):
-        scan = analysis._scan(10**5, 1 << 12, 2)
-        assert next(scan).position == 1 << 12
+    def test_a_scan_closed_early_leaves_no_child(self, windows):
+        windows(1 << 12)
+        scan = analysis._scan(10**5, 2)
+        assert next(scan).position == 1 + (1 << 12)
         scan.close()
         assert_no_child()
 
@@ -710,13 +743,14 @@ class TestForkedWorkers:
         assert verify(10**6, self.T, workers=2).passed
         assert_no_child()
 
-    def test_a_failed_check_leaves_no_child(self, monkeypatch):
+    def test_a_failed_check_leaves_no_child(self, monkeypatch, windows):
         def fail(lo):
             raise ValueError(f"planted at {lo}")
 
-        self.planted(monkeypatch, 1024, fail)
-        with pytest.raises(ValueError, match="planted at 1024"):
-            cross_check(5000, 1024, workers=2)
+        windows(1024)
+        self.planted(monkeypatch, 1025, fail)
+        with pytest.raises(ValueError, match="planted at 1025"):
+            cross_check(5000, workers=2)
         assert_no_child()
 
 
@@ -861,6 +895,16 @@ class TestCheckpointIO:
             write_checkpoint(Checkpoint(2, 100, 0, None, None, (), 0), tmp_path / "state.txt")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_path_that_is_not_a_regular_file_is_refused(self, tmp_path):
+        # the rename would replace the FIFO with a regular file
+        fifo = tmp_path / "ck"
+        os.mkfifo(fifo)
+        with pytest.raises(CheckpointError, match="^checkpoint-path: .* not a regular file"):
+            write_checkpoint(self.sample(), fifo)
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
     def test_writes_leave_no_temp_files(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
@@ -960,31 +1004,41 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="limit"):
             verify(10**6, Threshold(2, 1), cp)
 
+    def test_verify_rejects_a_state_below_1(self):
+        # a scan starts at 1; a state at 0 would count 0 as a pair's start
+        with pytest.raises(CheckpointError, match="^checkpoint: position 0 is below 1"):
+            verify(10, Threshold(8, 1), Checkpoint(2, 10, 0, None, None, (), 0))
+        fresh = Checkpoint(2, 10, 1, None, None, (), 0)
+        assert verify(10, Threshold(8, 1), fresh)._replace(elapsed=0.0) == verify(
+            10, Threshold(8, 1))._replace(elapsed=0.0)
 
-# the window edges of a scan to 10^5 in 2^12-wide steps: the steps, limit + 1
-# and the end of the read-ahead window, one step past limit + 1, which holds
-# 100009, the successor of the last pair
-WINDOW_EDGES_TO_1E5 = [*range(1 << 12, 10**5, 1 << 12), 10**5 + 1, 10**5 + 1 + (1 << 12)]
+
+# the window edges of a scan to 10^5 in 2^12-wide steps from 1: the steps,
+# limit + 1 and the end of the read-ahead window, one step past limit + 1,
+# which holds 100009, the successor of the last pair
+WINDOW_EDGES_TO_1E5 = [*range(1 + (1 << 12), 10**5, 1 << 12), 10**5 + 1, 10**5 + 1 + (1 << 12)]
 
 
 class TestVerifyResume:
-    def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_every):
+    def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_every, windows):
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 17)
-        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        # the cadence, then the finished state at the end of the read-ahead
-        # window, one step past limit + 1
+        windows(1 << 16)
+        base = verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
+        # the cadence from 1, then the finished state at the end of the
+        # read-ahead window, one step past limit + 1
         assert [cp.position for cp in collected] == [
-            *range(1 << 17, 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
+            *range(1 + (1 << 17), 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
         ref = base._replace(elapsed=0.0)
         for cp in collected:
-            resumed = verify(10**6, t, cp, segment_size=1 << 16)
+            resumed = verify(10**6, t, cp)
             assert resumed._replace(elapsed=0.0) == ref
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_window_edge(self, tmp_path, checkpoints_every, workers):
+    def test_resume_at_every_window_edge(self, tmp_path, checkpoints_every, windows, workers):
         t = Threshold.parse("2414/1000")
-        run = partial(verify, 10**5, t, segment_size=1 << 12, workers=workers)
+        windows(1 << 12)
+        run = partial(verify, 10**5, t, workers=workers)
         base = emit_report(run(), "json")
         collected = checkpoints_every(1)
         assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
@@ -995,10 +1049,12 @@ class TestVerifyResume:
             assert emit_report(run(cp), "json") == base, cp.position
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_read_ahead_edge(self, tmp_path, checkpoints_every, workers):
+    def test_resume_at_every_read_ahead_edge(self, tmp_path, checkpoints_every, windows,
+                                             workers):
         # at 20 in 2-wide windows the read-ahead is three windows stepping
         # from 21; a state past the limit resumes into the read-ahead's rest
-        run = partial(verify, 20, Threshold(2, 1), segment_size=2, workers=workers)
+        windows(2)
+        run = partial(verify, 20, Threshold(2, 1), workers=workers)
         base = emit_report(run(), "json")
         collected = checkpoints_every(1)
         run(checkpoint_path=str(tmp_path / "ck.txt"))
@@ -1006,87 +1062,97 @@ class TestVerifyResume:
         for cp in collected:
             assert emit_report(run(cp), "json") == base, cp.position
 
-    def test_time_trigger_checkpoints_every_window(self, tmp_path, monkeypatch, checkpoints_every):
+    def test_time_trigger_checkpoints_every_window(self, tmp_path, monkeypatch, checkpoints_every,
+                                                   windows):
         # the integer cadence keeps its default, which a 10^5 run never reaches
         collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
         monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_SECONDS", 0)
-        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
-               checkpoint_path=str(tmp_path / "ck.txt"))
+        windows(1 << 12)
+        verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(tmp_path / "ck.txt"))
         assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
 
-    def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every):
+    def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every,
+                                                           windows):
         # neither trigger fires in a 10^5 run; the read-ahead window
         # [100001, 104097), which holds 100009, the successor of the last
         # pair, still writes it
         collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
-        base = verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12,
-                      checkpoint_path=str(tmp_path / "ck.txt"))
+        windows(1 << 12)
+        base = verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(tmp_path / "ck.txt"))
         (cp,) = collected
         assert cp.position == 10**5 + 1 + (1 << 12) and cp.last_representable > 10**5
         assert read_checkpoint(tmp_path / "ck.txt") == cp
         assert cp.pairs_scanned == base.pairs_scanned
 
-    def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_every):
-        # the window [0, 2) holds no pair with s >= 1
+    def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_every, windows):
+        # in 1-wide windows, [1, 2) holds no pair
         collected = checkpoints_every(1)
-        verify(20, Threshold(2, 1), segment_size=2, checkpoint_path=str(tmp_path / "ck.txt"))
-        # the limit ends a window at 21; past it, 2-wide read-ahead windows
-        # step from 21 up to 27, where 25 turns up
-        assert [cp.position for cp in collected] == [*range(4, 21, 2), 21, 23, 25, 27]
+        windows(1)
+        verify(20, Threshold(2, 1), checkpoint_path=str(tmp_path / "ck.txt"))
+        # the limit ends a window at 21; past it, read-ahead windows step
+        # from 21 up to 26, where 25 turns up
+        assert [cp.position for cp in collected] == list(range(3, 27))
 
-    def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every):
+    def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every, windows):
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 16)
-        verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert collected[0].position == 1 << 16
+        windows(1 << 16)
+        verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert collected[0].position == 1 + (1 << 16)
         later = checkpoints_every(1 << 17)
-        verify(10**6, t, collected[0], segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
+        verify(10**6, t, collected[0], checkpoint_path=str(tmp_path / "ck.txt"))
         # the read-ahead steps from limit + 1, so the scan ends one step past it
         assert [cp.position for cp in later] == [
-            *range(3 << 16, 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
+            *range(1 + (3 << 16), 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
 
-    def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every):
+    def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every, windows):
         t = Threshold(1, 1)  # fails immediately at (1, 2)
         collected = checkpoints_every(1 << 15)
-        base = verify(10**5, t, segment_size=1 << 14, checkpoint_path=str(tmp_path / "ck.txt"))
-        resumed = verify(10**5, t, collected[0], segment_size=1 << 12)
+        windows(1 << 14)
+        base = verify(10**5, t, checkpoint_path=str(tmp_path / "ck.txt"))
+        windows(1 << 12)
+        resumed = verify(10**5, t, collected[0])
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert resumed.first_offender == GapPair(1, 2)
 
-    def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_every):
+    def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_every, windows):
         # the maximum is a function of the record table; the stored one is
         # only a fault check and must not seed the resumed scan
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(1 << 17)
-        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert collected[0].position == 1 << 17
+        windows(1 << 16)
+        base = verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert collected[0].position == 1 + (1 << 17)
         cp = collected[0]._replace(current_max=RatioRecord.of(1, 1))
-        resumed = verify(10**6, t, cp, segment_size=1 << 16)
+        resumed = verify(10**6, t, cp)
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
-    def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every):
+    def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every, windows):
         # a file with allow_zero=0 came from a scan that required both
         # summands to be at least 1, which no scan is any more: reading it
         # is refused, and a file of this scan's convention resumes
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
         collected = checkpoints_every(2**14)
-        base = verify(10**5, t, segment_size=2**12, checkpoint_path=str(ck))
+        windows(2**12)
+        base = verify(10**5, t, checkpoint_path=str(ck))
         write_checkpoint(collected[0], ck)
-        resumed = verify(10**5, t, read_checkpoint(ck), segment_size=2**12)
+        resumed = verify(10**5, t, read_checkpoint(ck))
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         ck.write_text(ck.read_text().replace("allow_zero=1\n", "allow_zero=0\n"))
         with pytest.raises(CheckpointError, match="field 'allow_zero' must be 1"):
             read_checkpoint(ck)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_every, workers):
+    def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_every, windows,
+                                                   workers):
         def finished(resume=None):
-            return deque(analysis._scan(10**5, 1 << 12, workers, resume), maxlen=1).pop()
+            return deque(analysis._scan(10**5, workers, resume), maxlen=1).pop()
 
         collected = checkpoints_every(1)
-        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, workers=workers,
+        windows(1 << 12)
+        verify(10**5, Threshold.parse("2414/1000"), workers=workers,
                checkpoint_path=str(tmp_path / "ck.txt"))
         assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
         base = finished()
@@ -1096,19 +1162,22 @@ class TestVerifyResume:
             assert (state.decade_counts, state.gap_records, state.pairs_scanned) == (
                 base.decade_counts, base.gap_records, base.pairs_scanned), cp.position
 
-    def test_finished_checkpoint_holds_the_density_counts(self, tmp_path):
+    def test_finished_checkpoint_holds_the_density_counts(self, tmp_path, windows):
         path = tmp_path / "ck.txt"
-        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, checkpoint_path=path)
+        windows(1 << 12)
+        verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=path)
         cp = read_checkpoint(path)
         points = [(p.x, p.count) for p in density(10**5)]
         assert [*cp.decade_counts, (10**5, cp.pairs_scanned)] == points
 
-    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, checkpoints_every):
+    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, checkpoints_every, windows):
         t = Threshold.parse("2414/1000")
         path = tmp_path / "ck.txt"
         checkpoints_every(1 << 18)
-        base = verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(path))
+        windows(1 << 16)
+        base = verify(10**6, t, checkpoint_path=str(path))
         cp = read_checkpoint(path)
+        windows(1 << 24)  # resumed in the default windows
         resumed = verify(10**6, t, cp)
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
 
@@ -1142,8 +1211,10 @@ def naive_summary(lo, hi, limit, allow_zero):
 
 
 def naive_summary_of(lo, bits, limit):
+    # every value set in the window starts a pair, 0 included: the scan's
+    # windows start at 1
     hi = lo + bits.size
-    vals = [lo + int(i) for i in np.flatnonzero(bits) if lo + int(i) >= 1]
+    vals = [lo + int(i) for i in np.flatnonzero(bits)]
     if not vals:
         return _Summary(lo, hi, 0, None, None, ())
     candidates, best = [], 0
@@ -1185,7 +1256,7 @@ class TestSummarizeWindow:
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_multi_block_windows_match_naive(self, monkeypatch, block, allow_zero):
         monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", block)
-        for lo, hi, limit in [(0, 40000, 10**6), (0, 40000, 30000), (25000, 60000, 10**6)]:
+        for lo, hi, limit in [(1, 40000, 10**6), (1, 40000, 30000), (25000, 60000, 10**6)]:
             args = (lo, hi, limit, allow_zero)
             got = summarize(*args)
             assert got == naive_summary(*args)
@@ -1196,19 +1267,19 @@ class TestSummarizeWindow:
             assert np.count_nonzero(bits[: last_s - lo]) > block
 
     def test_record_in_later_default_block(self):
-        args = (0, 1 << 16, 10**6, True)
+        args = (1, 1 + (1 << 16), 10**6, True)
         got = summarize(*args)
         assert got == naive_summary(*args)
         assert got.candidates[-1] == (52393, 25)
         # about 13000 values precede it: the fourth block of 4096 gaps
-        assert np.count_nonzero(mark_segment(0, 52393).bits) > 3 * analysis._SUMMARY_BLOCK
+        assert np.count_nonzero(mark_segment(1, 52393).bits) > 3 * analysis._SUMMARY_BLOCK
 
     def test_tie_with_earlier_block_maximum_is_not_a_candidate(self, monkeypatch):
         # with one gap per block a later gap equal to the running maximum
         # makes its block's maximum tie with every earlier block's
         monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", 1)
-        got = summarize(0, 100, 10**6, True)
-        assert got == naive_summary(0, 100, 10**6, True)
+        got = summarize(1, 100, 10**6, True)
+        assert got == naive_summary(1, 100, 10**6, True)
         # gaps from 1: 1,2,1,3,1,1,3: the second gap 3 (at 10) ties
         assert (5, 3) in got.candidates
         assert all(s != 10 for s, _ in got.candidates)
@@ -1219,8 +1290,9 @@ class TestSummarizeWindow:
         "lo, hi, expected",
         [
             (1494, 1508, _Summary(1494, 1508, 0, None, None, ())),
-            (0, 1, _Summary(0, 1, 0, None, None, ())),
-            (0, 2, _Summary(0, 2, 1, 1, 1, ())),
+            # 0 is a value like any other; the scan's windows start at 1
+            (0, 1, _Summary(0, 1, 1, 0, 0, ())),
+            (1, 2, _Summary(1, 2, 1, 1, 1, ())),
             (1493, 1500, _Summary(1493, 1500, 1, 1493, 1493, ())),
         ],
     )
@@ -1230,10 +1302,13 @@ class TestSummarizeWindow:
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_window_starting_at_zero(self, allow_zero):
-        args = (0, 5000, 2000, allow_zero)
-        got = summarize(*args)
-        assert got == naive_summary(*args)
-        assert got.first == (1 if allow_zero else 2)
+        # the summary has no case for 0: a window from 0 starts at 0 if it is
+        # set, and the scan's first window, from 1, at the first pair
+        for lo, first in ((0, 0 if allow_zero else 2), (1, 1 if allow_zero else 2)):
+            args = (lo, 5000, 2000, allow_zero)
+            got = summarize(*args)
+            assert got == naive_summary(*args)
+            assert got.first == first
 
     def test_windows_past_the_limit_count_no_pairs(self):
         # the read-ahead window of a default verify, and narrower ones
@@ -1246,7 +1321,7 @@ class TestSummarizeWindow:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        lo=st.integers(min_value=0, max_value=10**9),
+        lo=st.integers(min_value=1, max_value=10**9),
         span=st.integers(min_value=1, max_value=20000),
         limit_offset=st.integers(min_value=-100, max_value=25000),
         block=st.sampled_from([1, 2, 5, 97, 4096]),
@@ -1278,7 +1353,7 @@ class TestScanWindow:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        lo=st.integers(min_value=0, max_value=120000),
+        lo=st.integers(min_value=1, max_value=120000),
         span=st.integers(min_value=1, max_value=120000),
         limit_at=st.integers(min_value=-2000, max_value=200000),
     )
@@ -1294,12 +1369,14 @@ class TestScanWindow:
         assert summary == summarize(lo, x + 3000, 10**12, True)
         assert counts == ([(x, int(representable_mask(lo, x + 1).sum()))] if k < 12 else [])
 
-    @pytest.mark.parametrize("segment_size", [2, 10, 11, 101, 137, 1000])
-    def test_segment_sizes_with_decades_at_window_ends(self, segment_size):
-        # windows start at 10, 100, 1000 for sizes 2, 10 and 1000, and end
-        # after 10 (11 | 11), 100 (101 | 101), 1000 (11 | 1001) and 10^4
-        # (137 | 10001)
-        pts = density(10**4 + 3, segment_size=segment_size)
+    @pytest.mark.parametrize("segment_size", [2, 9, 10, 11, 101, 137, 1000])
+    def test_segment_sizes_with_decades_at_window_ends(self, windows, segment_size):
+        # windows start at 1 + k * size: the decades x end windows where size
+        # divides x (2, 10 and 1000), start them where it divides x - 1
+        # (every decade for 9, 100 and 10^4 for 11, 10^4 for 101), and sit
+        # inside one for 137
+        windows(segment_size)
+        pts = density(10**4 + 3)
         assert [(p.x, p.count) for p in pts] == [
             (x, brute_count(x)) for x in (10, 100, 1000, 10**4, 10**4 + 3)]
 
@@ -1318,7 +1395,7 @@ class TestScanWindow:
         for name in calls:
             counting(name)
         assert verify(10**4, Threshold.parse("2414/1000")).passed
-        # [0, 10001), which holds the decades 10, 100 and 1000, then the
+        # [1, 10001), which holds the decades 10, 100 and 1000, then the
         # read-ahead window: two windows, each marked and summarized once
         assert calls == {"_summarize_window": 2, "mark_segment": 2}
 
@@ -1330,7 +1407,6 @@ class TestScanWindow:
 def full_summary_of(lo, bits, limit):
     """naive_summary_of with numpy in place of its Python loops, for 2^24 windows."""
     vals = np.flatnonzero(bits) + lo
-    vals = vals[vals >= 1]
     if not vals.size:
         return _Summary(lo, lo + bits.size, 0, None, None, ())
     gaps = np.diff(vals)
@@ -1392,7 +1468,7 @@ class TestSummaryScreen:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        lo=st.integers(min_value=0, max_value=10**12),
+        lo=st.integers(min_value=1, max_value=10**12),
         lead=st.integers(min_value=0, max_value=40),
         gaps=st.lists(st.one_of(st.integers(1, 12), st.integers(13, 130)), max_size=200),
         trail=st.integers(min_value=0, max_value=140),
@@ -1412,7 +1488,7 @@ class TestSummaryScreen:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        lo=st.integers(min_value=0, max_value=12).flatmap(lambda e: st.integers(0, 10**e)),
+        lo=st.integers(min_value=0, max_value=12).flatmap(lambda e: st.integers(1, 10**e)),
         span=st.integers(min_value=1, max_value=20000),
         limit_offset=st.integers(min_value=-100, max_value=25000),
         allow_zero=st.booleans(),
@@ -1432,7 +1508,8 @@ class TestSummaryScreen:
     @pytest.mark.parametrize("lo", [0, 1493, 10**8 - 3, 10**10 + 1])
     @pytest.mark.parametrize("span", [2, 3, 5, 7, 9, 15, 17, 4097, 40001])
     def test_short_ragged_and_past_limit_windows(self, lo, span, allow_zero):
-        # the CLI accepts --segment-size 2; windows past limit are read-ahead
+        # windows as narrow as 2 values, and from 0, where the summary has no
+        # case for 0 either; windows past limit are read-ahead
         bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
         for limit in (max(2, lo - 1), lo + span // 2, lo + span + 1):
             got = summarize_bits(lo, bits, limit, floor=15, block=1)
@@ -1443,7 +1520,7 @@ class TestSummaryScreen:
     def test_slices_of_a_few_bytes_keep_the_summary(self, width, allow_zero):
         # floors 15, 23 and 31 make the screen look for runs of k = 1, 2 and
         # 3 zero bytes, and slices of 1 to 3 bytes put slice edges inside them
-        for lo in (0, 10**8 - 3, 10**10 + 1, 10**12 - 10**5):
+        for lo in (1, 10**8 - 3, 10**10 + 1, 10**12 - 10**5):
             for span in (17, 4097):
                 bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
                 for limit in (max(2, lo - 1), lo + span // 2):
@@ -1453,7 +1530,7 @@ class TestSummaryScreen:
                         assert got == whole, (lo, span, limit, floor)
 
     def test_full_reference_matches_naive(self):
-        for lo, hi in [(0, 40000), (10**8, 10**8 + 40000)]:
+        for lo, hi in [(1, 40000), (10**8, 10**8 + 40000)]:
             bits = mark_segment(lo, hi).bits
             assert full_summary_of(lo, bits, lo + 20000) == naive_summary_of(lo, bits, lo + 20000)
 
@@ -1464,6 +1541,7 @@ class TestSummaryScreen:
            (10**10, 10**10 + 2**24, 10**12, True), (10**12 - 2**24, 10**12, 10**12, True)],
     )
     def test_full_windows_match_reference(self, lo, hi, limit, allow_zero):
-        # the seven windows of the 10^8 scan, and full windows higher up
+        # full windows up to 10^8, on a grid from 0, the read-ahead window of
+        # the 10^8 scan, and full windows higher up
         bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
         assert summarize_bits(lo, bits, limit) == full_summary_of(lo, bits, limit)

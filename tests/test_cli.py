@@ -122,6 +122,17 @@ class TestExitCodes:
         assert run(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_checkpoint_path_that_is_not_a_regular_file_is_two(self, tmp_path):
+        # the checkpoint is renamed into place, which would replace the FIFO
+        fifo = tmp_path / "ck"
+        os.mkfifo(fifo)
+        proc = run_cli("verify", "--limit", "100000", "--checkpoint-path", str(fifo))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: checkpoint-path: ") and "Traceback" not in proc.stderr
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
     def test_report_over_the_checkpoint_is_two(self, tmp_path):
         # the report would replace the finished checkpoint, and a later
         # --resume would fail to parse it; an alias through a symlinked
@@ -284,13 +295,13 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    def test_reports_identical_across_workers_and_segments(self, tmp_path, cli_windows):
+    def test_reports_identical_across_workers_and_segments(self, tmp_path, windows):
         outputs = set()
         out = tmp_path / "report"
         for fmt in ("json", "csv"):
             per_fmt = set()
             for workers, seg in (("1", 1 << 14), ("2", 1 << 20), ("2", 1 << 14)):
-                cli_windows(seg)
+                windows(seg)
                 with pytest.raises(SystemExit) as exit_info:
                     cli.main(["verify", "--limit", "100000", "--threshold", "2414/1000",
                               "--format", fmt, "--workers", workers, "--output-path", str(out)])
@@ -302,12 +313,13 @@ class TestDeterminism:
 
 
 class TestResume:
-    def test_cli_resume_matches_uninterrupted(self, tmp_path, checkpoints_every):
+    def test_cli_resume_matches_uninterrupted(self, tmp_path, checkpoints_every, windows):
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
         # leave a mid-run checkpoint behind, as a killed run would
         checkpoints_every(1 << 18)
-        verify(10**6, t, segment_size=1 << 16, checkpoint_path=str(ck))
+        windows(1 << 16)
+        verify(10**6, t, checkpoint_path=str(ck))
         assert ck.exists()
         resumed = run_cli("verify", "--limit", "1000000",
                           "--threshold", "2414/1000", "--format", "json",
@@ -319,8 +331,8 @@ class TestResume:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_resume_from_the_finished_state_scans_nothing(self, tmp_path, monkeypatch, workers,
-                                                          cli_windows):
-        cli_windows(1 << 12)
+                                                          windows):
+        windows(1 << 12)
         argv = ["verify", "--limit", "100000", "--workers", workers,
                 "--checkpoint-path", str(tmp_path / "ck.txt"), "--format", "json"]
 
@@ -341,11 +353,13 @@ class TestResume:
         (0, {"position": 500000}),
         (-1, {"last_representable": 900000, "position": 900001}),
     ], ids=["mid-run", "finished"])
-    def test_position_that_no_scan_reaches_is_two(self, tmp_path, checkpoints_every, state, edit):
+    def test_position_that_no_scan_reaches_is_two(self, tmp_path, checkpoints_every, windows,
+                                                  state, edit):
         # a scan of limit 10^5 draws no window past limit + MAX_GAP + 1
         ck = tmp_path / "ck.txt"
         written = checkpoints_every(1 << 12)
-        verify(10**5, Threshold.parse("2414/1000"), segment_size=1 << 12, checkpoint_path=str(ck))
+        windows(1 << 12)
+        verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(ck))
         analysis.write_checkpoint(written[state], str(ck))
         fields = dict(line.split("=", 1) for line in ck.read_text().splitlines())
         fields.update({key: str(value) for key, value in edit.items()})
@@ -354,10 +368,11 @@ class TestResume:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: checkpoint: position ") and proc.stdout == ""
 
-    def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every):
+    def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every, windows):
         ck = tmp_path / "ck.txt"
         checkpoints_every(1 << 18)
-        verify(10**6, Threshold.parse("2414/1000"), segment_size=1 << 16, checkpoint_path=str(ck))
+        windows(1 << 16)
+        verify(10**6, Threshold.parse("2414/1000"), checkpoint_path=str(ck))
         proc = run_cli("verify", "--limit", "2000000", "--resume",
                        "--checkpoint-path", str(ck))
         assert proc.returncode == 2
@@ -385,7 +400,7 @@ def writing(cp, path):
     time.sleep(600)
 
 analysis.DEFAULT_CHECKPOINT_EVERY = 1
-cli.DEFAULT_SEGMENT_SIZE = 4096
+analysis.DEFAULT_SEGMENT_SIZE = 4096
 os.fork, analysis.write_checkpoint = forking, writing
 cli.main(sys.argv[1:])
 """
@@ -461,8 +476,8 @@ def test_killed_run_leaves_no_child_and_resumes_to_the_same_report(tmp_path, wor
     want = run_cli(*args)
     assert want.returncode == 0, want.stderr
     path = str(tmp_path / "ck.txt")
-    # killed in a leg from a fresh start, then in a leg resumed from its file
-    for extra, start in (((), 0), (("--resume",), 4096)):
+    # killed in a leg from a fresh start at 1, then in a leg resumed from its file
+    for extra, start in (((), 1), (("--resume",), 4097)):
         written, code, _ = interrupt_drill([*args, "--checkpoint-path", path, *extra], workers,
                                            lambda pid: os.kill(pid, signal.SIGKILL))
         assert (written, code) == (start + 4096, -signal.SIGKILL)
@@ -482,7 +497,7 @@ def test_interrupted_run_exits_130_and_resumes_to_the_same_report(tmp_path, work
     path = str(tmp_path / "ck.txt")
     written, code, err = interrupt_drill([*args, "--checkpoint-path", path], workers,
                                          lambda pid: os.killpg(pid, signal.SIGINT))
-    assert (written, code) == (4096, 130)
+    assert (written, code) == (4097, 130)
     assert "Traceback" not in err
     assert err.endswith(f"error: interrupted, resume with --resume --checkpoint-path {path}\n")
     resumed = run_cli(*args, "--checkpoint-path", path, "--resume")
@@ -616,11 +631,11 @@ GOLDEN_RUNS = [
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
-def test_reports_match_golden(tmp_path, name, argv, code, workers, cli_windows):
+def test_reports_match_golden(tmp_path, name, argv, code, workers, windows):
     # at the default windows 10^6 is two windows; at 2^16 the decades fall
     # inside the forked workers' windows
-    for size in (cli.DEFAULT_SEGMENT_SIZE, 1 << 16):
-        cli_windows(size)
+    for size in (analysis.DEFAULT_SEGMENT_SIZE, 1 << 16):
+        windows(size)
         for fmt, ext in (("json", "json"), ("csv", "csv"), ("human", "txt")):
             out = tmp_path / f"{name}.{ext}"
             with pytest.raises(SystemExit) as exit_info:

@@ -145,13 +145,14 @@ def test_cross_check_loads_the_oracle_before_it_forks():
     code = (
         "import os, sys\n"
         "from twosquares import analysis\n"
+        "analysis.DEFAULT_SEGMENT_SIZE = 4096\n"
         "print('twosquares.representability' in sys.modules)\n"
         "loaded, real_fork = [], os.fork\n"
         "def fork():\n"
         "    loaded.append('twosquares.representability' in sys.modules)\n"
         "    return real_fork()\n"
         "os.fork = fork\n"
-        "report = analysis.cross_check(10000, 4096, workers=2)\n"
+        "report = analysis.cross_check(10000, workers=2)\n"
         "print(loaded, report.mismatches)\n"
     )
     assert run_python(code) == ["False", "[True]", "0"]

@@ -287,9 +287,10 @@ class TestWindows:
         data=st.data(),
     )
     def test_scan_plan_reads_ahead_from_the_limit(self, limit, gap, size, data):
-        # the plan _scan draws from a state at start, with the gap budget
-        # set to gap; with no window computed, it runs out and raises
-        start = data.draw(st.integers(0, limit + gap), label="start")
+        # the plan _scan draws from a state at start, 1 or later as every
+        # state is, with the gap budget set to gap; with no window computed,
+        # it runs out and raises
+        start = data.draw(st.integers(1, limit + gap), label="start")
         plan = []
 
         def draw(fn, args, workers):
@@ -298,9 +299,10 @@ class TestWindows:
 
         cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, None, None, (), 0)
         with mock.patch.object(analysis, "MAX_GAP", gap), \
+                mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
                 mock.patch.object(analysis, "_ordered_map", draw):
             with pytest.raises(analysis.BudgetError):
-                list(analysis._scan(limit, size, 1, cp))
+                list(analysis._scan(limit, 1, cp))
         # contiguous, [start, limit + gap] exactly, none wider than size
         assert plan[0][0] == start and plan[-1][1] == limit + gap + 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
