@@ -75,8 +75,6 @@ MAX_DENOMINATOR = 10**3
 MAX_WORKERS = 256  # processes a scan or check may use, this one included
 
 CHECKPOINT_VERSION = 2
-DEFAULT_CHECKPOINT_EVERY = 1 << 28
-DEFAULT_CHECKPOINT_SECONDS = 30.0
 
 _DISPLAY_DIGITS = 12
 # Width of the first head chunk of a window summary, in values; the chunks
@@ -522,7 +520,6 @@ def _scan(
     limit: int,
     workers: int,
     resume: Checkpoint | None = None,
-    checkpoint_path: str | os.PathLike | None = None,
 ) -> Iterator[Checkpoint]:
     """Reduce every pair with s <= limit, from 1 or from a checkpoint of the
     same limit, yielding the state at each window edge.
@@ -537,12 +534,6 @@ def _scan(
     first raises BudgetError.  A resume recomputes current_max from
     gap_records, from a done state it yields that state alone, and a state
     below position 1 is refused.
-
-    With checkpoint_path set, the state is written there at an edge
-    once DEFAULT_CHECKPOINT_EVERY integers or DEFAULT_CHECKPOINT_SECONDS
-    seconds have passed since the start, resume or last write, whichever
-    comes first, and at the edge that ends the scan; never before the
-    first record.  A failed write raises CheckpointError naming checkpoint-path.
     """
     _validate_scan_args(limit, workers)
     cp = resume
@@ -558,7 +549,6 @@ def _scan(
     if cp.done:  # resumed from the finished state
         yield cp
         return
-    saved_at, saved_time = cp.position, time.perf_counter()
     windows = itertools.chain(
         _windows(cp.position, limit, DEFAULT_SEGMENT_SIZE),
         _windows(max(cp.position, limit + 1), limit + MAX_GAP, DEFAULT_SEGMENT_SIZE),
@@ -566,18 +556,6 @@ def _scan(
     args = ((lo, hi, limit) for lo, hi in windows)
     for sm, counts in _ordered_map(_scan_window, args, workers):
         cp = _absorb(cp, sm, counts)
-        if checkpoint_path is not None and cp.gap_records and (
-            cp.done
-            or cp.position - saved_at >= DEFAULT_CHECKPOINT_EVERY
-            or time.perf_counter() - saved_time >= DEFAULT_CHECKPOINT_SECONDS
-        ):
-            try:
-                write_checkpoint(cp, checkpoint_path)
-            except OSError as exc:
-                raise CheckpointError(
-                    f"checkpoint-path: cannot write {checkpoint_path}: {exc}"
-                ) from exc
-            saved_at, saved_time = cp.position, time.perf_counter()
         yield cp
         if cp.done:
             return
@@ -634,17 +612,27 @@ def verify(
 
     passed is False exactly when some pair satisfies gap / s^(1/4) >= p/q;
     the report then names the first such pair.  The maximum-ratio record is
-    reported either way.  progress, if given, sees each state _scan yields
-    once the record table is not empty.  When checkpoint_path is set, _scan
-    writes checkpoints there on its cadence and at its end.  Resuming from
-    any of them reproduces the uninterrupted report field for field
-    (elapsed excepted, since it measures the actual run).
+    reported either way.  Each state _scan yields once the record table is
+    not empty, one per window edge, is written to checkpoint_path if set,
+    unless it is the resumed state (so a finished file is left as it is),
+    then passed to progress if given.  A failed write raises
+    CheckpointError naming checkpoint-path.  Resuming from any written
+    state reproduces the uninterrupted report field for field (elapsed
+    excepted, since it measures the actual run).
     """
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    for state in _scan(limit, workers, checkpoint, checkpoint_path):
-        if progress is not None and state.gap_records:
+    for state in _scan(limit, workers, checkpoint):
+        if not state.gap_records:
+            continue
+        if checkpoint_path is not None and state != checkpoint:
+            try:
+                write_checkpoint(state, checkpoint_path)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"checkpoint-path: cannot write {checkpoint_path}: {exc}") from exc
+        if progress is not None:
             progress(state)
     offender = _first_offender(state.gap_records, threshold)
     return VerificationReport(
@@ -791,7 +779,10 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate; other versions, unknown fields, duplicates, gaps
     in the record table, an allow_zero other than 1, and positions and
     counts that no scan could reach are all rejected.  A file that cannot
-    be read raises CheckpointError naming checkpoint-path."""
+    be read, or a path that exists and is not a regular file (a FIFO would
+    block the read), raises CheckpointError naming checkpoint-path."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help='rational "p/q" or decimal with up to 3 places '
                                f"(default {DEFAULT_THRESHOLD})")
     p_verify.add_argument("--checkpoint-path", default=None,
-                          help="write resumable state here periodically")
+                          help="write resumable state here after every window")
     p_verify.add_argument("--resume", action="store_true",
                           help="resume from --checkpoint-path")
 

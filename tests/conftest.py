@@ -4,23 +4,19 @@ from twosquares import analysis
 
 
 @pytest.fixture
-def checkpoints_every(monkeypatch):
-    """checkpoints_every(n) sets the scan's checkpoint cadence to n scanned
-    integers and returns a list that collects every checkpoint it writes."""
+def checkpoints_written(monkeypatch):
+    """The list of every checkpoint written in this test, in the order of
+    the writes: a checkpointing verify writes one at each window edge from
+    its first record on."""
+    written = []
+    write = analysis.write_checkpoint
 
-    def setup(every: int) -> list:
-        written = []
-        write = analysis.write_checkpoint
+    def collect(cp, path):
+        write(cp, path)
+        written.append(cp)
 
-        def collect(cp, path):
-            write(cp, path)
-            written.append(cp)
-
-        monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", every)
-        monkeypatch.setattr(analysis, "write_checkpoint", collect)
-        return written
-
-    return setup
+    monkeypatch.setattr(analysis, "write_checkpoint", collect)
+    return written
 
 
 @pytest.fixture

@@ -161,11 +161,11 @@ def test_criterion_5_reports_invariant_under_windowing_and_workers(tmp_path, win
             assert len(outputs) == 1, f"{fmt} reports diverged"
 
 
-def test_criterion_6_checkpoint_resume_determinism(tmp_path, checkpoints_every, windows):
+def test_criterion_6_checkpoint_resume_determinism(tmp_path, checkpoints_written, windows):
     with criterion(6, "limit-10^7 verify resumed at three random positions "
                       "reproduces the uninterrupted report byte-identically"):
         t = ts.Threshold.parse("2414/1000")
-        collected = checkpoints_every(1 << 20)
+        collected = checkpoints_written
         windows(1 << 20)
         base = ts.verify(10**7, t, checkpoint_path=str(tmp_path / "ck.txt"))
         base_bytes = emit_report(base, "json")

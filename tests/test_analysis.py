@@ -1,5 +1,7 @@
 import os
 import pickle
+import subprocess
+import sys
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
@@ -905,6 +907,21 @@ class TestCheckpointIO:
         assert fifo.is_fifo()
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_fifo_is_refused_before_it_is_read(self, tmp_path):
+        # opening a FIFO to read it waits for a writer, so the read runs in a
+        # process of its own, where a regression fails on the timeout
+        fifo = tmp_path / "ck"
+        os.mkfifo(fifo)
+        code = ("import sys\nfrom twosquares import CheckpointError, read_checkpoint\n"
+                "try:\n    read_checkpoint(sys.argv[1])\n"
+                "except CheckpointError as exc:\n    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(fifo)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"checkpoint-path: {fifo} exists and is not a regular file\n"
+        assert fifo.is_fifo()
+
     def test_writes_leave_no_temp_files(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
@@ -1020,124 +1037,129 @@ WINDOW_EDGES_TO_1E5 = [*range(1 + (1 << 12), 10**5, 1 << 12), 10**5 + 1, 10**5 +
 
 
 class TestVerifyResume:
-    def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_every, windows):
+    def test_resume_reproduces_uninterrupted_report(self, tmp_path, checkpoints_written, windows):
         t = Threshold.parse("2414/1000")
-        collected = checkpoints_every(1 << 17)
         windows(1 << 16)
         base = verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
-        # the cadence from 1, then the finished state at the end of the
-        # read-ahead window, one step past limit + 1
-        assert [cp.position for cp in collected] == [
-            *range(1 + (1 << 17), 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
+        # every edge up to the one at limit + 1, then the finished state at
+        # the end of the read-ahead window, one step past limit + 1
+        assert [cp.position for cp in checkpoints_written] == [
+            *range(1 + (1 << 16), 10**6, 1 << 16), 10**6 + 1, 10**6 + 1 + (1 << 16)]
         ref = base._replace(elapsed=0.0)
-        for cp in collected:
+        for cp in checkpoints_written[1::2]:  # every other edge
             resumed = verify(10**6, t, cp)
             assert resumed._replace(elapsed=0.0) == ref
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_window_edge(self, tmp_path, checkpoints_every, windows, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_resume_at_every_window_edge(self, tmp_path, checkpoints_written, windows, workers):
         t = Threshold.parse("2414/1000")
         windows(1 << 12)
         run = partial(verify, 10**5, t, workers=workers)
         base = emit_report(run(), "json")
-        collected = checkpoints_every(1)
         assert emit_report(run(checkpoint_path=str(tmp_path / "ck.txt")), "json") == base
         # every edge up to the one at limit + 1, then the finished state at
         # the end of the read-ahead window
-        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
-        for cp in collected:
+        assert [cp.position for cp in checkpoints_written] == WINDOW_EDGES_TO_1E5
+        for cp in checkpoints_written:
             assert emit_report(run(cp), "json") == base, cp.position
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_read_ahead_edge(self, tmp_path, checkpoints_every, windows,
+    def test_resume_at_every_read_ahead_edge(self, tmp_path, checkpoints_written, windows,
                                              workers):
         # at 20 in 2-wide windows the read-ahead is three windows stepping
         # from 21; a state past the limit resumes into the read-ahead's rest
         windows(2)
         run = partial(verify, 20, Threshold(2, 1), workers=workers)
         base = emit_report(run(), "json")
-        collected = checkpoints_every(1)
         run(checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected][-4:] == [21, 23, 25, 27]
-        for cp in collected:
+        assert [cp.position for cp in checkpoints_written][-4:] == [21, 23, 25, 27]
+        for cp in checkpoints_written:
             assert emit_report(run(cp), "json") == base, cp.position
 
-    def test_time_trigger_checkpoints_every_window(self, tmp_path, monkeypatch, checkpoints_every,
-                                                   windows):
-        # the integer cadence keeps its default, which a 10^5 run never reaches
-        collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
-        monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_SECONDS", 0)
+    def test_time_trigger_checkpoints_every_window(self, tmp_path, checkpoints_written, windows):
+        # no time or count trigger thins the writes: every window edge from
+        # the first record on is written once, and only the last is done
         windows(1 << 12)
         verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
+        assert [cp.position for cp in checkpoints_written] == WINDOW_EDGES_TO_1E5
+        assert [cp.done for cp in checkpoints_written] == (
+            [False] * (len(WINDOW_EDGES_TO_1E5) - 1) + [True])
 
-    def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_every,
+    def test_finished_state_is_written_without_the_cadence(self, tmp_path, checkpoints_written,
                                                            windows):
-        # neither trigger fires in a 10^5 run; the read-ahead window
-        # [100001, 104097), which holds 100009, the successor of the last
-        # pair, still writes it
-        collected = checkpoints_every(analysis.DEFAULT_CHECKPOINT_EVERY)
+        # the last write is the finished state, whose read-ahead window
+        # [100001, 104097) holds 100009, the successor of the last pair
         windows(1 << 12)
         base = verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(tmp_path / "ck.txt"))
-        (cp,) = collected
-        assert cp.position == 10**5 + 1 + (1 << 12) and cp.last_representable > 10**5
+        cp = checkpoints_written[-1]
+        assert cp.done and cp.position == 10**5 + 1 + (1 << 12) and cp.last_representable > 10**5
         assert read_checkpoint(tmp_path / "ck.txt") == cp
         assert cp.pairs_scanned == base.pairs_scanned
 
-    def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_every, windows):
+    def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_written, windows):
+        # a resume writes every edge after its position, and only those
+        t = Threshold.parse("2414/1000")
+        path = tmp_path / "ck.txt"
+        windows(1 << 12)
+        verify(10**5, t, checkpoint_path=path)
+        states = checkpoints_written[:]
+        for k, cp in enumerate(states):
+            del checkpoints_written[:]
+            verify(10**5, t, cp, checkpoint_path=path)
+            assert checkpoints_written == states[k + 1:], cp.position
+
+    def test_same_writes_at_every_worker_count(self, tmp_path, checkpoints_written, windows):
+        # the same states, in the same order, and the same finished file
+        windows(1 << 12)
+        files, runs = [], []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"ck{workers}.txt"
+            verify(10**5, Threshold.parse("2414/1000"), workers=workers, checkpoint_path=path)
+            files.append(path.read_bytes())
+            runs.append(checkpoints_written[:])
+            del checkpoints_written[:]
+        assert [cp.position for cp in runs[0]] == WINDOW_EDGES_TO_1E5
+        assert runs[0] == runs[1] == runs[2] and files[0] == files[1] == files[2]
+
+    def test_no_checkpoint_before_the_first_record(self, tmp_path, checkpoints_written, windows):
         # in 1-wide windows, [1, 2) holds no pair
-        collected = checkpoints_every(1)
         windows(1)
         verify(20, Threshold(2, 1), checkpoint_path=str(tmp_path / "ck.txt"))
         # the limit ends a window at 21; past it, read-ahead windows step
         # from 21 up to 26, where 25 turns up
-        assert [cp.position for cp in collected] == list(range(3, 27))
+        assert [cp.position for cp in checkpoints_written] == list(range(3, 27))
 
-    def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_every, windows):
-        t = Threshold.parse("2414/1000")
-        collected = checkpoints_every(1 << 16)
-        windows(1 << 16)
-        verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert collected[0].position == 1 + (1 << 16)
-        later = checkpoints_every(1 << 17)
-        verify(10**6, t, collected[0], checkpoint_path=str(tmp_path / "ck.txt"))
-        # the read-ahead steps from limit + 1, so the scan ends one step past it
-        assert [cp.position for cp in later] == [
-            *range(1 + (3 << 16), 10**6, 1 << 17), 10**6 + 1 + (1 << 16)]
-
-    def test_resume_with_different_segment_size(self, tmp_path, checkpoints_every, windows):
+    def test_resume_with_different_segment_size(self, tmp_path, checkpoints_written, windows):
         t = Threshold(1, 1)  # fails immediately at (1, 2)
-        collected = checkpoints_every(1 << 15)
         windows(1 << 14)
         base = verify(10**5, t, checkpoint_path=str(tmp_path / "ck.txt"))
+        assert checkpoints_written[1].position == 1 + (1 << 15)
         windows(1 << 12)
-        resumed = verify(10**5, t, collected[0])
+        resumed = verify(10**5, t, checkpoints_written[1])
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert resumed.first_offender == GapPair(1, 2)
 
-    def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_every, windows):
+    def test_resume_ignores_a_wrong_current_max(self, tmp_path, checkpoints_written, windows):
         # the maximum is a function of the record table; the stored one is
         # only a fault check and must not seed the resumed scan
         t = Threshold.parse("2414/1000")
-        collected = checkpoints_every(1 << 17)
         windows(1 << 16)
         base = verify(10**6, t, checkpoint_path=str(tmp_path / "ck.txt"))
-        assert collected[0].position == 1 + (1 << 17)
-        cp = collected[0]._replace(current_max=RatioRecord.of(1, 1))
+        assert checkpoints_written[1].position == 1 + (1 << 17)
+        cp = checkpoints_written[1]._replace(current_max=RatioRecord.of(1, 1))
         resumed = verify(10**6, t, cp)
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         assert (resumed.max_record.s, resumed.max_record.gap) == (1493, 15)
 
-    def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_every, windows):
+    def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_written, windows):
         # a file with allow_zero=0 came from a scan that required both
         # summands to be at least 1, which no scan is any more: reading it
         # is refused, and a file of this scan's convention resumes
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
-        collected = checkpoints_every(2**14)
         windows(2**12)
         base = verify(10**5, t, checkpoint_path=str(ck))
-        write_checkpoint(collected[0], ck)
+        write_checkpoint(checkpoints_written[3], ck)
         resumed = verify(10**5, t, read_checkpoint(ck))
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
         ck.write_text(ck.read_text().replace("allow_zero=1\n", "allow_zero=0\n"))
@@ -1145,19 +1167,18 @@ class TestVerifyResume:
             read_checkpoint(ck)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_every, windows,
+    def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_written, windows,
                                                    workers):
         def finished(resume=None):
             return deque(analysis._scan(10**5, workers, resume), maxlen=1).pop()
 
-        collected = checkpoints_every(1)
         windows(1 << 12)
         verify(10**5, Threshold.parse("2414/1000"), workers=workers,
                checkpoint_path=str(tmp_path / "ck.txt"))
-        assert [cp.position for cp in collected] == WINDOW_EDGES_TO_1E5
+        assert [cp.position for cp in checkpoints_written] == WINDOW_EDGES_TO_1E5
         base = finished()
         assert [x for x, _ in base.decade_counts] == [10, 100, 1000, 10**4]
-        for cp in collected:
+        for cp in checkpoints_written:
             state = finished(cp)
             assert (state.decade_counts, state.gap_records, state.pairs_scanned) == (
                 base.decade_counts, base.gap_records, base.pairs_scanned), cp.position
@@ -1170,10 +1191,9 @@ class TestVerifyResume:
         points = [(p.x, p.count) for p in density(10**5)]
         assert [*cp.decade_counts, (10**5, cp.pairs_scanned)] == points
 
-    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, checkpoints_every, windows):
+    def test_checkpoint_file_is_replayable_from_disk(self, tmp_path, windows):
         t = Threshold.parse("2414/1000")
         path = tmp_path / "ck.txt"
-        checkpoints_every(1 << 18)
         windows(1 << 16)
         base = verify(10**6, t, checkpoint_path=str(path))
         cp = read_checkpoint(path)

@@ -200,7 +200,6 @@ class TestExitCodes:
         def disk_full(cp, path):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(analysis, "DEFAULT_CHECKPOINT_EVERY", 1 << 12)
         monkeypatch.setattr(analysis, "write_checkpoint", disk_full)
         args = build_parser().parse_args([
             "verify", "--limit", str(10**5), "--threshold", "2414/1000", "--workers", "1",
@@ -313,14 +312,13 @@ class TestDeterminism:
 
 
 class TestResume:
-    def test_cli_resume_matches_uninterrupted(self, tmp_path, checkpoints_every, windows):
+    def test_cli_resume_matches_uninterrupted(self, tmp_path, checkpoints_written, windows):
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
-        # leave a mid-run checkpoint behind, as a killed run would
-        checkpoints_every(1 << 18)
         windows(1 << 16)
         verify(10**6, t, checkpoint_path=str(ck))
-        assert ck.exists()
+        # leave a mid-run checkpoint behind, as a killed run would
+        analysis.write_checkpoint(checkpoints_written[3], str(ck))
         resumed = run_cli("verify", "--limit", "1000000",
                           "--threshold", "2414/1000", "--format", "json",
                           "--resume", "--checkpoint-path", str(ck))
@@ -345,22 +343,27 @@ class TestResume:
         def no_scan(*args, **kwargs):
             raise AssertionError("marked a window after the scan had finished")
 
+        def no_write(*args, **kwargs):
+            raise AssertionError("wrote over the finished checkpoint")
+
         base = run_to(tmp_path / "base.json")
+        finished = (tmp_path / "ck.txt").read_bytes()
         monkeypatch.setattr(analysis, "mark_segment", no_scan)
+        monkeypatch.setattr(analysis, "write_checkpoint", no_write)
         assert run_to(tmp_path / "resumed.json", "--resume") == base
+        assert (tmp_path / "ck.txt").read_bytes() == finished
 
     @pytest.mark.parametrize("state, edit", [
         (0, {"position": 500000}),
         (-1, {"last_representable": 900000, "position": 900001}),
     ], ids=["mid-run", "finished"])
-    def test_position_that_no_scan_reaches_is_two(self, tmp_path, checkpoints_every, windows,
+    def test_position_that_no_scan_reaches_is_two(self, tmp_path, checkpoints_written, windows,
                                                   state, edit):
         # a scan of limit 10^5 draws no window past limit + MAX_GAP + 1
         ck = tmp_path / "ck.txt"
-        written = checkpoints_every(1 << 12)
         windows(1 << 12)
         verify(10**5, Threshold.parse("2414/1000"), checkpoint_path=str(ck))
-        analysis.write_checkpoint(written[state], str(ck))
+        analysis.write_checkpoint(checkpoints_written[state], str(ck))
         fields = dict(line.split("=", 1) for line in ck.read_text().splitlines())
         fields.update({key: str(value) for key, value in edit.items()})
         ck.write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
@@ -368,9 +371,8 @@ class TestResume:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: checkpoint: position ") and proc.stdout == ""
 
-    def test_mismatched_limit_is_usage_error(self, tmp_path, checkpoints_every, windows):
+    def test_mismatched_limit_is_usage_error(self, tmp_path, windows):
         ck = tmp_path / "ck.txt"
-        checkpoints_every(1 << 18)
         windows(1 << 16)
         verify(10**6, Threshold.parse("2414/1000"), checkpoint_path=str(ck))
         proc = run_cli("verify", "--limit", "2000000", "--resume",
@@ -379,9 +381,8 @@ class TestResume:
         assert "limit" in proc.stderr
 
 
-# Runs cli.main on its arguments in 4096-value windows with a checkpoint at
-# every window edge; prints the pid of each child it forks, then holds after
-# the first write.
+# Runs cli.main on its arguments in 4096-value windows; prints the pid of
+# each child it forks, then holds after the first checkpoint write.
 KILL_DRILL = """
 import os, sys, time
 from twosquares import analysis, cli
@@ -399,7 +400,6 @@ def writing(cp, path):
     print("written", cp.position, flush=True)
     time.sleep(600)
 
-analysis.DEFAULT_CHECKPOINT_EVERY = 1
 analysis.DEFAULT_SEGMENT_SIZE = 4096
 os.fork, analysis.write_checkpoint = forking, writing
 cli.main(sys.argv[1:])
