@@ -20,7 +20,9 @@ _EXPORTS = {
     "Checkpoint": "analysis",
     "CheckpointError": "analysis",
     "CheckReport": "analysis",
+    "DEFAULT_SEGMENT_SIZE": "analysis",
     "DensityPoint": "analysis",
+    "GapPair": "analysis",
     "NormalizedGapStats": "analysis",
     "RatioRecord": "analysis",
     "Threshold": "analysis",
@@ -42,8 +44,6 @@ _EXPORTS = {
     "find_witness": "representability",
     "is_sum_of_two_squares": "representability",
     "representable_mask": "representability",
-    "DEFAULT_SEGMENT_SIZE": "sieve",
-    "GapPair": "sieve",
     "Segment": "sieve",
     "mark_segment": "sieve",
 }

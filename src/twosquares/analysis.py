@@ -5,6 +5,10 @@ violations) is made with integer fourth-power cross-multiplications only.
 Floating point and Decimal appear solely in display fields; a near-tie in
 gap / s^(1/4) can sit closer than any double can resolve.
 
+A scan walks one fixed grid of DEFAULT_SEGMENT_SIZE-value windows from 1
+(_windows), has sieve.mark_segment mark each, and reads consecutive
+representable integers s < s_next off the bitmaps as GapPairs.
+
 The scan exploits one monotonicity fact: with s increasing, a pair can only
 improve on the current maximum ratio, or exceed a fixed threshold earlier
 than any predecessor, if its gap strictly exceeds every earlier gap.  Record
@@ -36,17 +40,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-# DEFAULT_SEGMENT_SIZE is read from this module when a scan or check
-# starts, so a test sets every window size by patching it here
-from .sieve import DEFAULT_SEGMENT_SIZE, GapPair, _is_int, _windows, mark_segment
+from .sieve import _is_int, mark_segment
 
 __all__ = [
+    "DEFAULT_SEGMENT_SIZE",
     "MAX_GAP",
     "MAX_S",
     "MAX_DENOMINATOR",
     "MAX_WORKERS",
     "BudgetError",
     "CheckpointError",
+    "GapPair",
     "RatioRecord",
     "Threshold",
     "VerificationReport",
@@ -73,6 +77,9 @@ MAX_GAP = 10**5
 MAX_S = 10**12
 MAX_DENOMINATOR = 10**3
 MAX_WORKERS = 256  # processes a scan or check may use, this one included
+# Width of the scan's windows, in values: one fixed grid from 1, read when
+# a scan or check starts
+DEFAULT_SEGMENT_SIZE = 1 << 24
 
 CHECKPOINT_VERSION = 2
 
@@ -121,6 +128,17 @@ def _ratio_display(s: int, gap: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 40
         return +(Decimal(gap) / Decimal(s).sqrt().sqrt())
+
+
+class GapPair(NamedTuple):
+    """Consecutive representable integers s < s_next; nothing representable between."""
+
+    s: int
+    s_next: int
+
+    @property
+    def gap(self) -> int:
+        return self.s_next - self.s
 
 
 class RatioRecord(NamedTuple):
@@ -514,6 +532,13 @@ def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Chec
         gap_records=records,
         pairs_scanned=cp.pairs_scanned + sm.pair_count,
     )
+
+
+def _windows(start: int, end: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    """Windows [lo, hi) stepping by segment_size from start over [start, end],
+    the last one clamped to end + 1; none if start > end, and lazy."""
+    for lo in range(start, end + 1, segment_size):
+        yield lo, min(lo + segment_size, end + 1)
 
 
 def _scan(

@@ -10,25 +10,18 @@ high, and that no int64 product overflows, for every argument in [0, 2^63).
 The float estimate alone is not safe once x^2 + y^2 approaches 2^53.  The
 offsets of lattice points inside a block are computed in uint32, modulo
 2^32, which mark_segment's docstring proves exact.
+
+This module is the marker and its block-width table alone: the grid of
+windows a scan walks, and the gap pairs it reports, live in analysis.
 """
 
 import itertools
 import math
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_SEGMENT_SIZE",
-    "DEFAULT_MEMORY_CAP",
-    "MAX_VALUE",
-    "Segment",
-    "GapPair",
-    "mark_segment",
-]
-
-DEFAULT_SEGMENT_SIZE = 1 << 24
+__all__ = ["DEFAULT_MEMORY_CAP", "MAX_VALUE", "Segment", "mark_segment"]
 
 # Cap on the window width, in values; the bitmap holds one bit per value,
 # 128 MB at the cap.
@@ -38,17 +31,21 @@ DEFAULT_MEMORY_CAP = 1 << 30
 MAX_VALUE = 2**42
 
 # Values per marking block, by window height: (largest hi, width) pairs in
-# ascending order, each width a multiple of 8 and at most 2^21.  A block
+# ascending order, each width a multiple of 8 and at most 2^24.  A block
 # roots every row once, about 0.29 sqrt(hi) rows, while each lattice point
 # costs a few numpy passes and a scatter into a one-byte-per-value block
 # that leaves the L2 cache as it widens; so wider blocks pay off as the rows
 # grow.  The tops are the crossovers of median per-window marking times on
 # a 2-vCPU Xeon with a 2 MB L2: 2^19 against 2^20 near 2 * 10^9 (about
-# 13k rows), 2^20 against 2^21 near 4 * 10^10 (about 58k rows).
-_BLOCK_WIDTHS = ((2 * 10**9, 1 << 19), (4 * 10**10, 1 << 20), (MAX_VALUE, 1 << 21))
+# 13k rows), 2^20 against 2^21 near 4 * 10^10 (about 58k rows), and 2^21
+# against 2^24, a whole scan window, near 10^11 (about 92k rows); above it
+# 2^22 and 2^23 lost to 2^24 at every height tried.
+_BLOCK_WIDTHS = (
+    (2 * 10**9, 1 << 19), (4 * 10**10, 1 << 20), (10**11, 1 << 21), (MAX_VALUE, 1 << 24)
+)
 # Lattice points expanded at a time, in whole rows: a row has at most
 # sqrt(width) + 1 points in a block, so each group's uint32 temporaries hold
-# fewer than _CHUNK + 1450 entries (about 70 KB, twice that widened to intp
+# fewer than _CHUNK + 4098 entries (about 80 KB, twice that widened to intp
 # for the scatter) at every width.
 _CHUNK = 1 << 14
 # 0, 1, 2, ...: the step of x along a group's rows, as long as the bound
@@ -75,17 +72,6 @@ class Segment(NamedTuple):
         return np.unpackbits(self.packed, count=self.hi - self.lo, bitorder="little").view(np.bool_)
 
 
-class GapPair(NamedTuple):
-    """Consecutive representable integers s < s_next; nothing representable between."""
-
-    s: int
-    s_next: int
-
-    @property
-    def gap(self) -> int:
-        return self.s_next - self.s
-
-
 def _is_int(v) -> bool:
     """An int and not a bool, which Python counts as an int."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -98,12 +84,11 @@ def _ceil_sqrt(v: int) -> int:
     return math.isqrt(v - 1) + 1
 
 
-def _isqrt(v: np.ndarray, scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def _isqrt(v: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """floor(sqrt(v)) for an int64 array with every entry in [0, 2^63).
 
-    scratch, if given, is a float64 array and two int64 arrays of v's shape
-    that the steps write into, the second of which is returned; otherwise
-    they are allocated.
+    scratch is a float64 array and two int64 arrays of v's shape that the
+    steps write into, the second of which is returned.
 
     Exact for every such entry.  Let k = isqrt(v), so k < 2^32.  The
     conversion to float64 and np.sqrt each round to nearest, and truncation
@@ -127,7 +112,7 @@ def _isqrt(v: np.ndarray, scratch: tuple[np.ndarray, ...] | None = None) -> np.n
     3037000499.97... rounds below 3037000500, so s <= 3037000499 and
     s^2 < 2^63.
     """
-    f, s, t = scratch or (np.empty(v.shape), np.empty_like(v), np.empty_like(v))
+    f, s, t = scratch
     np.sqrt(v, out=f)
     np.copyto(s, f, casting="unsafe")  # truncates, as astype does
     np.multiply(s, s, out=t)
@@ -175,7 +160,7 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     expansion only adds and multiplies, so every step is a ring operation
     and the result is x^2 + y^2 - b0 modulo 2^32, even where x >= 2^16 makes
     x^2 wrap.  Every point lies in the block, so that offset is in
-    [0, b1 - b0) with b1 - b0 <= 2^21 < 2^32, and the residue is the offset
+    [0, b1 - b0) with b1 - b0 <= 2^24 < 2^32, and the residue is the offset
     itself.  It is widened to intp once, for the scatter.
     """
     for name, v in (("lo", lo), ("hi", hi)):
@@ -236,10 +221,3 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
         packed[(b0 - lo) >> 3 : (b1 - lo + 7) >> 3] = np.packbits(cells, bitorder="little")
         x_lo, x_hi = x_hi, x_lo
     return Segment(lo, hi, packed)
-
-
-def _windows(start: int, end: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """Windows [lo, hi) stepping by segment_size from start over [start, end],
-    the last one clamped to end + 1; none if start > end, and lazy."""
-    for lo in range(start, end + 1, segment_size):
-        yield lo, min(lo + segment_size, end + 1)

@@ -552,6 +552,53 @@ def test_scan_and_check_windows_start_at_1_and_are_contiguous(limit, size):
     assert marked[-1][1] == limit + 1
 
 
+class TestWindows:
+    @pytest.mark.parametrize(
+        "start, limit, size", [(0, 10, 4), (0, 100, 16), (7, 64, 8), (5, 6, 2)]
+    )
+    def test_without_cuts_steps_by_segment_size(self, start, limit, size):
+        # the grid that check scans, and that verify, records and density
+        # chain for the limit's windows and for the read-ahead's
+        expected = [(lo, min(lo + size, limit + 1)) for lo in range(start, limit + 1, size)]
+        assert list(analysis._windows(start, limit, size)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        limit=st.integers(2, 300),
+        gap=st.integers(1, 300),
+        size=st.integers(2, 64),
+        data=st.data(),
+    )
+    def test_scan_plan_reads_ahead_from_the_limit(self, limit, gap, size, data):
+        # the plan _scan draws from a state at start, 1 or later as every
+        # state is, with the gap budget set to gap; with no window computed,
+        # it runs out and raises
+        start = data.draw(st.integers(1, limit + gap), label="start")
+        plan = []
+
+        def draw(fn, args, workers):
+            plan.extend((lo, hi) for lo, hi, *_ in args)
+            return iter(())
+
+        cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, None, None, (), 0)
+        with mock.patch.object(analysis, "MAX_GAP", gap), \
+                mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
+                mock.patch.object(analysis, "_ordered_map", draw):
+            with pytest.raises(analysis.BudgetError):
+                list(analysis._scan(limit, 1, cp))
+        # contiguous, [start, limit + gap] exactly, none wider than size
+        assert plan[0][0] == start and plan[-1][1] == limit + gap + 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
+        assert all(0 < hi - lo <= size for lo, hi in plan)
+        # a window ends at limit + 1 whenever the plan starts at or below
+        # the limit, so no window holds both s <= limit and read-ahead values
+        assert (limit + 1 in {hi for _, hi in plan}) == (start <= limit)
+
+    def test_stays_lazy(self):
+        # 5 * 10^11 windows: the first comes without listing the others
+        assert next(iter(analysis._windows(0, 10**12, 2))) == (0, 2)
+
+
 class TestCrossCheck:
     def test_sieve_agrees_with_criterion(self, windows):
         windows(1024)

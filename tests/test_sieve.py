@@ -1,6 +1,5 @@
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +68,12 @@ def square_forms(ks):
     return sorted(v for v in vals if 0 <= v < 2**63)
 
 
+def isqrt(vals):
+    """sieve._isqrt of vals as an int64 array, into scratch made here."""
+    v = np.array(vals, dtype=np.int64)
+    return sieve._isqrt(v, (np.empty(v.shape), np.empty_like(v), np.empty_like(v)))
+
+
 class TestIsqrt:
     @pytest.mark.parametrize(
         "ks",
@@ -84,7 +89,7 @@ class TestIsqrt:
     def test_matches_math_isqrt_at_square_edges(self, ks):
         vals = square_forms(ks)
         expected = [math.isqrt(v) for v in vals]
-        got = sieve._isqrt(np.array(vals, dtype=np.int64))
+        got = isqrt(vals)
         assert got.tolist() == expected
         # the float estimate is never low and at most one high, which is
         # why one -1 step is the whole correction
@@ -97,11 +102,11 @@ class TestIsqrt:
         vals = square_forms([2**26 + 1, ISQRT_MAX])
         estimate = np.sqrt(np.array(vals, dtype=np.int64)).astype(np.int64).tolist()
         assert estimate != [math.isqrt(v) for v in vals]
-        assert sieve._isqrt(np.array(vals, dtype=np.int64)).tolist() == [math.isqrt(v) for v in vals]
+        assert isqrt(vals).tolist() == [math.isqrt(v) for v in vals]
 
     def test_extremes(self):
         vals = [0, 1, 2, 3, 4, 2**52, 2**53 + 1, 2**62, 2**63 - 2, 2**63 - 1]
-        assert sieve._isqrt(np.array(vals, dtype=np.int64)).tolist() == [math.isqrt(v) for v in vals]
+        assert isqrt(vals).tolist() == [math.isqrt(v) for v in vals]
 
 
 class TestPackedBitmap:
@@ -242,6 +247,13 @@ class TestMarkSegment:
                 seg = mark_segment(lo, lo + span, allow_zero=allow_zero)
                 assert np.array_equal(seg.bits, mask_reference(lo, lo + span, allow_zero)), lo
 
+    @pytest.mark.parametrize("lo", [10**9, 10**10, 10**11, 10**12 - analysis.DEFAULT_SEGMENT_SIZE])
+    def test_full_windows_across_the_budget_match_reference(self, lo):
+        # one whole scan window at each decade of the budget, the last just
+        # below 10^12, each marked in the block width its height picks
+        hi = lo + analysis.DEFAULT_SEGMENT_SIZE
+        assert np.array_equal(mark_segment(lo, hi).bits, representable_mask(lo, hi))
+
     def test_completeness_counts(self):
         # set bits in [0, x] against the brute count, 0 included
         seg = mark_segment(0, 10**5 + 1)
@@ -253,12 +265,12 @@ class TestBlockWidth:
     def test_rule_covers_the_domain_in_widening_steps(self):
         tops = [top for top, _ in sieve._BLOCK_WIDTHS]
         assert tops == sorted(tops) and tops[-1] == sieve.MAX_VALUE
-        assert RULE_WIDTHS == sorted(RULE_WIDTHS) == [1 << 19, 1 << 20, 1 << 21]
+        assert RULE_WIDTHS == sorted(RULE_WIDTHS) == [1 << 19, 1 << 20, 1 << 21, 1 << 24]
         # each width switches to the next just past its top
         for (top, width), (_, wider) in itertools.pairwise(sieve._BLOCK_WIDTHS):
             assert sieve._block_width(top) == width and sieve._block_width(top + 1) == wider
         assert sieve._block_width(1) == 1 << 19
-        assert sieve._block_width(sieve.MAX_VALUE) == 1 << 21
+        assert sieve._block_width(sieve.MAX_VALUE) == 1 << 24
 
     def test_verify_at_1e8_marks_in_the_narrowest_blocks(self, monkeypatch):
         rule, seen = sieve._block_width, []
@@ -268,49 +280,3 @@ class TestBlockWidth:
         assert len(seen) > 6 and max(seen) > 10**8 + 1
         assert {rule(hi) for hi in seen} == {1 << 19}
 
-
-class TestWindows:
-    @pytest.mark.parametrize(
-        "start, limit, size", [(0, 10, 4), (0, 100, 16), (7, 64, 8), (5, 6, 2)]
-    )
-    def test_without_cuts_steps_by_segment_size(self, start, limit, size):
-        # the grid that check scans, and that verify, records and density
-        # chain for the limit's windows and for the read-ahead's
-        expected = [(lo, min(lo + size, limit + 1)) for lo in range(start, limit + 1, size)]
-        assert list(sieve._windows(start, limit, size)) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        limit=st.integers(2, 300),
-        gap=st.integers(1, 300),
-        size=st.integers(2, 64),
-        data=st.data(),
-    )
-    def test_scan_plan_reads_ahead_from_the_limit(self, limit, gap, size, data):
-        # the plan _scan draws from a state at start, 1 or later as every
-        # state is, with the gap budget set to gap; with no window computed,
-        # it runs out and raises
-        start = data.draw(st.integers(1, limit + gap), label="start")
-        plan = []
-
-        def draw(fn, args, workers):
-            plan.extend((lo, hi) for lo, hi, *_ in args)
-            return iter(())
-
-        cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, None, None, (), 0)
-        with mock.patch.object(analysis, "MAX_GAP", gap), \
-                mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
-                mock.patch.object(analysis, "_ordered_map", draw):
-            with pytest.raises(analysis.BudgetError):
-                list(analysis._scan(limit, 1, cp))
-        # contiguous, [start, limit + gap] exactly, none wider than size
-        assert plan[0][0] == start and plan[-1][1] == limit + gap + 1
-        assert all(hi == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
-        assert all(0 < hi - lo <= size for lo, hi in plan)
-        # a window ends at limit + 1 whenever the plan starts at or below
-        # the limit, so no window holds both s <= limit and read-ahead values
-        assert (limit + 1 in {hi for _, hi in plan}) == (start <= limit)
-
-    def test_stays_lazy(self):
-        # 5 * 10^11 windows: the first comes without listing the others
-        assert next(iter(sieve._windows(0, 10**12, 2))) == (0, 2)
