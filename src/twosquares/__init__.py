@@ -38,9 +38,7 @@ _EXPORTS = {
     "significant": "analysis",
     "verify": "analysis",
     "write_checkpoint": "analysis",
-    "Factorization": "representability",
     "Witness": "representability",
-    "factorize": "representability",
     "find_witness": "representability",
     "is_sum_of_two_squares": "representability",
     "representable_mask": "representability",

@@ -360,17 +360,16 @@ def _set_offsets(packed: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.flatnonzero(bits) + p
 
 
-def _count_set(packed: np.ndarray, p: int, q: int) -> int:
-    """Number of offsets i with p <= i < q whose bit is set in packed."""
-    if q <= p:
+def _count_set(packed: np.ndarray, q: int) -> int:
+    """Number of offsets i < q whose bit is set in packed."""
+    if q <= 0:
         return 0
-    a, b = p >> 3, (q - 1) >> 3
-    # whole bytes a..b as 64-bit words and 0-7 tail bytes, less the bits below p and above q - 1
-    whole = packed[a : b + 1]
+    b = (q - 1) >> 3
+    # bytes 0..b as 64-bit words and 0-7 tail bytes, less the bits above q - 1
+    whole = packed[: b + 1]
     k = whole.size & -8
     total = int(np.bitwise_count(whole[:k].view(np.uint64)).sum())
     total += int(np.bitwise_count(whole[k:]).sum())
-    total -= (int(packed[a]) & ((1 << (p & 7)) - 1)).bit_count()
     total -= (int(packed[b]) >> ((q - 1) & 7) + 1).bit_count()
     return total
 
@@ -392,7 +391,7 @@ def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summ
     # the summary of the window [lo, hi) whose bitmap is packed, its pad
     # bits 0; every set value starts a pair, so the scan's windows start at 1
     n = hi - lo
-    pair_count = _count_set(packed, 0, min(n, limit + 1 - lo))
+    pair_count = _count_set(packed, min(n, limit + 1 - lo))
     # head: the exact prefix maximum over chunks that double in width,
     # until the largest gap m reaches the screening floor
     candidates: list[tuple[int, int]] = []
@@ -457,7 +456,7 @@ def _scan_window(args: tuple[int, int, int]) -> tuple[_Summary, list[tuple[int, 
     inside it."""
     lo, hi, limit = args
     packed = mark_segment(lo, hi).packed
-    counts = [(x, _count_set(packed, 0, x + 1 - lo)) for x in _decades(limit) if lo <= x < hi]
+    counts = [(x, _count_set(packed, x + 1 - lo)) for x in _decades(limit) if lo <= x < hi]
     return _summarize_window(packed, lo, hi, limit), counts
 
 

@@ -3,7 +3,8 @@
 An integer n >= 1 is a sum of two squares (zero summands allowed) exactly
 when every prime p = 3 (mod 4) divides n to an even power.  Everything here
 decides membership from that criterion, independently of the enumeration
-sieve: per integer by trial division, or for a whole window at once by
+sieve: per integer by trial division, which stops at the first prime
+p = 3 (mod 4) found to an odd power, or for a whole window at once by
 sieving the primes p = 3 (mod 4), both for 1 <= n <= MAX_VALUE = 2^42.
 Explicit witnesses serve human-readable reports.
 """
@@ -14,29 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import DEFAULT_MEMORY_CAP, MAX_VALUE, _is_int
+from .sieve import MAX_VALUE, _check_bounds, _is_int
 
 __all__ = [
-    "Factorization",
     "Witness",
-    "factorize",
     "is_sum_of_two_squares",
     "representable_mask",
     "find_witness",
 ]
-
-
-class Factorization(NamedTuple):
-    """Complete prime factorization; primes strictly increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def recompose(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 class Witness(NamedTuple):
@@ -57,7 +43,7 @@ def _odd_primes(bound: int) -> np.ndarray:
 
 @functools.cache
 def _trial_primes() -> tuple[int, ...]:
-    """The primes up to isqrt(MAX_VALUE) = 2^21, built on the first factorization."""
+    """The primes up to isqrt(MAX_VALUE) = 2^21, built by the first is_sum_of_two_squares call."""
     return (2, *_odd_primes(math.isqrt(MAX_VALUE)).tolist())
 
 
@@ -70,17 +56,19 @@ def _check_positive(n, op: str) -> None:
         raise ValueError(f"{op}: n must be <= {MAX_VALUE}, got {n}")
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n, 1 <= n <= MAX_VALUE; empty for n = 1.
+def is_sum_of_two_squares(n: int) -> bool:
+    """True iff n is x^2 + y^2 for nonnegative integers x, y.
 
-    Trial division by the primes p with p^2 <= m, m the part of n not yet
-    divided out.  What is left above 1 has no prime factor up to its own
-    square root, so it is prime.  Pure function; the prime table, up to
-    isqrt(MAX_VALUE), is built once, on the first call.
+    The even-exponent criterion by trial division: each prime p with
+    p^2 <= m, m the part of n not yet divided out, is divided out in turn,
+    and one p = 3 (mod 4) that divides n to an odd power decides False at
+    once.  What is left has no prime factor up to its own square root, so it
+    is 1 or a prime, and n is representable exactly when it is not
+    3 (mod 4).  The prime table, up to isqrt(MAX_VALUE), is built once, on
+    the first call.
     """
-    _check_positive(n, "factorize")
+    _check_positive(n, "is_sum_of_two_squares")
     m = n
-    factors = []
     for p in _trial_primes():
         if p * p > m:
             break
@@ -89,20 +77,9 @@ def factorize(n: int) -> Factorization:
             while m % p == 0:
                 e += 1
                 m //= p
-            factors.append((p, e))
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
-
-
-def is_sum_of_two_squares(n: int) -> bool:
-    """True iff n is x^2 + y^2 for nonnegative integers x, y.
-
-    The even-exponent criterion read off factorize(n): every prime
-    p = 3 (mod 4) divides n to an even power.
-    """
-    _check_positive(n, "is_sum_of_two_squares")
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
+            if e % 2 and p % 4 == 3:
+                return False
+    return m % 4 != 3
 
 
 def representable_mask(lo: int, hi: int) -> np.ndarray:
@@ -118,19 +95,7 @@ def representable_mask(lo: int, hi: int) -> np.ndarray:
     only; costs a byte per value, for at most DEFAULT_MEMORY_CAP values as in
     mark_segment, plus a sieve up to sqrt(hi).
     """
-    for name, v in (("lo", lo), ("hi", hi)):
-        if not _is_int(v):
-            raise ValueError(f"representable_mask: {name} must be an integer, got {v!r}")
-    if lo < 1:
-        raise ValueError(f"representable_mask: lo must be >= 1, got {lo}")
-    if hi <= lo:
-        raise ValueError(f"representable_mask: hi must be > lo, got hi={hi}, lo={lo}")
-    if hi > MAX_VALUE:
-        raise ValueError(f"representable_mask: hi must be <= {MAX_VALUE}, got {hi}")
-    if hi - lo > DEFAULT_MEMORY_CAP:
-        raise ValueError(
-            f"representable_mask: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
-        )
+    _check_bounds("representable_mask", lo, hi, 1)
     # int8 suffices: each distinct prime leaves at most 1 on n, and no
     # n < 2^42 has 20 distinct prime factors
     width = hi - lo

@@ -77,6 +77,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_bounds(op: str, lo, hi, least: int) -> None:
+    """Refuse a window [lo, hi) unless least <= lo < hi <= MAX_VALUE and it
+    fits DEFAULT_MEMORY_CAP; each message names op and the field at fault."""
+    for name, v in (("lo", lo), ("hi", hi)):
+        if not _is_int(v):
+            raise ValueError(f"{op}: {name} must be an integer, got {v!r}")
+    if lo < least:
+        raise ValueError(f"{op}: lo must be >= {least}, got lo={lo}")
+    if hi <= lo:
+        raise ValueError(f"{op}: hi must be > lo, got hi={hi}, lo={lo}")
+    if hi > MAX_VALUE:
+        raise ValueError(f"{op}: hi must be <= {MAX_VALUE}, got hi={hi}")
+    if hi - lo > DEFAULT_MEMORY_CAP:
+        raise ValueError(f"{op}: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}")
+
+
 def _ceil_sqrt(v: int) -> int:
     # least y >= 0 with y*y >= v
     if v <= 0:
@@ -163,17 +179,7 @@ def mark_segment(lo: int, hi: int, *, allow_zero: bool = True) -> Segment:
     [0, b1 - b0) with b1 - b0 <= 2^24 < 2^32, and the residue is the offset
     itself.  It is widened to intp once, for the scatter.
     """
-    for name, v in (("lo", lo), ("hi", hi)):
-        if not _is_int(v):
-            raise ValueError(f"mark_segment: {name} must be an integer, got {v!r}")
-    if lo < 0 or hi <= lo or hi > MAX_VALUE:
-        raise ValueError(
-            f"mark_segment: need 0 <= lo < hi <= {MAX_VALUE}, got lo={lo}, hi={hi}"
-        )
-    if hi - lo > DEFAULT_MEMORY_CAP:
-        raise ValueError(
-            f"mark_segment: window of {hi - lo} values exceeds memory cap {DEFAULT_MEMORY_CAP}"
-        )
+    _check_bounds("mark_segment", lo, hi, 0)
     width = _block_width(hi)
     xmin = 0 if allow_zero else 1
     ys = np.arange(max(xmin, _ceil_sqrt(-(-lo // 2))), math.isqrt(hi - 1) + 1, dtype=np.int64)

@@ -120,7 +120,7 @@ def test_criterion_3_boundary_flip_at_supremum():
 
 
 def test_criterion_4_oracle_equivalence_to_1e6():
-    with criterion(4, "sieve, factorization oracle and brute-force double "
+    with criterion(4, "sieve, trial-division oracle and brute-force double "
                       "loop agree on every n <= 10^6"):
         limit = 10**6
         t0 = time.perf_counter()
@@ -136,7 +136,7 @@ def test_criterion_4_oracle_equivalence_to_1e6():
             dtype=bool,
             count=limit,
         )
-        assert np.array_equal(sieve_bits[1:], oracle_bits), "sieve vs factorization oracle"
+        assert np.array_equal(sieve_bits[1:], oracle_bits), "sieve vs trial-division oracle"
         assert bool(sieve_bits[0]) is True  # 0 = 0^2 + 0^2
 
         elapsed = time.perf_counter() - t0

@@ -159,8 +159,9 @@ def test_cross_check_loads_the_oracle_before_it_forks():
 
 
 def test_check_builds_no_trial_division_table():
-    # check needs only representable_mask; factorize builds its prime table
-    # on its first call, and importing the module builds none
+    # check needs only representable_mask; is_sum_of_two_squares builds the
+    # trial-division prime table on its first call, and importing the module
+    # builds none
     code = (
         "import runpy, sys\n"
         "from twosquares import representability\n"

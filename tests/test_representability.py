@@ -5,36 +5,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosquares import (
-    Factorization,
     Witness,
-    factorize,
     find_witness,
     is_sum_of_two_squares,
     mark_segment,
     representable_mask,
 )
-from twosquares import representability
+from twosquares import representability, sieve
 from twosquares.sieve import MAX_VALUE
 
 from reference import brute_is_sum, trial_factorize
 
 
+def criterion(factors):
+    """The even-exponent criterion read off a factor list."""
+    return all(e % 2 == 0 for p, e in factors if p % 4 == 3)
+
+
 class TestFactorize:
+    """is_sum_of_two_squares's trial-division walk, at the inputs that stress
+    factoring; each expected value is the criterion read off the factors, as
+    tests/reference.py's plain trial division finds them or as known."""
+
     def test_one_has_empty_factor_list(self):
-        assert factorize(1) == Factorization(1, ())
+        assert trial_factorize(1) == []
+        assert is_sum_of_two_squares(1) is criterion([])
 
     def test_1493_is_prime(self):
-        assert factorize(1493).factors == ((1493, 1),)
+        # 1 (mod 4), so what the walk leaves is representable
+        assert trial_factorize(1493) == [(1493, 1)]
+        assert is_sum_of_two_squares(1493)
 
     def test_1508(self):
-        assert factorize(1508).factors == ((2, 2), (13, 1), (29, 1))
+        assert trial_factorize(1508) == [(2, 2), (13, 1), (29, 1)]
+        assert is_sum_of_two_squares(1508)
+        assert not is_sum_of_two_squares(3 * 1508) and is_sum_of_two_squares(9 * 1508)
 
     @pytest.mark.parametrize("bad", [0, -1, -1508, 2**63])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            factorize(bad)
+        with pytest.raises(ValueError, match="is_sum_of_two_squares: n must be"):
+            is_sum_of_two_squares(bad)
 
-    @pytest.mark.parametrize("fn", [factorize, is_sum_of_two_squares, find_witness])
+    @pytest.mark.parametrize("fn", [is_sum_of_two_squares, find_witness])
     def test_refuses_past_the_sieve_bound_naming_n(self, fn):
         # the domain is the sieve's own, [1, 2^42]
         with pytest.raises(ValueError, match=f"{fn.__name__}: n must be <= {MAX_VALUE}, got {MAX_VALUE + 1}"):
@@ -42,7 +54,7 @@ class TestFactorize:
 
     def test_matches_plain_trial_division_on_prefix(self):
         for n in range(1, 3000):
-            assert factorize(n).factors == tuple(trial_factorize(n))
+            assert is_sum_of_two_squares(n) is criterion(trial_factorize(n)), n
 
     @pytest.mark.parametrize(
         "n",
@@ -53,43 +65,36 @@ class TestFactorize:
     def test_matches_plain_trial_division_at_the_trial_limit(self, n):
         # 2097143 is the last prime in the table, the primes up to 2^21, and
         # 2097169 the first past it; 9973 and 10007 straddle 10^4
-        assert factorize(n).factors == tuple(trial_factorize(n))
+        assert is_sum_of_two_squares(n) is criterion(trial_factorize(n))
 
     def test_products_of_two_primes_near_the_table_edge(self):
         # the slowest inputs: both factors near 2^21, so the division runs
-        # through nearly the whole table
+        # through nearly the whole table; p * q with p != q is representable
+        # exactly when both are 1 (mod 4), and p^2 always
         near = [n for n in range(2**21 - 600, 2**21 + 100) if trial_factorize(n) == [(n, 1)]]
         rng = random.Random(20261020)
         for _ in range(20):
             p, q = sorted(rng.sample(near, 2))
             if p * q > MAX_VALUE:
                 p = near[0]
-            assert factorize(p * q).factors == ((p, 1), (q, 1)), (p, q)
-        for p in near[-8:]:
-            if p * p <= MAX_VALUE:
-                assert factorize(p * p).factors == ((p, 2),)
+            assert is_sum_of_two_squares(p * q) is (p % 4 == q % 4 == 1), (p, q)
+        ones = [p for p in near if p % 4 == 1]
+        threes = [p for p in near if p % 4 == 3]
+        for p, q, expected in ((ones[0], ones[1], True), (ones[0], threes[0], False),
+                               (threes[0], threes[1], False)):
+            assert is_sum_of_two_squares(p * q) is expected, (p, q)
+        squares = [p for p in threes if p * p <= MAX_VALUE][-8:]
+        assert len(squares) == 8
+        for p in squares:
+            assert is_sum_of_two_squares(p * p), p
 
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_roundtrip_small(self, n):
-        f = factorize(n)
-        assert f.recompose() == n
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=MAX_VALUE))
-    def test_roundtrip_full_domain(self, n):
-        f = factorize(n)
-        assert f.recompose() == n
-        primes = [p for p, _ in f.factors]
-        assert primes == sorted(primes)
-        assert len(set(primes)) == len(primes)
-        assert all(e >= 1 for _, e in f.factors)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=2, max_value=MAX_VALUE))
-    def test_listed_primes_are_prime(self, n):
+    def test_listed_primes_are_prime(self):
+        # the table the walk divides by: every prime up to isqrt(MAX_VALUE) = 2^21
         sympy = pytest.importorskip("sympy")
-        for p, _ in factorize(n).factors:
-            assert sympy.isprime(p)
+        table = representability._trial_primes()
+        assert list(table) == sorted(set(table)) and table[-1] == 2097143
+        assert len(table) == sympy.primepi(2**21)
+        assert all(sympy.isprime(p) for p in random.Random(20261021).sample(table, 2000))
 
 
 class TestIsSumOfTwoSquares:
@@ -120,6 +125,17 @@ class TestIsSumOfTwoSquares:
         with pytest.raises(ValueError):
             is_sum_of_two_squares(0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=MAX_VALUE - 1))
+    def test_matches_a_single_value_mask_over_the_domain(self, n):
+        # the mask's window ends at hi <= MAX_VALUE; 2^42 itself is a table-edge case
+        assert is_sum_of_two_squares(n) is bool(representable_mask(n, n + 1)[0])
+
+    @pytest.mark.parametrize("lo", [10**12 - 500, MAX_VALUE - 500])
+    def test_matches_the_mask_on_high_windows(self, lo):
+        got = [is_sum_of_two_squares(n) for n in range(lo, lo + 500)]
+        assert got == representable_mask(lo, lo + 500).tolist()
+
     def test_agrees_with_brute_force_on_prefix(self):
         for n in range(1, 5000):
             assert is_sum_of_two_squares(n) == brute_is_sum(n), n
@@ -142,21 +158,19 @@ class TestIsSumOfTwoSquares:
         # 2^42 - 11 is the largest prime below 2^42 that equals 1 mod 4
         n = 2**42 - 11
         assert trial_factorize(n) == [(n, 1)]
-        assert factorize(n).factors == ((n, 1),)
         assert is_sum_of_two_squares(n)
 
     def test_large_prime_three_mod_four(self):
         # 2^42 - 17 is the largest prime below 2^42 that equals 3 mod 4
         n = 2**42 - 17
         assert trial_factorize(n) == [(n, 1)]
-        assert factorize(n).factors == ((n, 1),)
         assert not is_sum_of_two_squares(n)
 
 
 def prime_3_mod_4_from(n):
-    """Least prime p = 3 (mod 4) with p >= n, found by factoring."""
+    """Least prime p = 3 (mod 4) with p >= n, found by trial division."""
     p = n + (3 - n) % 4
-    while factorize(p).factors != ((p, 1),):
+    while trial_factorize(p) != [(p, 1)]:
         p += 4
     return p
 
@@ -230,7 +244,7 @@ class TestRepresentableMask:
 
     def test_refuses_windows_over_the_memory_cap(self, monkeypatch):
         # a lowered cap, so that a missing check cannot allocate a large count
-        monkeypatch.setattr(representability, "DEFAULT_MEMORY_CAP", 1000)
+        monkeypatch.setattr(sieve, "DEFAULT_MEMORY_CAP", 1000)
         with pytest.raises(ValueError, match="representable_mask: window of 1001 values exceeds memory cap 1000"):
             representable_mask(10**12, 10**12 + 1001)
         assert representable_mask(10**12, 10**12 + 1000).size == 1000

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from twosquares import (
     Threshold,
     analysis,
-    factorize,
     is_sum_of_two_squares,
     mark_segment,
     representable_mask,
     sieve,
 )
 
-from reference import brute_is_sum, brute_membership
+from reference import brute_is_sum, brute_membership, trial_factorize
 
 ISQRT_MAX = math.isqrt(2**63 - 1)  # 3037000499
 RULE_WIDTHS = [width for _, width in sieve._BLOCK_WIDTHS]
@@ -27,7 +26,7 @@ def set_values(lo, hi, **kwargs):
 
 
 def oracle(n, allow_zero=True):
-    """Per-integer membership from factorization, independent of the sieve."""
+    """Per-integer membership from the even-exponent criterion, independent of the sieve."""
     if n == 0:
         return allow_zero
     if not is_sum_of_two_squares(n):
@@ -37,7 +36,7 @@ def oracle(n, allow_zero=True):
     # only a square k^2 can need a zero summand; it also has a representation
     # with both summands positive exactly when k has a prime factor 1 mod 4
     k = math.isqrt(n)
-    return k * k != n or any(p % 4 == 1 for p, _ in factorize(k).factors)
+    return k * k != n or any(p % 4 == 1 for p, _ in trial_factorize(k))
 
 
 def mask_reference(lo, hi, allow_zero=True):
