@@ -29,6 +29,7 @@ a running maximum seeded with m, give exactly the window's records.
 """
 
 import itertools
+import json
 import math
 import os
 import pickle
@@ -81,7 +82,7 @@ MAX_WORKERS = 256  # processes a scan or check may use, this one included
 # a scan or check starts
 DEFAULT_SEGMENT_SIZE = 1 << 24
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _DISPLAY_DIGITS = 12
 # Width of the first head chunk of a window summary, in values; the chunks
@@ -246,7 +247,9 @@ class Checkpoint(NamedTuple):
     and current_max are None until the scan meets its first representable
     value and first pair.  decade_counts holds (x, R(x)), R(x) counting
     the representable n in [1, x], for each decade x = 10^k < limit that
-    the scan has passed."""
+    the scan has passed.  A file holds it as one JSON object (see
+    write_checkpoint), and a state read from a file and one passed to
+    verify pass the same check, _check_state."""
 
     version: int
     limit: int
@@ -555,20 +558,15 @@ def _scan(
     marked and summarized once (_scan_window), with its counts up to the
     decades inside it for decade_counts.
     The last state yielded is done, and a scan that runs out of windows
-    first raises BudgetError.  A resume recomputes current_max from
-    gap_records, from a done state it yields that state alone, and a state
-    below position 1 is refused.
+    first raises BudgetError.  The start state, resumed or fresh, passes
+    _check_state as a file's does; a resume recomputes current_max from
+    gap_records, and from a done state it yields that state alone.
     """
     _validate_scan_args(limit, workers)
     cp = resume
     if cp is None:
         cp = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
-    for name, got, want in (("version", cp.version, CHECKPOINT_VERSION),
-                            ("limit", cp.limit, limit)):
-        if got != want:
-            raise CheckpointError(f"checkpoint: {name} {got} does not match requested {want}")
-    if cp.position < 1:
-        raise CheckpointError(f"checkpoint: position {cp.position} is below 1, where every scan starts")
+    _check_state(cp, limit)
     cp = cp._replace(current_max=_champion(cp.gap_records))
     if cp.done:  # resumed from the finished state
         yield cp
@@ -728,27 +726,61 @@ def cross_check(limit: int, *, workers: int = 1) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format: key=value lines, UTF-8, version 2
+# Checkpoint file format: one JSON object, UTF-8, version 3
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_KEYS = (
-    "version",
-    "limit",
-    "position",
-    "last_representable",
-    "max_s",
-    "max_gap",
-    "gap_records",
-    "pairs_scanned",
-    "allow_zero",
-    "decade_counts",
-)
+
+def _check_state(cp: Checkpoint, limit: int) -> None:
+    """Refuse, naming the field, a state that no scan of limit from 1 can
+    yield: another version or limit, a position outside [1, limit + MAX_GAP
+    + 1], a last_representable not below it, more pairs than values scanned,
+    gap_records out of order, over budget or past limit or
+    last_representable, and decade_counts that are not R(x) at decades
+    already passed.  current_max is not checked: the scan recomputes it."""
+    if cp.version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint: unsupported version {cp.version}")
+    for key, least in (("limit", 2), ("position", 1), ("last_representable", 1),
+                       ("pairs_scanned", 0)):
+        value = getattr(cp, key)
+        if value is not None and value < least:
+            raise CheckpointError(
+                f"checkpoint: field {key!r} must be at least {least}, got {value}")
+    if cp.limit != limit:
+        raise CheckpointError(f"checkpoint: limit {cp.limit} does not match requested {limit}")
+    # last_representable is None until the scan meets its first
+    # representable value; till then no pair and no record is scanned, as
+    # if the last value were 0
+    position, pairs, last = cp.position, cp.pairs_scanned, cp.last_representable or 0
+    if last >= position:
+        raise CheckpointError(
+            f"checkpoint: last_representable {last} not below position {position}")
+    if pairs > min(last, limit):
+        raise CheckpointError(
+            f"checkpoint: pairs_scanned {pairs} exceeds last_representable {last} or limit {limit}")
+    # every window a scan draws ends at or below limit + MAX_GAP + 1
+    if position > limit + MAX_GAP + 1:
+        raise CheckpointError(f"checkpoint: position {position} is past limit + MAX_GAP + 1 "
+                              f"= {limit + MAX_GAP + 1}, which no scan reaches")
+    # a record's s is at most the limit and the last value scanned
+    for (prev_gap, prev_s), (gap, s) in zip([(0, 0), *cp.gap_records], cp.gap_records):
+        if not (prev_gap < gap <= MAX_GAP and prev_s < s <= min(limit, last, MAX_S)):
+            raise CheckpointError(f"checkpoint: gap_records entry [{gap}, {s}] is out of order, "
+                                  f"over budget or past limit {limit} or last_representable {last}")
+    # R(x) for decades already scanned: pairs_scanned, R(min(position - 1,
+    # limit)), bounds each
+    below = min(limit, position)
+    for (prev_x, prev_count), (x, count) in zip([(0, 0), *cp.decade_counts], cp.decade_counts):
+        if not (x in _decades(below) and x > prev_x and prev_count <= count <= min(x, pairs)):
+            raise CheckpointError(f"checkpoint: decade_counts entry [{x}, {count}] is out of order "
+                                  f"or not R(x) at a decade below {below}")
 
 
 def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
-    """Serialize durably and atomically.
+    """Serialize as one JSON object, durably and atomically.
 
-    The text goes to a uniquely named temp file beside the target, which is
+    The object holds the state's fields, with current_max as max_s and
+    max_gap, and gap_records and decade_counts as lists of [a, b] pairs.
+    It goes to a uniquely named temp file beside the target, which is
     fsynced and renamed over it; the directory is fsynced after the rename.
     Concurrent writers never share a temp file, and a failure leaves the
     previous checkpoint in place and removes the temp file.  A state with
@@ -761,28 +793,15 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         raise CheckpointError("checkpoint: no record to write, gap_records or current_max is empty")
     if os.path.exists(path) and not os.path.isfile(path):
         raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
-
-    def pairs(items: Iterable[tuple[int, int]]) -> str:
-        return ",".join(f"{a}:{b}" for a, b in items)
-
-    lines = [
-        f"version={cp.version}",
-        f"limit={cp.limit}",
-        f"position={cp.position}",
-        f"last_representable={cp.last_representable}",
-        f"max_s={cp.current_max.s}",
-        f"max_gap={cp.current_max.gap}",
-        f"gap_records={pairs(cp.gap_records)}",
-        f"pairs_scanned={cp.pairs_scanned}",
-        "allow_zero=1",  # every scan counts 0 as a summand
-        f"decade_counts={pairs(cp.decade_counts)}",
-    ]
+    fields = cp._asdict()
+    best = fields.pop("current_max")
+    text = json.dumps(fields | {"max_s": best.s, "max_gap": best.gap})
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -799,103 +818,74 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
         os.close(dir_fd)
 
 
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    # json's object_pairs_hook: a repeated key is refused, not overwritten
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise CheckpointError(f"checkpoint: duplicate field {key!r}")
+        out[key] = value
+    return out
+
+
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    """Parse and validate; other versions, unknown fields, duplicates, gaps
-    in the record table, an allow_zero other than 1, and positions and
-    counts that no scan could reach are all rejected.  A file that cannot
-    be read, or a path that exists and is not a regular file (a FIFO would
-    block the read), raises CheckpointError naming checkpoint-path."""
+    """Parse and validate a version 3 file, one JSON object.
+
+    Refused, naming the field or the file: text that is not one JSON object
+    (a version 2 file is key=value lines), another version, a duplicate,
+    unknown or missing field, a field that is not an integer (JSON true,
+    1.5 and NaN included) or a list of integer pairs, a state that
+    _check_state refuses, and max_s/max_gap other than the exact maximum of
+    gap_records.  A file that cannot be read, or a path that exists and is
+    not a regular file (a FIFO would block the read), raises
+    CheckpointError naming checkpoint-path."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"checkpoint: {path} is not UTF-8 text: {exc}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CheckpointError(f"checkpoint-path: cannot read {path}: {exc}") from exc
-    fields: dict[str, str] = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CheckpointError(f"checkpoint: line {ln} is not key=value: {line!r}")
-        key = key.strip()
-        if key not in _CHECKPOINT_KEYS:
-            raise CheckpointError(f"checkpoint: unknown field {key!r}")
-        if key in fields:
-            raise CheckpointError(f"checkpoint: duplicate field {key!r}")
-        fields[key] = value.strip()
-    # before the missing fields: a version 1 file has no decade_counts
-    if fields.get("version", str(CHECKPOINT_VERSION)) != str(CHECKPOINT_VERSION):
-        raise CheckpointError(f"checkpoint: unsupported version {fields['version']}")
-    missing = [k for k in _CHECKPOINT_KEYS if k not in fields]
-    if missing:
-        raise CheckpointError(f"checkpoint: missing fields {missing}")
+    try:
+        fields = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint: {path} is not UTF-8 JSON, as a version "
+                              f"{CHECKPOINT_VERSION} file is: {exc}") from None
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"checkpoint: {path} holds no JSON object")
+    # before the other fields, which another version may name differently
+    if fields.get("version", CHECKPOINT_VERSION) != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint: unsupported version {json.dumps(fields['version'])}")
+    keys = {*Checkpoint._fields, "max_s", "max_gap"} - {"current_max"}
+    if fields.keys() != keys:
+        raise CheckpointError(f"checkpoint: unknown fields {sorted(fields.keys() - keys)}, "
+                              f"missing fields {sorted(keys - fields.keys())}")
 
-    def as_int(key: str, least: int) -> int:
-        try:
-            value = int(fields[key])
-        except ValueError:
-            raise CheckpointError(f"checkpoint: field {key!r} is not an integer") from None
-        if value < least:
+    def as_int(key: str) -> int:
+        # a JSON true is a bool, which is an int to isinstance
+        if type(fields[key]) is not int:
             raise CheckpointError(
-                f"checkpoint: field {key!r} must be at least {least}, got {value}")
-        return value
+                f"checkpoint: field {key!r} is not an integer: {json.dumps(fields[key])}")
+        return fields[key]
 
-    def as_pairs(key: str) -> list[tuple[int, int]]:
-        # a:b,a:b,... of integers; an empty field is an empty list
-        out = []
-        for item in fields[key].split(",") if fields[key] else ():
-            try:
-                a, b = item.split(":")
-                out.append((int(a), int(b)))
-            except ValueError:
-                raise CheckpointError(f"checkpoint: bad {key} entry {item!r}") from None
-        return out
+    def as_pairs(key: str) -> tuple[tuple[int, int], ...]:
+        # a field that is not a list is refused as a bad entry of its own
+        items = fields[key]
+        for item in items if type(items) is list else [items]:
+            if type(item) is not list or len(item) != 2 or any(type(v) is not int for v in item):
+                raise CheckpointError(
+                    f"checkpoint: field {key!r} holds {json.dumps(item)}, not an [a, b] pair "
+                    "of integers")
+        return tuple(map(tuple, items))
 
-    limit = as_int("limit", 2)
-    position = as_int("position", 0)
-    last = as_int("last_representable", 1)
-    max_s = as_int("max_s", 1)
-    max_gap = as_int("max_gap", 1)
-    pairs = as_int("pairs_scanned", 0)
-    # 0 came from scans that required both summands to be at least 1
-    if fields["allow_zero"] != "1":
-        raise CheckpointError("checkpoint: field 'allow_zero' must be 1, as every scan counts 0 "
-                              f"as a summand, got {fields['allow_zero']!r}")
-    if last >= position:
-        raise CheckpointError(
-            f"checkpoint: last_representable {last} not below position {position}"
-        )
-    if pairs > min(last, limit):
-        raise CheckpointError(
-            f"checkpoint: pairs_scanned {pairs} exceeds last_representable {last} or limit {limit}"
-        )
-    # every window a scan draws ends at or below limit + MAX_GAP + 1
-    if position > limit + MAX_GAP + 1:
-        raise CheckpointError(f"checkpoint: position {position} is past limit + MAX_GAP + 1 "
-                              f"= {limit + MAX_GAP + 1}, which no scan reaches")
-    # a record's s is at most the limit and the last value scanned
-    records = as_pairs("gap_records")
-    for (prev_gap, prev_s), (gap, s) in zip([(0, 0), *records], records):
-        if not (prev_gap < gap <= MAX_GAP and prev_s < s <= min(limit, last, MAX_S)):
-            raise CheckpointError(f"checkpoint: gap_records entry '{gap}:{s}' is out of order, "
-                                  f"over budget or past limit {limit} or last_representable {last}")
-    # R(x) for decades already scanned: pairs_scanned, R(min(position - 1,
-    # limit)), bounds each
-    counts = as_pairs("decade_counts")
-    below = min(limit, position)
-    for (prev_x, prev_count), (x, count) in zip([(0, 0), *counts], counts):
-        if not (x in _decades(below) and x > prev_x and prev_count <= count <= min(x, pairs)):
-            raise CheckpointError(f"checkpoint: decade_counts entry '{x}:{count}' is out of order "
-                                  f"or not R(x) at a decade below {below}")
+    cp = Checkpoint(as_int("version"), as_int("limit"), as_int("position"),
+                    as_int("last_representable"), None, as_pairs("gap_records"),
+                    as_int("pairs_scanned"), as_pairs("decade_counts"))
+    _check_state(cp, cp.limit)
     # the stored maximum is redundant; a disagreement marks a corrupt file
-    best = _champion(records)
+    max_s, max_gap = as_int("max_s"), as_int("max_gap")
+    best = _champion(cp.gap_records)
     if best is None or (best.s, best.gap) != (max_s, max_gap):
         raise CheckpointError(
-            f"checkpoint: max_s/max_gap inconsistent with gap_records, got {max_s}/{max_gap}"
-        )
-    return Checkpoint(CHECKPOINT_VERSION, limit, position, last, best, tuple(records), pairs,
-                      tuple(counts))
+            f"checkpoint: max_s/max_gap {max_s}/{max_gap} is not the maximum of gap_records")
+    return cp._replace(current_max=best)

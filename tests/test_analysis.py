@@ -1,5 +1,7 @@
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import deque
@@ -35,7 +37,7 @@ from twosquares import (
 )
 
 from twosquares import analysis
-from twosquares.analysis import _Summary, _summarize_window
+from twosquares.analysis import CHECKPOINT_VERSION, _Summary, _summarize_window
 from twosquares.representability import representable_mask
 from twosquares.cli import emit_report
 from twosquares.sieve import mark_segment
@@ -803,10 +805,32 @@ class TestForkedWorkers:
         assert_no_child()
 
 
+def key_value_text(cp, version=2, allow_zero="1"):
+    """cp in the key=value lines of checkpoint versions 1 and 2, which a
+    version 3 reader refuses; version 1 has no decade_counts line."""
+    def pairs(items):
+        return ",".join(f"{a}:{b}" for a, b in items)
+
+    lines = [f"version={version}", f"limit={cp.limit}", f"position={cp.position}",
+             f"last_representable={cp.last_representable}", f"max_s={cp.current_max.s}",
+             f"max_gap={cp.current_max.gap}", f"gap_records={pairs(cp.gap_records)}",
+             f"pairs_scanned={cp.pairs_scanned}", f"allow_zero={allow_zero}"]
+    if version == 2:
+        lines.append(f"decade_counts={pairs(cp.decade_counts)}")
+    return "\n".join(lines) + "\n"
+
+
+def edit_fields(path, **fields):
+    """Rewrite the JSON object in path with fields set; a field set to None
+    is removed."""
+    doc = json.loads(path.read_text()) | fields
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+
+
 class TestCheckpointIO:
     def sample(self):
         return Checkpoint(
-            version=2,
+            version=CHECKPOINT_VERSION,
             limit=10**7,
             position=2 * 10**6,
             last_representable=2 * 10**6 - 3,
@@ -823,26 +847,32 @@ class TestCheckpointIO:
         cp = self.sample()
         write_checkpoint(cp, path)
         assert read_checkpoint(path) == cp
+        # one JSON object on one line
+        text = path.read_text()
+        assert text.count("\n") == 1 and json.loads(text) == {
+            "version": CHECKPOINT_VERSION, "limit": 10**7, "position": 2 * 10**6,
+            "last_representable": 2 * 10**6 - 3, "max_s": 1493, "max_gap": 15,
+            "gap_records": [list(r) for r in cp.gap_records], "pairs_scanned": 123456,
+            "decade_counts": [list(c) for c in cp.decade_counts]}
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
-        path.write_bytes(b"version=1\nlimit=\xff\n")
+        path.write_bytes(b'{"version": 3, "limit": "\xff"}\n')
         with pytest.raises(CheckpointError, match="checkpoint"):
             read_checkpoint(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text() + "extra=1\n")
-        with pytest.raises(CheckpointError, match="unknown"):
+        edit_fields(path, extra=1)
+        with pytest.raises(CheckpointError, match=r"unknown fields \['extra'\]"):
             read_checkpoint(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[1:]) + "\n")
-        with pytest.raises(CheckpointError, match="missing"):
+        edit_fields(path, version=None)
+        with pytest.raises(CheckpointError, match=r"missing fields \['version'\]"):
             read_checkpoint(path)
 
     def test_missing_file_names_the_path(self, tmp_path):
@@ -852,24 +882,27 @@ class TestCheckpointIO:
     def test_duplicate_field_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text() + "limit=10000000\n")
-        with pytest.raises(CheckpointError, match="duplicate"):
+        path.write_text(path.read_text().replace("}", ', "limit": 10000000}'))
+        with pytest.raises(CheckpointError, match="duplicate field 'limit'"):
             read_checkpoint(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("version=2", "version=3"))
+        edit_fields(path, version=CHECKPOINT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(path)
 
     def test_version_1_file_refused(self, tmp_path):
-        # a version 1 file has no decade_counts line; the version is named
-        # rather than the missing field
+        # a version 1 file is key=value lines with no decade_counts line; as
+        # a JSON object without decade_counts, the version is named rather
+        # than the missing field
         path = tmp_path / "state.txt"
+        path.write_text(key_value_text(self.sample(), version=1))
+        with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint(path)
         write_checkpoint(self.sample(), path)
-        lines = path.read_text().replace("version=2", "version=1").splitlines()
-        path.write_text("\n".join(ln for ln in lines if not ln.startswith("decade_counts=")) + "\n")
+        edit_fields(path, version=1, decade_counts=None)
         with pytest.raises(CheckpointError, match="unsupported version 1"):
             read_checkpoint(path)
 
@@ -884,29 +917,29 @@ class TestCheckpointIO:
     def test_position_order_enforced(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("position=2000000", "position=10"))
+        edit_fields(path, position=10)
         with pytest.raises(CheckpointError, match="position"):
             read_checkpoint(path)
 
     def test_inconsistent_max_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("max_s=1493", "max_s=20"))
+        edit_fields(path, max_s=20)
         with pytest.raises(CheckpointError, match="max"):
             read_checkpoint(path)
 
     def test_garbled_records_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("19:5165", "19-5165"))
+        path.write_text(path.read_text().replace("[19, 5165]", '"19-5165"'))
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
     def test_over_budget_record_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        text = path.read_text().replace("max_s=1493", "max_s=16109")
-        path.write_text(text.replace("20:16109", "100001:16109").replace("max_gap=15", "max_gap=100001"))
+        records = [*map(list, self.sample().gap_records[:-1]), [100001, 16109]]
+        edit_fields(path, gap_records=records, max_s=16109, max_gap=100001)
         with pytest.raises(CheckpointError, match="gap_records"):
             read_checkpoint(path)
 
@@ -941,7 +974,8 @@ class TestCheckpointIO:
 
     def test_a_state_with_no_record_is_refused_before_any_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="gap_records"):
-            write_checkpoint(Checkpoint(2, 100, 0, None, None, (), 0), tmp_path / "state.txt")
+            write_checkpoint(Checkpoint(CHECKPOINT_VERSION, 100, 0, None, None, (), 0),
+                             tmp_path / "state.txt")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -980,7 +1014,7 @@ class TestCheckpointIO:
         # 2 / 16^(1/4) == 1 / 1^(1/4): the stored maximum must be (1, 1)
         path = tmp_path / "state.txt"
         cp = Checkpoint(
-            version=2, limit=100, position=17, last_representable=16,
+            version=CHECKPOINT_VERSION, limit=100, position=17, last_representable=16,
             current_max=RatioRecord.of(1, 1), gap_records=((1, 1), (2, 16)),
             pairs_scanned=11,
         )
@@ -991,18 +1025,23 @@ class TestCheckpointIO:
             read_checkpoint(path)
 
     def test_allow_zero_roundtrip(self, tmp_path):
-        # version 2 keeps the line: every scan counts 0 as a summand
+        # version 3 has no allow_zero field: every scan counts 0 as a summand
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        assert "allow_zero=1\n" in path.read_text()
+        assert "allow_zero" not in json.loads(path.read_text())
         assert read_checkpoint(path) == self.sample()
 
     @pytest.mark.parametrize("value", ["0", "2", "true", "", "-1"])
     def test_bad_allow_zero_rejected(self, tmp_path, value):
+        # a version 2 file, whatever its allow_zero line, is refused naming
+        # the version; in a version 3 object allow_zero is an unknown field
         path = tmp_path / "state.txt"
+        path.write_text(key_value_text(self.sample(), allow_zero=value))
+        with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint(path)
         write_checkpoint(self.sample(), path)
-        path.write_text(path.read_text().replace("allow_zero=1", f"allow_zero={value}"))
-        with pytest.raises(CheckpointError, match="allow_zero"):
+        edit_fields(path, allow_zero=value)
+        with pytest.raises(CheckpointError, match=r"unknown fields \['allow_zero'\]"):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -1010,41 +1049,43 @@ class TestCheckpointIO:
         ("max_gap", 0), ("pairs_scanned", -3),
     ])
     def test_field_out_of_range_is_named(self, tmp_path, key, value):
+        # max_s and max_gap are only checked against the record table
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        fields = dict(line.split("=", 1) for line in path.read_text().splitlines())
-        fields[key] = str(value)
-        path.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
-        with pytest.raises(CheckpointError,
-                           match=rf"^checkpoint: field '{key}' must be at least \d, got {value}$"):
+        edit_fields(path, **{key: value})
+        fields = json.loads(path.read_text())
+        want = (f"^checkpoint: max_s/max_gap {fields['max_s']}/{fields['max_gap']} is not "
+                if key.startswith("max_") else
+                rf"^checkpoint: field '{key}' must be at least \d, got {value}$")
+        with pytest.raises(CheckpointError, match=want):
             read_checkpoint(path)
 
     def test_decade_counts_roundtrip(self, tmp_path):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        assert "decade_counts=10:7,100:43,1000:330,10000:2749,100000:24028\n" in path.read_text()
+        assert json.loads(path.read_text())["decade_counts"] == [
+            [10, 7], [100, 43], [1000, 330], [10000, 2749], [100000, 24028]]
         for counts in ((), ((10, 7),)):
             write_checkpoint(self.sample()._replace(decade_counts=counts), path)
             assert read_checkpoint(path).decade_counts == counts
 
     @pytest.mark.parametrize("counts", [
-        pytest.param("10:7,50:20", id="not-a-decade"),
-        pytest.param("10:7,10000000:100", id="decade-past-position"),
-        pytest.param("100:43,10:7", id="decades-not-increasing"),
-        pytest.param("10:7,10:7", id="decade-twice"),
-        pytest.param("10:7,100:6", id="count-decreasing"),
-        pytest.param("10:-1", id="count-negative"),
-        pytest.param("10:11", id="count-above-x"),
-        pytest.param("10:7,10", id="malformed-no-count"),
-        pytest.param("10:7:1", id="malformed-three-fields"),
-        pytest.param("10:seven", id="malformed-not-an-integer"),
-        pytest.param("10:7,", id="malformed-empty-entry"),
+        pytest.param([[10, 7], [50, 20]], id="not-a-decade"),
+        pytest.param([[10, 7], [10000000, 100]], id="decade-past-position"),
+        pytest.param([[100, 43], [10, 7]], id="decades-not-increasing"),
+        pytest.param([[10, 7], [10, 7]], id="decade-twice"),
+        pytest.param([[10, 7], [100, 6]], id="count-decreasing"),
+        pytest.param([[10, -1]], id="count-negative"),
+        pytest.param([[10, 11]], id="count-above-x"),
+        pytest.param([[10, 7], [10]], id="malformed-no-count"),
+        pytest.param([[10, 7, 1]], id="malformed-three-fields"),
+        pytest.param([[10, "seven"]], id="malformed-not-an-integer"),
+        pytest.param([[10, 7], []], id="malformed-empty-entry"),
     ])
     def test_bad_decade_counts_rejected(self, tmp_path, counts):
         path = tmp_path / "state.txt"
         write_checkpoint(self.sample(), path)
-        text = path.read_text().replace("10:7,100:43,1000:330,10000:2749,100000:24028", counts)
-        path.write_text(text)
+        edit_fields(path, decade_counts=counts)
         with pytest.raises(CheckpointError, match="decade_counts"):
             read_checkpoint(path)
 
@@ -1070,11 +1111,92 @@ class TestCheckpointIO:
 
     def test_verify_rejects_a_state_below_1(self):
         # a scan starts at 1; a state at 0 would count 0 as a pair's start
-        with pytest.raises(CheckpointError, match="^checkpoint: position 0 is below 1"):
-            verify(10, Threshold(8, 1), Checkpoint(2, 10, 0, None, None, (), 0))
-        fresh = Checkpoint(2, 10, 1, None, None, (), 0)
+        with pytest.raises(CheckpointError,
+                           match="^checkpoint: field 'position' must be at least 1, got 0$"):
+            verify(10, Threshold(8, 1), Checkpoint(CHECKPOINT_VERSION, 10, 0, None, None, (), 0))
+        fresh = Checkpoint(CHECKPOINT_VERSION, 10, 1, None, None, (), 0)
         assert verify(10, Threshold(8, 1), fresh)._replace(elapsed=0.0) == verify(
             10, Threshold(8, 1))._replace(elapsed=0.0)
+
+    @pytest.mark.parametrize("text, field", [
+        ('"limit": true', "limit"),
+        ('"position": 1.5', "position"),
+        ('"pairs_scanned": NaN', "pairs_scanned"),
+        ('"position": "2000000"', "position"),
+        ('"gap_records": [[1, 1, 1]]', "gap_records"),
+        ('"last_representable": {"value": 1999997}', "last_representable"),
+        ('"decade_counts": {}', "decade_counts"),
+    ], ids=["bool", "float", "nan", "string-number", "three-item-pair", "nested-object",
+            "object-for-pairs"])
+    def test_a_field_of_another_json_type_is_named(self, tmp_path, text, field):
+        path = tmp_path / "state.txt"
+        write_checkpoint(self.sample(), path)
+        doc = json.loads(path.read_text())
+        key = text.split('"')[1]
+        path.write_text(path.read_text().replace(f'"{key}": {json.dumps(doc[key])}', text))
+        with pytest.raises(CheckpointError, match=f"^checkpoint: field '{field}' "):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[]\n", "{path} holds no JSON object"),
+        ('{"limit": 1, "limit": 1}\n', "duplicate field 'limit'"),
+        ("version=2\nlimit=100\nposition=17\nlast_representable=16\nmax_s=1\nmax_gap=1\n"
+         "gap_records=1:1,2:16\npairs_scanned=11\nallow_zero=1\ndecade_counts=10:7\n",
+         "{path} is not UTF-8 JSON, as a version {version} file is"),
+    ], ids=["top-level-array", "duplicate-key", "version-2-text"])
+    def test_a_file_that_is_not_one_json_object_is_refused(self, tmp_path, text, named):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        named = named.format(path=path, version=CHECKPOINT_VERSION)
+        with pytest.raises(CheckpointError, match="^checkpoint: " + re.escape(named)):
+            read_checkpoint(path)
+
+
+# the bad states refused through both doors, each edited from the first state
+# a scan to 10^4 writes in 2^12-wide windows (position 4097, last 4096, 1197
+# pairs).  Taken as they are, the first reported passed=False at (2, 7), a
+# pair that does not exist, and the second 5649 pairs where a fresh scan
+# counts 2749.
+BAD_STATES = {
+    "gap_records-out-of-order": ("gap_records", lambda cp: {
+        "gap_records": (cp.gap_records[0], (5, 2), *cp.gap_records[2:])}),
+    "pairs_scanned-above-last_representable": (
+        "pairs_scanned", lambda cp: {"pairs_scanned": cp.last_representable + 1}),
+    "last_representable-at-position": (
+        "last_representable", lambda cp: {"last_representable": cp.position}),
+    "position-below-1": ("position", lambda cp: {"position": 0}),
+    "limit-mismatch": ("limit", lambda cp: {"limit": 10**5}),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STATES)
+def test_a_bad_state_is_refused_from_a_file_and_by_hand(tmp_path, checkpoints_written, windows,
+                                                        name):
+    # verify reads a hand-built state as read_checkpoint reads a file: both
+    # raise CheckpointError naming the field
+    field, edit = BAD_STATES[name]
+    t = Threshold.parse("2414/1000")
+    windows(1 << 12)
+    verify(10**4, t, checkpoint_path=tmp_path / "ck.txt")
+    first = checkpoints_written[0]
+    assert (first.position, first.last_representable, first.pairs_scanned) == (4097, 4096, 1197)
+    cp = first._replace(**edit(first))
+    write_checkpoint(cp, tmp_path / "bad.txt")
+    with pytest.raises(CheckpointError, match=f"^checkpoint: .*{field}"):
+        verify(10**4, t, read_checkpoint(tmp_path / "bad.txt"))
+    with pytest.raises(CheckpointError, match=f"^checkpoint: .*{field}"):
+        verify(10**4, t, cp)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_state_the_scan_yields_passes_the_state_check(windows, workers):
+    # the fresh state at 1 included, and the read-ahead states past the limit
+    windows(1 << 12)
+    fresh = Checkpoint(CHECKPOINT_VERSION, 10**5, 1, None, None, (), 0)
+    states = [fresh, *analysis._scan(10**5, workers)]
+    assert states[-1].done
+    for cp in states:
+        analysis._check_state(cp, 10**5)
 
 
 # the window edges of a scan to 10^5 in 2^12-wide steps from 1: the steps,
@@ -1200,8 +1322,9 @@ class TestVerifyResume:
 
     def test_resume_refuses_another_allow_zero(self, tmp_path, checkpoints_written, windows):
         # a file with allow_zero=0 came from a scan that required both
-        # summands to be at least 1, which no scan is any more: reading it
-        # is refused, and a file of this scan's convention resumes
+        # summands to be at least 1, which no scan is any more; it is a
+        # version 2 file, whose reading is refused naming the version, and a
+        # version 3 file of the same state resumes
         ck = tmp_path / "ck.txt"
         t = Threshold.parse("2414/1000")
         windows(2**12)
@@ -1209,9 +1332,10 @@ class TestVerifyResume:
         write_checkpoint(checkpoints_written[3], ck)
         resumed = verify(10**5, t, read_checkpoint(ck))
         assert resumed._replace(elapsed=0.0) == base._replace(elapsed=0.0)
-        ck.write_text(ck.read_text().replace("allow_zero=1\n", "allow_zero=0\n"))
-        with pytest.raises(CheckpointError, match="field 'allow_zero' must be 1"):
-            read_checkpoint(ck)
+        for allow_zero in ("0", "1"):
+            ck.write_text(key_value_text(checkpoints_written[3], allow_zero=allow_zero))
+            with pytest.raises(CheckpointError, match="^checkpoint: .*version"):
+                read_checkpoint(ck)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resumed_state_keeps_the_decade_counts(self, tmp_path, checkpoints_written, windows,
