@@ -27,6 +27,7 @@ _EXPORTS = {
     "RatioRecord": "analysis",
     "Threshold": "analysis",
     "VerificationReport": "analysis",
+    "WorkerError": "analysis",
     "critical_constant": "analysis",
     "cross_check": "analysis",
     "density": "analysis",

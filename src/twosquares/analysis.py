@@ -51,6 +51,7 @@ __all__ = [
     "MAX_WORKERS",
     "BudgetError",
     "CheckpointError",
+    "WorkerError",
     "GapPair",
     "RatioRecord",
     "Threshold",
@@ -107,21 +108,25 @@ class CheckpointError(ValueError):
     """Malformed or inconsistent checkpoint data."""
 
 
-def significant(value: Decimal, digits: int = _DISPLAY_DIGITS) -> str:
-    """Render with exactly `digits` significant digits, plain notation.
+class WorkerError(RuntimeError):
+    """A forked worker ended early, or raised what cannot be rebuilt here."""
+
+
+def significant(value: Decimal) -> str:
+    """Render with exactly _DISPLAY_DIGITS significant digits, plain notation.
 
     Trailing zeros are kept, so exact values like 1 come out as
     1.00000000000 rather than collapsing to one digit.
     """
     if value == 0:
-        return "0." + "0" * (digits - 1)
+        return "0." + "0" * (_DISPLAY_DIGITS - 1)
     with localcontext() as ctx:
-        ctx.prec = digits + 4
-        quantum = Decimal(1).scaleb(value.adjusted() - digits + 1)
+        ctx.prec = _DISPLAY_DIGITS + 4
+        quantum = Decimal(1).scaleb(value.adjusted() - _DISPLAY_DIGITS + 1)
         rounded = value.quantize(quantum)
         if rounded.adjusted() != value.adjusted():
             # rounding carried into a new decade (9.99... became 10.0...)
-            rounded = rounded.quantize(Decimal(1).scaleb(rounded.adjusted() - digits + 1))
+            rounded = rounded.quantize(Decimal(1).scaleb(rounded.adjusted() - _DISPLAY_DIGITS + 1))
     return format(rounded, "f")
 
 
@@ -248,8 +253,8 @@ class Checkpoint(NamedTuple):
     value and first pair.  decade_counts holds (x, R(x)), R(x) counting
     the representable n in [1, x], for each decade x = 10^k < limit that
     the scan has passed.  A file holds it as one JSON object (see
-    write_checkpoint), and a state read from a file and one passed to
-    verify pass the same check, _check_state."""
+    write_checkpoint), and a state read from a file or passed to verify
+    goes through one gate, _check_state."""
 
     version: int
     limit: int
@@ -472,7 +477,8 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
     rest; this process walks both in turn, computes k = 0 (mod n) itself
     and reads item k from child k % n: results keep submission order, and
     each item is drawn here once.  A child's exception is sent if its
-    pickle can be rebuilt, else a RuntimeError that names it."""
+    pickle can be rebuilt, else a WorkerError that names it; a child that
+    ends early raises WorkerError here."""
     rest = iter(args_iter)
     head = list(itertools.islice(rest, workers))
     n = len(head)
@@ -491,7 +497,7 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
                         try:  # send only an exception that the parent can rebuild
                             pickle.loads(pickle.dumps(exc))
                         except Exception:
-                            exc = RuntimeError(f"workers: child {i}: {type(exc).__name__}: {exc}")
+                            exc = WorkerError(f"workers: child {i}: {type(exc).__name__}: {exc}")
                         out.write(pickle.dumps(exc))
                     finally:
                         os._exit(0)
@@ -502,7 +508,7 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
                 raise got
             yield got
     except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(f"workers: child {k % n} ended before item {k}") from None
+        raise WorkerError(f"workers: child {k % n} ended before item {k}") from None
     finally:  # kill and reap every child, however the caller stops
         for pid in pids:
             import signal  # deferred: its import costs about 0.4 ms, and one process kills no child
@@ -558,16 +564,13 @@ def _scan(
     marked and summarized once (_scan_window), with its counts up to the
     decades inside it for decade_counts.
     The last state yielded is done, and a scan that runs out of windows
-    first raises BudgetError.  The start state, resumed or fresh, passes
-    _check_state as a file's does; a resume recomputes current_max from
-    gap_records, and from a done state it yields that state alone.
+    first raises BudgetError.  The start state, resumed or fresh, goes
+    through _check_state as a file's does, which recomputes current_max
+    from gap_records; from a done state the scan yields that state alone.
     """
     _validate_scan_args(limit, workers)
-    cp = resume
-    if cp is None:
-        cp = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
-    _check_state(cp, limit)
-    cp = cp._replace(current_max=_champion(cp.gap_records))
+    fresh = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
+    cp = _check_state(fresh if resume is None else resume, limit)
     if cp.done:  # resumed from the finished state
         yield cp
         return
@@ -730,21 +733,36 @@ def cross_check(limit: int, *, workers: int = 1) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_state(cp: Checkpoint, limit: int) -> None:
-    """Refuse, naming the field, a state that no scan of limit from 1 can
-    yield: another version or limit, a position outside [1, limit + MAX_GAP
-    + 1], a last_representable not below it, more pairs than values scanned,
+def _check_state(cp: Checkpoint, limit: int) -> Checkpoint:
+    """The gate for every state a scan of limit starts from, read from a
+    file or built by hand: cp with both tables as tuples, so that a
+    caller's list is read as a file's and never extended, and current_max
+    recomputed.  Refused, naming the field: an int field that holds no int
+    (a bool is not one; last_representable may be None), a table that is not
+    a list or tuple of two-int pairs, and a state that no scan of limit
+    from 1 yields: another version or limit, a position outside [1, limit
+    + MAX_GAP + 1], a last_representable not below it, or None past 1, more
+    pairs than values scanned, no record past last_representable 1,
     gap_records out of order, over budget or past limit or
     last_representable, and decade_counts that are not R(x) at decades
-    already passed.  current_max is not checked: the scan recomputes it."""
-    if cp.version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint: unsupported version {cp.version}")
+    already passed."""
+    if type(cp.version) is not int or cp.version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint: unsupported version {cp.version!r}")
     for key, least in (("limit", 2), ("position", 1), ("last_representable", 1),
                        ("pairs_scanned", 0)):
         value = getattr(cp, key)
+        if type(value) is not int and not (key == "last_representable" and value is None):
+            raise CheckpointError(f"checkpoint: field {key!r} is not an integer: {value!r}")
         if value is not None and value < least:
             raise CheckpointError(
                 f"checkpoint: field {key!r} must be at least {least}, got {value}")
+    for key in ("gap_records", "decade_counts"):
+        items = getattr(cp, key)  # a table that is not a list or tuple is a bad entry of its own
+        for item in items if type(items) in (list, tuple) else [items]:
+            if type(item) not in (list, tuple) or [type(v) for v in item] != [int, int]:
+                raise CheckpointError(
+                    f"checkpoint: field {key!r} holds {item!r}, not an [a, b] pair of integers")
+        cp = cp._replace(**{key: tuple(map(tuple, items))})
     if cp.limit != limit:
         raise CheckpointError(f"checkpoint: limit {cp.limit} does not match requested {limit}")
     # last_representable is None until the scan meets its first
@@ -761,6 +779,13 @@ def _check_state(cp: Checkpoint, limit: int) -> None:
     if position > limit + MAX_GAP + 1:
         raise CheckpointError(f"checkpoint: position {position} is past limit + MAX_GAP + 1 "
                               f"= {limit + MAX_GAP + 1}, which no scan reaches")
+    # 1 is representable, so a scan past position 1 has met it, and (1, 2)
+    # is its first record once it meets a second value
+    if cp.last_representable is None and position != 1:
+        raise CheckpointError(f"checkpoint: last_representable is None at position {position}")
+    if not cp.gap_records and last > 1:
+        raise CheckpointError(f"checkpoint: gap_records is empty at last_representable {last}, "
+                              "past (1, 2), every scan's first record")
     # a record's s is at most the limit and the last value scanned
     for (prev_gap, prev_s), (gap, s) in zip([(0, 0), *cp.gap_records], cp.gap_records):
         if not (prev_gap < gap <= MAX_GAP and prev_s < s <= min(limit, last, MAX_S)):
@@ -773,6 +798,7 @@ def _check_state(cp: Checkpoint, limit: int) -> None:
         if not (x in _decades(below) and x > prev_x and prev_count <= count <= min(x, pairs)):
             raise CheckpointError(f"checkpoint: decade_counts entry [{x}, {count}] is out of order "
                                   f"or not R(x) at a decade below {below}")
+    return cp._replace(current_max=_champion(cp.gap_records))
 
 
 def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
@@ -829,15 +855,15 @@ def _unique_keys(items: list[tuple[str, object]]) -> dict:
 
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    """Parse and validate a version 3 file, one JSON object.
+    """Parse a version 3 file, one JSON object, and pass the state it holds
+    through _check_state, the gate for every state a scan starts from.
 
-    Refused, naming the field or the file: text that is not one JSON object
-    (a version 2 file is key=value lines), another version, a duplicate,
-    unknown or missing field, a field that is not an integer (JSON true,
-    1.5 and NaN included) or a list of integer pairs, a state that
-    _check_state refuses, and max_s/max_gap other than the exact maximum of
-    gap_records.  A file that cannot be read, or a path that exists and is
-    not a regular file (a FIFO would block the read), raises
+    Here only what is particular to a file is refused, naming the field or
+    the file: text that is not UTF-8 and one JSON object (a version 2 file
+    is key=value lines), another version, a duplicate, unknown or missing
+    field, and max_s/max_gap other than the two integers of the exact
+    maximum of gap_records.  A file that cannot be read, or a path that
+    exists and is not a regular file (a FIFO would block the read), raises
     CheckpointError naming checkpoint-path."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
@@ -860,32 +886,11 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     if fields.keys() != keys:
         raise CheckpointError(f"checkpoint: unknown fields {sorted(fields.keys() - keys)}, "
                               f"missing fields {sorted(keys - fields.keys())}")
-
-    def as_int(key: str) -> int:
-        # a JSON true is a bool, which is an int to isinstance
-        if type(fields[key]) is not int:
-            raise CheckpointError(
-                f"checkpoint: field {key!r} is not an integer: {json.dumps(fields[key])}")
-        return fields[key]
-
-    def as_pairs(key: str) -> tuple[tuple[int, int], ...]:
-        # a field that is not a list is refused as a bad entry of its own
-        items = fields[key]
-        for item in items if type(items) is list else [items]:
-            if type(item) is not list or len(item) != 2 or any(type(v) is not int for v in item):
-                raise CheckpointError(
-                    f"checkpoint: field {key!r} holds {json.dumps(item)}, not an [a, b] pair "
-                    "of integers")
-        return tuple(map(tuple, items))
-
-    cp = Checkpoint(as_int("version"), as_int("limit"), as_int("position"),
-                    as_int("last_representable"), None, as_pairs("gap_records"),
-                    as_int("pairs_scanned"), as_pairs("decade_counts"))
-    _check_state(cp, cp.limit)
-    # the stored maximum is redundant; a disagreement marks a corrupt file
-    max_s, max_gap = as_int("max_s"), as_int("max_gap")
-    best = _champion(cp.gap_records)
-    if best is None or (best.s, best.gap) != (max_s, max_gap):
+    max_s, max_gap = fields.pop("max_s"), fields.pop("max_gap")
+    cp = _check_state(Checkpoint(current_max=None, **fields), fields["limit"])
+    # the stored maximum is redundant; a disagreement, or another type, marks a corrupt file
+    best = cp.current_max
+    if best is None or (type(max_s), type(max_gap), max_s, max_gap) != (int, int, best.s, best.gap):
         raise CheckpointError(
             f"checkpoint: max_s/max_gap {max_s}/{max_gap} is not the maximum of gap_records")
-    return cp._replace(current_max=best)
+    return cp

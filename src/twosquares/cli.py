@@ -18,8 +18,9 @@ from the scan's Checkpoint state) and diagnostics go to stderr only, so
 the report stream stays byte-deterministic for a given configuration.
 
 Exit status: 0 success/pass, 1 verification failure (a threshold was
-exceeded, scientifically interesting), 2 usage or configuration error,
-or a report that could not be written, 130 interrupted (Ctrl-C).
+exceeded, scientifically interesting), 2 usage or configuration error, a
+report that could not be written, or a forked worker that died
+(analysis.WorkerError), 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -317,7 +318,7 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError(f"subcommand: unknown {args.subcommand!r}")
         _write_output(emit_report(report, args.output_format), args.output_path)
         return code
-    except ValueError as exc:
+    except (ValueError, analysis.WorkerError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except KeyboardInterrupt:

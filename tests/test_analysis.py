@@ -574,7 +574,8 @@ class TestWindows:
     def test_scan_plan_reads_ahead_from_the_limit(self, limit, gap, size, data):
         # the plan _scan draws from a state at start, 1 or later as every
         # state is, with the gap budget set to gap; with no window computed,
-        # it runs out and raises
+        # it runs out and raises.  Past 1 the state has met 1 and holds the
+        # record (1, 2), and its last value is at most the limit, or it is done.
         start = data.draw(st.integers(1, limit + gap), label="start")
         plan = []
 
@@ -582,7 +583,8 @@ class TestWindows:
             plan.extend((lo, hi) for lo, hi, *_ in args)
             return iter(())
 
-        cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, None, None, (), 0)
+        last, records = (None, ()) if start == 1 else (min(start - 1, limit), ((1, 1),))
+        cp = analysis.Checkpoint(analysis.CHECKPOINT_VERSION, limit, start, last, None, records, 0)
         with mock.patch.object(analysis, "MAX_GAP", gap), \
                 mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
                 mock.patch.object(analysis, "_ordered_map", draw):
@@ -1156,7 +1158,11 @@ class TestCheckpointIO:
 # a scan to 10^4 writes in 2^12-wide windows (position 4097, last 4096, 1197
 # pairs).  Taken as they are, the first reported passed=False at (2, 7), a
 # pair that does not exist, and the second 5649 pairs where a fresh scan
-# counts 2749.
+# counts 2749; last_representable None at position 5 reported 2746 pairs and
+# wrote a file whose gap_records start at [3, 5], a float pair count printed
+# 2749.0, and no record at position 3 wrote a finished file without [1, 1].
+# The bool and numpy values would pass every check of their value.
+NO_RECORD = {"gap_records": (), "decade_counts": ()}
 BAD_STATES = {
     "gap_records-out-of-order": ("gap_records", lambda cp: {
         "gap_records": (cp.gap_records[0], (5, 2), *cp.gap_records[2:])}),
@@ -1166,7 +1172,26 @@ BAD_STATES = {
         "last_representable", lambda cp: {"last_representable": cp.position}),
     "position-below-1": ("position", lambda cp: {"position": 0}),
     "limit-mismatch": ("limit", lambda cp: {"limit": 10**5}),
+    "last_representable-None-past-1": ("last_representable", lambda cp: {
+        "position": 5, "last_representable": None, "pairs_scanned": 0, **NO_RECORD}),
+    "pairs_scanned-float": ("pairs_scanned", lambda cp: {"pairs_scanned": float(cp.pairs_scanned)}),
+    "no-record-past-1": ("gap_records", lambda cp: {
+        "position": 3, "last_representable": 2, "pairs_scanned": 2, **NO_RECORD}),
+    "pairs_scanned-bool": ("pairs_scanned", lambda cp: {
+        "position": 2, "last_representable": 1, "pairs_scanned": True, **NO_RECORD}),
+    "gap_records-bool": ("gap_records", lambda cp: {
+        "gap_records": ((True, 1), *cp.gap_records[1:])}),
+    "last_representable-numpy-int64": ("last_representable", lambda cp: {
+        "last_representable": np.int64(cp.last_representable)}),
 }
+
+
+def state_text(cp):
+    """cp as write_checkpoint writes it, also where it refuses to (a state
+    with no record): a value that JSON cannot encode is written as its text."""
+    fields = cp._asdict()
+    best = fields.pop("current_max")
+    return json.dumps(fields | {"max_s": best.s, "max_gap": best.gap}, default=str) + "\n"
 
 
 @pytest.mark.parametrize("name", BAD_STATES)
@@ -1180,12 +1205,36 @@ def test_a_bad_state_is_refused_from_a_file_and_by_hand(tmp_path, checkpoints_wr
     verify(10**4, t, checkpoint_path=tmp_path / "ck.txt")
     first = checkpoints_written[0]
     assert (first.position, first.last_representable, first.pairs_scanned) == (4097, 4096, 1197)
+    write_checkpoint(first, tmp_path / "first.txt")
+    assert state_text(first) == (tmp_path / "first.txt").read_text()
     cp = first._replace(**edit(first))
-    write_checkpoint(cp, tmp_path / "bad.txt")
+    (tmp_path / "bad.txt").write_text(state_text(cp))
     with pytest.raises(CheckpointError, match=f"^checkpoint: .*{field}"):
         verify(10**4, t, read_checkpoint(tmp_path / "bad.txt"))
     with pytest.raises(CheckpointError, match=f"^checkpoint: .*{field}"):
         verify(10**4, t, cp)
+
+
+@pytest.mark.parametrize("door", ["file", "hand"])
+def test_a_state_with_list_tables_resumes_as_its_tuples_do(tmp_path, windows, door):
+    # the first state of a scan to 10^4 in 2^10-wide windows holds its
+    # maximum ratio at s=20, gap=5; a scan that extended the caller's list
+    # in place would see no new record and keep that maximum, where a fresh
+    # run reports s=1493, gap=15.  The caller's lists stay as they were.
+    t = Threshold.parse("2414/1000")
+    windows(1 << 10)
+    first = next(analysis._scan(10**4, 1))
+    assert first.position == 1025 and first.current_max[:2] == (20, 5)
+    records, counts = list(first.gap_records), list(first.decade_counts)
+    cp = first._replace(gap_records=records, decade_counts=counts)
+    if door == "file":
+        write_checkpoint(cp, tmp_path / "ck.txt")
+        cp = read_checkpoint(tmp_path / "ck.txt")
+    assert analysis._check_state(cp, 10**4) == first
+    fresh = verify(10**4, t)
+    assert emit_report(verify(10**4, t, cp), "json") == emit_report(fresh, "json")
+    assert (fresh.max_record.s, fresh.max_record.gap) == (1493, 15)
+    assert (records, counts) == (list(first.gap_records), list(first.decade_counts))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -213,6 +213,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert "checkpoint-path" in captured.err and "No space left" in captured.err
 
+    @pytest.mark.parametrize("exc, line", [
+        (None, "child 1 ended before item 1"),
+        # a class with no module-level name: pickle cannot send it back
+        (type("Local", (Exception,), {})("lost"), "child 1: Local: lost"),
+    ], ids=["child-dies", "exception-not-rebuilt"])
+    def test_a_failed_worker_is_two_naming_workers(self, monkeypatch, capsys, windows, exc,
+                                                   line):
+        # the pool's own failure, not a threshold exceeded: one line, no
+        # traceback, and no child left.  The forked child dies or raises
+        # exc on its first window.
+        parent, real = os.getpid(), analysis._scan_window
+
+        def failing(args):
+            if os.getpid() != parent:
+                if exc is None:
+                    os._exit(0)
+                raise exc
+            return real(args)
+
+        monkeypatch.setattr(analysis, "_scan_window", failing)
+        windows(1 << 12)
+        args = build_parser().parse_args(["verify", "--limit", "100000", "--workers", "2"])
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", f"error: workers: {line}\n")
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 def scan_state(position, limit, pairs):
     return Checkpoint(version=1, limit=limit, position=position,
