@@ -555,24 +555,22 @@ def _scan(
     resume: Checkpoint | None = None,
 ) -> Iterator[Checkpoint]:
     """Reduce every pair with s <= limit, from 1 or from a checkpoint of the
-    same limit, yielding the state at each window edge.
+    same limit, yielding the start state, then the state at each window edge.
 
-    The windows step by DEFAULT_SEGMENT_SIZE, read when the scan starts,
-    from the start (1, or the checkpoint's position) up to limit + 1, then
-    read ahead from limit + 1 to limit + MAX_GAP, as far as the successor
-    of a pair with s <= limit can lie within the gap budget.  Each is
-    marked and summarized once (_scan_window), with its counts up to the
-    decades inside it for decade_counts.
-    The last state yielded is done, and a scan that runs out of windows
-    first raises BudgetError.  The start state, resumed or fresh, goes
-    through _check_state as a file's does, which recomputes current_max
-    from gap_records; from a done state the scan yields that state alone.
+    The start state, fresh or resumed, passes _check_state as a file's does
+    (tables as tuples, current_max recomputed); a done one is yielded alone,
+    and no window is marked.  Windows step by DEFAULT_SEGMENT_SIZE, read
+    when the scan starts, from the start up to limit + 1, then read ahead to
+    limit + MAX_GAP, as far as the successor of a pair with s <= limit can
+    lie within the gap budget.  Each is marked and summarized once
+    (_scan_window), with its counts up to the decades inside it.  The last
+    state yielded is done; running out of windows first raises BudgetError.
     """
     _validate_scan_args(limit, workers)
     fresh = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
     cp = _check_state(fresh if resume is None else resume, limit)
+    yield cp
     if cp.done:  # resumed from the finished state
-        yield cp
         return
     windows = itertools.chain(
         _windows(cp.position, limit, DEFAULT_SEGMENT_SIZE),
@@ -637,21 +635,20 @@ def verify(
 
     passed is False exactly when some pair satisfies gap / s^(1/4) >= p/q;
     the report then names the first such pair.  The maximum-ratio record is
-    reported either way.  Each state _scan yields once the record table is
-    not empty, one per window edge, is written to checkpoint_path if set,
-    unless it is the resumed state (so a finished file is left as it is),
-    then passed to progress if given.  A failed write raises
-    CheckpointError naming checkpoint-path.  Resuming from any written
-    state reproduces the uninterrupted report field for field (elapsed
-    excepted, since it measures the actual run).
+    reported either way.  Each state _scan yields after its start state, one
+    per window edge, is written to checkpoint_path if set and then passed to
+    progress if given, once the record table is not empty; so a resumed file
+    is never rewritten.  A failed write raises CheckpointError naming
+    checkpoint-path.  Resuming from any written state reproduces the
+    uninterrupted report field for field (elapsed excepted: it times the run).
     """
     if not isinstance(threshold, Threshold):
         raise ValueError("threshold: expected a Threshold instance")
     t0 = time.perf_counter()
-    for state in _scan(limit, workers, checkpoint):
-        if not state.gap_records:
+    for k, state in enumerate(_scan(limit, workers, checkpoint)):
+        if k == 0 or not state.gap_records:  # the start state is reached by no window
             continue
-        if checkpoint_path is not None and state != checkpoint:
+        if checkpoint_path is not None:
             try:
                 write_checkpoint(state, checkpoint_path)
             except OSError as exc:
@@ -801,6 +798,12 @@ def _check_state(cp: Checkpoint, limit: int) -> Checkpoint:
     return cp._replace(current_max=_champion(cp.gap_records))
 
 
+def _check_checkpoint_path(path: str | os.PathLike) -> None:
+    # a path that is not a regular file: a rename would replace it, a read block on a FIFO
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
+
+
 def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
     """Serialize as one JSON object, durably and atomically.
 
@@ -810,15 +813,13 @@ def write_checkpoint(cp: Checkpoint, path: str | os.PathLike) -> None:
     fsynced and renamed over it; the directory is fsynced after the rename.
     Concurrent writers never share a temp file, and a failure leaves the
     previous checkpoint in place and removes the temp file.  A state with
-    no record yet, or a path that exists and is not a regular file (a FIFO
-    or a device, which the rename would replace), raises CheckpointError
-    before any file is made.
+    no record yet, or a path _check_checkpoint_path refuses, raises
+    CheckpointError before any file is made.
     """
     import tempfile  # numpy alone does not load it, and most runs write no checkpoint
     if not cp.gap_records or cp.current_max is None:
         raise CheckpointError("checkpoint: no record to write, gap_records or current_max is empty")
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
+    _check_checkpoint_path(path)
     fields = cp._asdict()
     best = fields.pop("current_max")
     text = json.dumps(fields | {"max_s": best.s, "max_gap": best.gap})
@@ -862,11 +863,9 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     the file: text that is not UTF-8 and one JSON object (a version 2 file
     is key=value lines), another version, a duplicate, unknown or missing
     field, and max_s/max_gap other than the two integers of the exact
-    maximum of gap_records.  A file that cannot be read, or a path that
-    exists and is not a regular file (a FIFO would block the read), raises
-    CheckpointError naming checkpoint-path."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise CheckpointError(f"checkpoint-path: {path} exists and is not a regular file")
+    maximum of gap_records.  An unreadable file, or a path that
+    _check_checkpoint_path refuses, raises CheckpointError naming checkpoint-path."""
+    _check_checkpoint_path(path)
     try:
         with open(path, "rb") as fh:
             data = fh.read()

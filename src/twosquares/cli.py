@@ -111,8 +111,8 @@ def _validate(args: argparse.Namespace) -> None:
             continue
         if not path or os.path.isdir(path):
             raise ValueError(f"{field}: {path!r} is empty or a directory")
-        if field == "checkpoint-path" and os.path.exists(path) and not os.path.isfile(path):
-            raise ValueError(f"{field}: {path} exists and is not a regular file")
+        if field == "checkpoint-path":
+            analysis._check_checkpoint_path(path)
         parent = os.path.dirname(os.path.abspath(path))
         if field == "output-path" and os.path.exists(path):
             writable = os.access(path, os.W_OK)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -787,8 +788,9 @@ class TestForkedWorkers:
 
     def test_a_scan_closed_early_leaves_no_child(self, windows):
         windows(1 << 12)
+        # the start state comes before the fork, the first window's state after it
         scan = analysis._scan(10**5, 2)
-        assert next(scan).position == 1 + (1 << 12)
+        assert [next(scan).position for _ in range(2)] == [1, 1 + (1 << 12)]
         scan.close()
         assert_no_child()
 
@@ -1223,7 +1225,8 @@ def test_a_state_with_list_tables_resumes_as_its_tuples_do(tmp_path, windows, do
     # run reports s=1493, gap=15.  The caller's lists stay as they were.
     t = Threshold.parse("2414/1000")
     windows(1 << 10)
-    first = next(analysis._scan(10**4, 1))
+    # the scan yields its start state, then the first window's
+    _, first = itertools.islice(analysis._scan(10**4, 1), 2)
     assert first.position == 1025 and first.current_max[:2] == (20, 5)
     records, counts = list(first.gap_records), list(first.decade_counts)
     cp = first._replace(gap_records=records, decade_counts=counts)
@@ -1238,14 +1241,26 @@ def test_a_state_with_list_tables_resumes_as_its_tuples_do(tmp_path, windows, do
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_every_state_the_scan_yields_passes_the_state_check(windows, workers):
+def test_every_state_the_scan_yields_passes_the_state_check(monkeypatch, windows, workers):
     # the fresh state at 1 included, and the read-ahead states past the limit
     windows(1 << 12)
-    fresh = Checkpoint(CHECKPOINT_VERSION, 10**5, 1, None, None, (), 0)
-    states = [fresh, *analysis._scan(10**5, workers)]
-    assert states[-1].done
+    states = list(analysis._scan(10**5, workers))
+    assert states[0] == Checkpoint(CHECKPOINT_VERSION, 10**5, 1, None, None, (), 0)
+    assert states[-1].done and not any(cp.done for cp in states[:-1])
     for cp in states:
         analysis._check_state(cp, 10**5)
+    # a resumed scan yields its start state first, as the gate returns it:
+    # list tables as tuples and current_max recomputed; then the states after it
+    def as_hand_built(cp):
+        return cp._replace(gap_records=list(cp.gap_records),
+                           decade_counts=list(cp.decade_counts), current_max=None)
+
+    assert list(analysis._scan(10**5, workers, as_hand_built(states[5]))) == states[5:]
+    # a finished start state is the only state: no window is marked, no child forked
+    monkeypatch.setattr(analysis, "mark_segment", mock.Mock(side_effect=AssertionError("marked")))
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    assert list(analysis._scan(10**5, workers, as_hand_built(states[-1]))) == states[-1:]
+    assert_no_child()
 
 
 # the window edges of a scan to 10^5 in 2^12-wide steps from 1: the steps,
@@ -1315,7 +1330,8 @@ class TestVerifyResume:
         assert cp.pairs_scanned == base.pairs_scanned
 
     def test_cadence_counts_from_the_resume_position(self, tmp_path, checkpoints_written, windows):
-        # a resume writes every edge after its position, and only those
+        # a resume writes every edge after its position, and only those, and
+        # passes only those to progress: the finished state resumes silently
         t = Threshold.parse("2414/1000")
         path = tmp_path / "ck.txt"
         windows(1 << 12)
@@ -1323,8 +1339,9 @@ class TestVerifyResume:
         states = checkpoints_written[:]
         for k, cp in enumerate(states):
             del checkpoints_written[:]
-            verify(10**5, t, cp, checkpoint_path=path)
-            assert checkpoints_written == states[k + 1:], cp.position
+            seen = []
+            verify(10**5, t, cp, checkpoint_path=path, progress=seen.append)
+            assert checkpoints_written == seen == states[k + 1:], cp.position
 
     def test_same_writes_at_every_worker_count(self, tmp_path, checkpoints_written, windows):
         # the same states, in the same order, and the same finished file

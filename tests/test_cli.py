@@ -357,12 +357,20 @@ class TestResume:
         assert resumed.returncode == 0
         assert resumed.stdout == uninterrupted.stdout
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers, form", [
+        ("1", "file"), ("2", "file"), ("1", "lists"), ("2", "lists"),
+        ("1", "no-max"), ("2", "no-max"),
+    ], ids=["1", "2", "1-lists", "2-lists", "1-no-max", "2-no-max"])
     def test_resume_from_the_finished_state_scans_nothing(self, tmp_path, monkeypatch, workers,
-                                                          windows):
+                                                          form, windows):
+        # the finished state, read back from its file through the CLI or
+        # built by hand from it with list tables or no current_max and passed
+        # to verify, scans nothing, reports as the fresh run did and leaves
+        # the file as it is, its mtime included
         windows(1 << 12)
+        ck = tmp_path / "ck.txt"
         argv = ["verify", "--limit", "100000", "--workers", workers,
-                "--checkpoint-path", str(tmp_path / "ck.txt"), "--format", "json"]
+                "--checkpoint-path", str(ck), "--format", "json"]
 
         def run_to(out, *extra):
             with pytest.raises(SystemExit) as exit_info:
@@ -377,11 +385,21 @@ class TestResume:
             raise AssertionError("wrote over the finished checkpoint")
 
         base = run_to(tmp_path / "base.json")
-        finished = (tmp_path / "ck.txt").read_bytes()
+        finished, state = ck.read_bytes(), analysis.read_checkpoint(ck)
+        hand = {"lists": state._replace(gap_records=list(state.gap_records),
+                                        decade_counts=list(state.decade_counts)),
+                "no-max": state._replace(current_max=None)}
+        os.utime(ck, ns=(10**9, 10**9))
         monkeypatch.setattr(analysis, "mark_segment", no_scan)
         monkeypatch.setattr(analysis, "write_checkpoint", no_write)
-        assert run_to(tmp_path / "resumed.json", "--resume") == base
-        assert (tmp_path / "ck.txt").read_bytes() == finished
+        if form == "file":
+            resumed = run_to(tmp_path / "resumed.json", "--resume")
+        else:
+            report = verify(10**5, Threshold.parse("2414/1000"), hand[form],
+                            workers=int(workers), checkpoint_path=ck)
+            resumed = cli.emit_report(report, "json").encode()
+        assert resumed == base
+        assert ck.read_bytes() == finished and ck.stat().st_mtime_ns == 10**9
 
     @pytest.mark.parametrize("state, edit", [
         (0, {"position": 500000}),
