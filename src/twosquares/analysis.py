@@ -15,17 +15,18 @@ than any predecessor, if its gap strictly exceeds every earlier gap.  Record
 tracking therefore reduces to the table of first occurrences of record gaps,
 which is also exactly what a resumable checkpoint has to carry.
 
-Each window is summarized without listing its values.  An exact prefix
-maximum runs over a head of the window until its largest gap m reaches a
-floor of at least 15.  Past the head only a gap above m can be a record,
-and such a pair (s, s + g) inside the window has g - 1 >= m unset bits
-between its ends in the window's bitmap, one bit per value.  A run of L
-unset bits covers at least (L - 7) // 8 whole aligned bytes of 8 values, so
-the pair covers at least k = (m - 7) // 8 >= 1 zero bytes.  Each maximal
-run of k or more zero bytes is bounded by nonzero bytes, or ends the
-window, and in the first case it holds exactly one pair, whose ends are the
-last set bit before the run and the first one after it.  Those pairs, with
-a running maximum seeded with m, give exactly the window's records.
+Each window is summarized without listing its values.  A pair (s, s + g)
+inside it leaves g - 1 unset bits between its ends in the window's bitmap,
+one bit per value, which cover at least (g - 8) // 8 whole aligned bytes;
+so one screen of the bitmap for maximal runs of _RUN = 3 or more zero bytes
+finds every pair with g >= 32.  A run bounded by nonzero bytes holds
+exactly one pair, from the last set bit before it to the first after it.
+An exact prefix maximum (the head) runs up to the first screened pair with
+g >= 32, or over the whole window; from there on the running maximum is at
+least 32 and every pair the screen misses has g <= 31, so the screened
+pairs give exactly the window's records.  A summary and its decade counts
+cover the whole window: no window straddles the scan's limit, and _absorb
+alone cuts at it.
 """
 
 import itertools
@@ -86,14 +87,12 @@ DEFAULT_SEGMENT_SIZE = 1 << 24
 CHECKPOINT_VERSION = 3
 
 _DISPLAY_DIGITS = 12
-# Width of the first head chunk of a window summary, in values; the chunks
-# double up to _SLICE values, whose unpacked bits take _SLICE bytes
-_SUMMARY_BLOCK = 4096
-# The head ends once its largest gap reaches this; at least 15, so that the
-# zero-byte screen past the head looks for runs of at least one byte
-_SCREEN_FLOOR = 32
-# Bytes of a packed bitmap that the zero-byte screen reads at a time, 64 KB:
-# its temporaries stay cache-sized however wide the window
+# The zero-byte screen of a window summary finds every run of at least this
+# many zero bytes, so every pair with gap 8 * _RUN + 8 = 32 or more
+_RUN = 3
+# Bytes of a packed bitmap that the screen reads at a time, 64 KB, and values
+# in each chunk of the summary's head, whose unpacked bits take _SLICE bytes:
+# their temporaries stay cache-sized however wide the window
 _SLICE = 1 << 16
 # Bit offset of the lowest and of the highest set bit of each nonzero byte
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
@@ -395,19 +394,36 @@ def _last_set(packed: np.ndarray) -> int:
         end, width = begin, 2 * width
 
 
-def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summary:
+def _summarize_window(packed: np.ndarray, lo: int, hi: int) -> _Summary:
     # the summary of the window [lo, hi) whose bitmap is packed, its pad
     # bits 0; every set value starts a pair, so the scan's windows start at 1
     n = hi - lo
-    pair_count = _count_set(packed, min(n, limit + 1 - lo))
-    # head: the exact prefix maximum over chunks that double in width,
-    # until the largest gap m reaches the screening floor
-    candidates: list[tuple[int, int]] = []
-    first = last = None
-    m, p, width = 0, 0, _SUMMARY_BLOCK
-    while p < n and m < _SCREEN_FLOOR:
-        q = min(n, p + width)
-        offs = _set_offsets(packed, p, q)
+    # screen: the run starts i, bytes i .. i + _RUN - 1 all zero; each slice
+    # holds _SLICE starts and reads _RUN - 1 bytes past them, so a run across
+    # a slice edge is found once
+    starts = [np.empty(0, dtype=np.int64)]
+    for s0 in range(0, packed.size - _RUN + 1, _SLICE):
+        zero = packed[s0 : s0 + _SLICE + _RUN - 1] == 0
+        run = zero[: zero.size - _RUN + 1]
+        for j in range(1, _RUN):
+            run = run & zero[j : j + run.size]
+        starts.append(np.flatnonzero(run) + s0)
+    at = np.concatenate(starts)
+    # the bytes on either side of each maximal run; a run at either end of
+    # the window holds no pair of it
+    left = at[np.diff(at, prepend=-2) > 1] - 1
+    right = at[np.diff(at, append=packed.size + 1) > 1] + _RUN
+    inside = (left >= 0) & (right < packed.size)
+    left, right = left[inside], right[inside]
+    a = 8 * left + _HIGH_BIT[packed[left]]
+    gaps = 8 * right + _LOW_BIT[packed[right]] - a
+    # head: the exact prefix maximum up to the first screened pair with a gap
+    # of 8 * _RUN + 8 or more; no gap the screen misses is a record past it
+    long = np.flatnonzero(gaps >= 8 * _RUN + 8)
+    end = int(a[long[0]]) + 1 if long.size else n
+    candidates, m, first, last = [], 0, None, None
+    for p in range(0, end, _SLICE):
+        offs = _set_offsets(packed, p, min(end, p + _SLICE))
         if offs.size:
             if last is None:
                 first = int(offs[0])
@@ -416,56 +432,27 @@ def _summarize_window(packed: np.ndarray, lo: int, hi: int, limit: int) -> _Summ
             found, m = _new_records(offs[:-1] + lo, np.diff(offs), m)
             candidates.extend(found)
             last = int(offs[-1])
-        p, width = q, min(2 * width, _SLICE)
     if first is None:
         return _Summary(lo, hi, 0, None, None, ())
-    if p < n:
-        # screen the rest as zero bytes, from the byte holding the head's last
-        # value (so the pair leaving the head is seen); byte w0 is nonzero
-        w0 = last >> 3
-        k = (m - 7) // 8
-        # the run starts i: bytes i .. i + k - 1 are all zero; each slice
-        # holds _SLICE starts and reads k - 1 bytes past them, so a run
-        # across a slice edge is found once
-        starts = []
-        for s0 in range(w0, packed.size - k + 1, _SLICE):
-            zero = packed[s0 : s0 + _SLICE + k - 1] == 0
-            run = zero[: zero.size - k + 1]
-            for j in range(1, k):
-                run = run & zero[j : j + run.size]
-            starts.append(np.flatnonzero(run) + s0)
-        at = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
-        if at.size:
-            # each maximal run of k or more zero bytes that ends inside the
-            # window holds exactly one pair: the last value before it and the
-            # first value after it; a run that ends the window (the last
-            # byte's pad bits are 0) leads to a later window
-            new = np.concatenate(([True], np.diff(at) > 1))
-            left = at[new] - 1
-            right = at[np.concatenate((new[1:], [True]))] + k
-            if right[-1] == packed.size:
-                left, right = left[:-1], right[:-1]
-            a = 8 * left + _HIGH_BIT[packed[left]]
-            b = 8 * right + _LOW_BIT[packed[right]]
-            # every other pair past the head has gap at most m, so seeding
-            # the running maximum with m keeps the exact window-local records
-            candidates.extend(_new_records(a + lo, b - a, m)[0])
-    return _Summary(lo, hi, pair_count, lo + first, lo + _last_set(packed), tuple(candidates))
+    if long.size:
+        candidates.extend(_new_records(a[long[0]:] + lo, gaps[long[0]:], m)[0])
+    return _Summary(lo, hi, _count_set(packed, n), lo + first, lo + _last_set(packed),
+                    tuple(candidates))
 
 
-def _decades(limit: int) -> list[int]:
-    """The decades 10^k < limit, whose counts R(10^k) the scan's state records."""
-    return [10**k for k in range(1, len(str(limit))) if 10**k < limit]
+def _decades(end: int) -> list[int]:
+    """The decades 10^k < end; a scan of limit records R(10^k) at those below limit."""
+    return [10**k for k in range(1, len(str(end))) if 10**k < end]
 
 
-def _scan_window(args: tuple[int, int, int]) -> tuple[_Summary, list[tuple[int, int]]]:
+def _scan_window(window: tuple[int, int]) -> tuple[_Summary, list[tuple[int, int]]]:
     """Mark the window [lo, hi), lo >= 1, and summarize it; beside the
     summary, the count of representable n in [lo, x] for each decade x
-    inside it."""
-    lo, hi, limit = args
+    inside it.  Neither depends on the scan's limit."""
+    lo, hi = window
     packed = mark_segment(lo, hi).packed
-    counts = [(x, _count_set(packed, x + 1 - lo)) for x in _decades(limit) if lo <= x < hi]
-    return _summarize_window(packed, lo, hi, limit), counts
+    counts = [(x, _count_set(packed, x + 1 - lo)) for x in _decades(hi) if lo <= x]
+    return _summarize_window(packed, lo, hi), counts
 
 
 def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
@@ -519,10 +506,12 @@ def _ordered_map(fn: Callable, args_iter: Iterable, workers: int) -> Iterator:
 
 
 def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Checkpoint:
-    """cp with the window sm, which starts at cp.position, folded in, and
-    R(x) from its counts up to each decade x inside it."""
+    """cp with the window sm, which starts at cp.position, folded in: its
+    pairs and records with s <= limit, and R(x) from its counts up to each
+    decade x < limit inside it.  The one place where the scan cuts at its
+    limit; no window straddles it, so one past it counts no pair."""
     cp = cp._replace(position=sm.hi, decade_counts=cp.decade_counts + tuple(
-        (x, cp.pairs_scanned + count) for x, count in counts))
+        (x, cp.pairs_scanned + count) for x, count in counts if x < cp.limit))
     if sm.first is None:
         return cp
     records, prev = cp.gap_records, cp.last_representable
@@ -538,7 +527,7 @@ def _absorb(cp: Checkpoint, sm: _Summary, counts: list[tuple[int, int]]) -> Chec
         last_representable=sm.last,
         current_max=cp.current_max if len(records) == len(cp.gap_records) else _champion(records),
         gap_records=records,
-        pairs_scanned=cp.pairs_scanned + sm.pair_count,
+        pairs_scanned=cp.pairs_scanned + (sm.pair_count if sm.lo <= cp.limit else 0),
     )
 
 
@@ -562,9 +551,11 @@ def _scan(
     and no window is marked.  Windows step by DEFAULT_SEGMENT_SIZE, read
     when the scan starts, from the start up to limit + 1, then read ahead to
     limit + MAX_GAP, as far as the successor of a pair with s <= limit can
-    lie within the gap budget.  Each is marked and summarized once
-    (_scan_window), with its counts up to the decades inside it.  The last
-    state yielded is done; running out of windows first raises BudgetError.
+    lie within the gap budget; so each lies wholly at or below limit or
+    wholly above it.  Each is marked and summarized once, whole
+    (_scan_window), with its counts up to the decades inside it, and
+    _absorb cuts at limit.  The last state yielded is done; running out of
+    windows first raises BudgetError.
     """
     _validate_scan_args(limit, workers)
     fresh = Checkpoint(CHECKPOINT_VERSION, limit, 1, None, None, (), 0)
@@ -576,8 +567,7 @@ def _scan(
         _windows(cp.position, limit, DEFAULT_SEGMENT_SIZE),
         _windows(max(cp.position, limit + 1), limit + MAX_GAP, DEFAULT_SEGMENT_SIZE),
     )
-    args = ((lo, hi, limit) for lo, hi in windows)
-    for sm, counts in _ordered_map(_scan_window, args, workers):
+    for sm, counts in _ordered_map(_scan_window, windows, workers):
         cp = _absorb(cp, sm, counts)
         yield cp
         if cp.done:

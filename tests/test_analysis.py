@@ -1457,19 +1457,19 @@ class TestSignificant:
         assert significant(Decimal(0)) == "0.00000000000"
 
 
-def summarize(lo, hi, limit, allow_zero):
+def summarize(lo, hi, allow_zero):
     """_summarize_window over the sieve's bitmap of [lo, hi)."""
-    return _summarize_window(mark_segment(lo, hi, allow_zero=allow_zero).packed, lo, hi, limit)
+    return _summarize_window(mark_segment(lo, hi, allow_zero=allow_zero).packed, lo, hi)
 
 
-def naive_summary(lo, hi, limit, allow_zero):
+def naive_summary(lo, hi, allow_zero):
     """The window digest from the full value list and a full prefix maximum."""
-    return naive_summary_of(lo, mark_segment(lo, hi, allow_zero=allow_zero).bits, limit)
+    return naive_summary_of(lo, mark_segment(lo, hi, allow_zero=allow_zero).bits)
 
 
-def naive_summary_of(lo, bits, limit):
+def naive_summary_of(lo, bits):
     # every value set in the window starts a pair, 0 included: the scan's
-    # windows start at 1
+    # windows start at 1; the window's pairs are all its values
     hi = lo + bits.size
     vals = [lo + int(i) for i in np.flatnonzero(bits)]
     if not vals:
@@ -1479,8 +1479,7 @@ def naive_summary_of(lo, bits, limit):
         if s_next - s > best:
             best = s_next - s
             candidates.append((s, best))
-    pair_count = sum(1 for v in vals if v <= limit)
-    return _Summary(lo, hi, pair_count, vals[0], vals[-1], tuple(candidates))
+    return _Summary(lo, hi, len(vals), vals[0], vals[-1], tuple(candidates))
 
 
 class TestPackedBitmap:
@@ -1507,34 +1506,33 @@ class TestPackedBitmap:
 
 
 class TestSummarizeWindow:
-    @pytest.mark.parametrize("block", [1, 3, 64, analysis._SUMMARY_BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096])
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_multi_block_windows_match_naive(self, monkeypatch, block, allow_zero):
-        monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", block)
-        for lo, hi, limit in [(1, 40000, 10**6), (1, 40000, 30000), (25000, 60000, 10**6)]:
-            args = (lo, hi, limit, allow_zero)
-            got = summarize(*args)
-            assert got == naive_summary(*args)
+        # the head reads block values at a time, and the screen block bytes
+        monkeypatch.setattr(analysis, "_SLICE", block)
+        for lo, hi in [(1, 40000), (25000, 60000)]:
+            got = summarize(lo, hi, allow_zero)
+            assert got == naive_summary(lo, hi, allow_zero)
             # the last record (gap 24 at 31657, or 25 at 52393) lies beyond
-            # the first block of gaps
-            last_s = got.candidates[-1][0]
-            bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
-            assert np.count_nonzero(bits[: last_s - lo]) > block
+            # the first chunk of the head: no gap of 32 or more ends it early
+            assert got.candidates[-1][0] - lo >= block
 
     def test_record_in_later_default_block(self):
-        args = (1, 1 + (1 << 16), 10**6, True)
+        args = (1, 1 + (1 << 18), True)
         got = summarize(*args)
         assert got == naive_summary(*args)
-        assert got.candidates[-1] == (52393, 25)
-        # about 13000 values precede it: the fourth block of 4096 gaps
-        assert np.count_nonzero(mark_segment(1, 52393).bits) > 3 * analysis._SUMMARY_BLOCK
+        assert got.candidates[-1] == (241882, 31)
+        # the window holds no gap of 32 or more, so the head is all of it, and
+        # the record lies in its fourth chunk of _SLICE values
+        assert 241882 // analysis._SLICE == 3
 
     def test_tie_with_earlier_block_maximum_is_not_a_candidate(self, monkeypatch):
-        # with one gap per block a later gap equal to the running maximum
-        # makes its block's maximum tie with every earlier block's
-        monkeypatch.setattr(analysis, "_SUMMARY_BLOCK", 1)
-        got = summarize(1, 100, 10**6, True)
-        assert got == naive_summary(1, 100, 10**6, True)
+        # with one value per head chunk a later gap equal to the running
+        # maximum ties with every earlier chunk's
+        monkeypatch.setattr(analysis, "_SLICE", 1)
+        got = summarize(1, 100, True)
+        assert got == naive_summary(1, 100, True)
         # gaps from 1: 1,2,1,3,1,1,3: the second gap 3 (at 10) ties
         assert (5, 3) in got.candidates
         assert all(s != 10 for s, _ in got.candidates)
@@ -1552,77 +1550,89 @@ class TestSummarizeWindow:
         ],
     )
     def test_windows_with_zero_or_one_value(self, lo, hi, expected):
-        args = (lo, hi, 10**6, True)
-        assert summarize(*args) == expected == naive_summary(*args)
+        assert summarize(lo, hi, True) == expected == naive_summary(lo, hi, True)
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_window_starting_at_zero(self, allow_zero):
         # the summary has no case for 0: a window from 0 starts at 0 if it is
         # set, and the scan's first window, from 1, at the first pair
         for lo, first in ((0, 0 if allow_zero else 2), (1, 1 if allow_zero else 2)):
-            args = (lo, 5000, 2000, allow_zero)
-            got = summarize(*args)
-            assert got == naive_summary(*args)
+            got = summarize(lo, 5000, allow_zero)
+            assert got == naive_summary(lo, 5000, allow_zero)
             assert got.first == first
 
     def test_windows_past_the_limit_count_no_pairs(self):
-        # the read-ahead window of a default verify, and narrower ones
-        for lo, hi in ((10**8 + 1, 10**8 + 1 + analysis.MAX_GAP),
-                       (10**8 + 1, 10**8 + 4097), (10**8 + 4097, 10**8 + 8193)):
-            args = (lo, hi, 10**8, True)
-            got = summarize(*args)
-            assert got == naive_summary(*args)
-            assert got.pair_count == 0 and got.first is not None
+        # the worker counts its whole window, and _absorb cuts at the limit:
+        # the read-ahead window of a default verify, narrower ones, and one
+        # past the limit 10^8 - 5 holding the decade 10^8 add no pair and no
+        # decade, and keep only the pair from the state's last value to the
+        # window's first; a window ending at limit + 1 = 10^8 + 1 keeps all
+        # its pairs but not the decade at the limit
+        for limit, lo, hi in ((10**8, 10**8 + 1, 10**8 + 1 + analysis.MAX_GAP),
+                              (10**8, 10**8 + 1, 10**8 + 4097), (10**8, 10**8 + 4097, 10**8 + 8193),
+                              (10**8 - 5, 10**8 - 4, 10**8 + 4092),
+                              (10**8, 10**8 - 4095, 10**8 + 1)):
+            sm, counts = analysis._scan_window((lo, hi))
+            assert sm == naive_summary(lo, hi, True) and sm.pair_count > 0
+            assert counts == ([(10**8, int(representable_mask(lo, 10**8 + 1).sum()))]
+                              if lo <= 10**8 < hi else [])
+            prev = min(lo - 1, limit)
+            cp = Checkpoint(CHECKPOINT_VERSION, limit, lo, prev, analysis._champion(((1, 1),)),
+                            ((1, 1),), 7, ((10, 7),))
+            got = analysis._absorb(cp, sm, counts)
+            assert (got.position, got.last_representable, got.decade_counts) == (hi, sm.last, ((10, 7),))
+            if lo > limit:
+                bridge = (sm.first - prev, prev)
+                records = ((1, 1), bridge) if bridge[0] > 1 else ((1, 1),)
+                assert got == cp._replace(position=hi, last_representable=sm.last, gap_records=records,
+                                          current_max=analysis._champion(records))
+            else:
+                assert got.pairs_scanned == 7 + sm.pair_count
 
     @settings(max_examples=60, deadline=None)
     @given(
         lo=st.integers(min_value=1, max_value=10**9),
         span=st.integers(min_value=1, max_value=20000),
-        limit_offset=st.integers(min_value=-100, max_value=25000),
+        run=st.sampled_from([1, 2, 3]),
         block=st.sampled_from([1, 2, 5, 97, 4096]),
         allow_zero=st.booleans(),
     )
-    def test_random_windows_match_naive(self, lo, span, limit_offset, block, allow_zero):
-        limit = max(2, lo + limit_offset)
-        args = (lo, lo + span, limit, allow_zero)
-        saved = analysis._SUMMARY_BLOCK
-        analysis._SUMMARY_BLOCK = block
-        try:
+    def test_random_windows_match_naive(self, lo, span, run, block, allow_zero):
+        args = (lo, lo + span, allow_zero)
+        with mock.patch.object(analysis, "_RUN", run), mock.patch.object(analysis, "_SLICE", block):
             got = summarize(*args)
-        finally:
-            analysis._SUMMARY_BLOCK = saved
         assert got == naive_summary(*args)
 
 
 class TestScanWindow:
     """The scan's window worker: one mark, one summary, and the window's
-    count up to each decade inside it."""
+    count up to each decade inside it, whatever the scan's limit."""
 
     @staticmethod
-    def check(lo, hi, limit):
-        got = analysis._scan_window((lo, hi, limit))
+    def check(lo, hi):
+        got = analysis._scan_window((lo, hi))
         before = brute_count(lo - 1)
         counts = [(x, brute_count(x) - before)
-                  for x in (10, 100, 1000, 10**4, 10**5) if lo <= x < hi and x < limit]
-        assert got == (summarize(lo, hi, limit, True), counts)
+                  for x in (10, 100, 1000, 10**4, 10**5) if lo <= x < hi]
+        assert got == (summarize(lo, hi, True), counts)
 
     @settings(max_examples=60, deadline=None)
     @given(
         lo=st.integers(min_value=1, max_value=120000),
         span=st.integers(min_value=1, max_value=120000),
-        limit_at=st.integers(min_value=-2000, max_value=200000),
     )
-    def test_counts_match_brute_count(self, lo, span, limit_at):
-        self.check(lo, lo + span, max(2, lo + limit_at))
+    def test_counts_match_brute_count(self, lo, span):
+        self.check(lo, lo + span)
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_the_window_around_each_decade_up_to_the_budget(self, k):
         # 10^k sits at offset 3000 + k: seven bit positions within a byte as
-        # k varies; 10^12 is the largest limit, never a decade below one
+        # k varies; 10^12 is counted too, and _absorb keeps no decade at or
+        # past a scan's limit, which is at most 10^12
         lo, x = 10**k - 3000 - k, 10**k
-        summary, counts = analysis._scan_window((lo, x + 3000, 10**12))
-        assert summary == summarize(lo, x + 3000, 10**12, True)
-        assert counts == ([(x, int(representable_mask(lo, x + 1).sum()))] if k < 12 else [])
+        summary, counts = analysis._scan_window((lo, x + 3000))
+        assert summary == summarize(lo, x + 3000, True)
+        assert counts == [(x, int(representable_mask(lo, x + 1).sum()))]
 
     @pytest.mark.parametrize("segment_size", [2, 9, 10, 11, 101, 137, 1000])
     def test_segment_sizes_with_decades_at_window_ends(self, windows, segment_size):
@@ -1655,11 +1665,58 @@ class TestScanWindow:
         assert calls == {"_summarize_window": 2, "mark_segment": 2}
 
     def test_a_window_without_decades_has_no_counts(self):
-        assert analysis._scan_window((1001, 10**4, 10**6)) == (
-            summarize(1001, 10**4, 10**6, True), [])
+        assert analysis._scan_window((1001, 10**4)) == (summarize(1001, 10**4, True), [])
+
+    @pytest.mark.parametrize("size", [2, 7, 64, 4096])
+    @settings(max_examples=10, deadline=None)
+    @given(limit=st.integers(2, 1000), other=st.integers(1, 40), data=st.data())
+    def test_no_window_straddles_the_limit(self, size, limit, other, data):
+        # every window _scan hands the worker lies wholly at or below limit
+        # or wholly above it, on a grid of size: fresh, and resumed from
+        # states a scan on a grid of other wrote, off this grid, at limit + 1
+        # and inside the read-ahead where the grid of other leaves one
+        with mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", other):
+            states = list(analysis._scan(limit, 1))
+        starts = [None, *(cp for cp in states if cp.position == limit + 1)]
+        starts += [cp for cp in states if cp.position > limit + 1 and not cp.done][:1]
+        starts.append(data.draw(st.sampled_from(states), label="start"))
+        drawn, real = [], analysis._scan_window
+
+        def recording(window):
+            drawn.append(window)
+            return real(window)
+
+        with mock.patch.object(analysis, "DEFAULT_SEGMENT_SIZE", size), \
+                mock.patch.object(analysis, "_scan_window", recording):
+            for start in starts:
+                end = deque(analysis._scan(limit, 1, start), maxlen=1).pop()
+                assert end.gap_records == states[-1].gap_records
+                assert end.pairs_scanned == states[-1].pairs_scanned
+        assert drawn and all(hi <= limit + 1 or lo > limit for lo, hi in drawn), drawn
+
+    @pytest.mark.parametrize("segment_size", [2500, 4096])
+    def test_the_worker_depends_only_on_its_window(self, monkeypatch, windows, segment_size):
+        # two scans to different limits on one grid: each window both draw
+        # gets the same summary and counts.  At 2500 that includes [7501,
+        # 10001), which holds the smaller limit 10^4, a decade, and [10001,
+        # 12501), the smaller scan's read-ahead
+        windows(segment_size)
+        real, seen = analysis._scan_window, []
+        for limit in (10**4, 3 * 10**4):
+            got = {}
+            monkeypatch.setattr(analysis, "_scan_window", lambda w, got=got: got.setdefault(w, real(w)))
+            verify(limit, Threshold.parse("2414/1000"))
+            seen.append(got)
+        small, large = seen
+        shared = [w for w in small if w in large]
+        assert len(shared) == {2500: 5, 4096: 2}[segment_size]
+        assert all(small[w] == large[w] for w in shared)
+        if segment_size == 2500:
+            assert small[(7501, 10001)][1] == [(10**4, brute_count(10**4) - brute_count(7500))]
+            assert small[(10001, 12501)][0].pair_count > 0
 
 
-def full_summary_of(lo, bits, limit):
+def full_summary_of(lo, bits):
     """naive_summary_of with numpy in place of its Python loops, for 2^24 windows."""
     vals = np.flatnonzero(bits) + lo
     if not vals.size:
@@ -1668,22 +1725,20 @@ def full_summary_of(lo, bits, limit):
     best = np.maximum.accumulate(np.concatenate(([0], gaps)))
     idx = np.flatnonzero(gaps > best[:-1])
     return _Summary(
-        lo, lo + bits.size, int(np.count_nonzero(vals <= limit)), int(vals[0]), int(vals[-1]),
+        lo, lo + bits.size, int(vals.size), int(vals[0]), int(vals[-1]),
         tuple(zip(vals[idx].tolist(), gaps[idx].tolist())),
     )
 
 
-def summarize_bits(lo, bits, limit, floor=None, block=None, width=None):
-    """_summarize_window over a given bitmap, optionally with a lower
-    screening floor, a narrower first head chunk or narrower slices of the
-    bitmap, in bytes (None keeps the module's value); the bitmap must come
-    back unchanged."""
+def summarize_bits(lo, bits, run=None, width=None):
+    """_summarize_window over a given bitmap, optionally with a shorter
+    screened run, in bytes, or narrower head chunks and screen slices
+    (None keeps the module's value); the bitmap must come back unchanged."""
     packed = np.packbits(bits, bitorder="little")
     before = packed.copy()
-    with mock.patch.object(analysis, "_SCREEN_FLOOR", floor or analysis._SCREEN_FLOOR), \
-            mock.patch.object(analysis, "_SUMMARY_BLOCK", block or analysis._SUMMARY_BLOCK), \
+    with mock.patch.object(analysis, "_RUN", run or analysis._RUN), \
             mock.patch.object(analysis, "_SLICE", width or analysis._SLICE):
-        got = _summarize_window(packed, lo, lo + bits.size, limit)
+        got = _summarize_window(packed, lo, lo + bits.size)
     assert np.array_equal(packed, before)
     return got
 
@@ -1695,18 +1750,21 @@ def bitmap(width, offsets):
 
 
 class TestSummaryScreen:
-    """The zero-word screen past the head of each window.
+    """The zero-byte screen of each window, and the head up to its first
+    screened gap of 8 * _RUN + 8 or more.
 
-    A lower screening floor (15 is the least allowed) or a one-value first
-    head chunk makes the screen run on small windows and low heights.
+    A shorter run (1 or 2 bytes, gaps of 16 or 24) ends the head on small
+    windows and at low heights, and a narrow _SLICE puts chunk and slice
+    edges inside the head and inside the screened runs.
     """
 
     @pytest.mark.parametrize("floor", [15, 22, 23, 32])
     def test_long_gaps_at_every_residue_mod_8(self, floor):
-        # the head ends at the gap of exactly floor; gaps of 2 then run past
-        # its last chunk, and one long gap follows, starting at every residue
-        # mod 8 with every length from floor - 1 to floor + 17, its end at
-        # the window's end or inside the ragged tail, or past the window
+        # a gap of floor, then gaps of 2, then one long gap, starting at
+        # every residue mod 8 with every length from floor - 1 to floor + 17,
+        # its end at the window's end or inside the ragged tail, or past the
+        # window; runs of 1 to 3 bytes put the least screened gap, 16, 24 or
+        # 32, among the two long gaps, or below both
         prefix = [1, 1 + floor] + list(range(3 + floor, 4 * floor + 8, 2))
         for r in range(8):
             a = prefix[-1] + 1 + (r - prefix[-1] - 1) % 8
@@ -1717,9 +1775,9 @@ class TestSummaryScreen:
                 ends += [(b - cut, []) for cut in (0, 1, 7, 8, 9)]
                 for width, tail in ends:
                     bits = bitmap(width, prefix + [a] + tail)
-                    for limit in (lo + a, lo + width + 5):
-                        got = summarize_bits(lo, bits, limit, floor=floor, block=1)
-                        assert got == naive_summary_of(lo, bits, limit), (r, gap, width)
+                    want = naive_summary_of(lo, bits)
+                    for run in (1, 2, 3):
+                        assert summarize_bits(lo, bits, run=run) == want, (r, gap, width, run)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1727,67 +1785,58 @@ class TestSummaryScreen:
         lead=st.integers(min_value=0, max_value=40),
         gaps=st.lists(st.one_of(st.integers(1, 12), st.integers(13, 130)), max_size=200),
         trail=st.integers(min_value=0, max_value=140),
-        limit_at=st.integers(min_value=-5, max_value=30000),
-        floor=st.integers(min_value=15, max_value=64),
-        block=st.sampled_from([1, 2, 7, 64]),
-        width=st.sampled_from([1, 2, 3, 5, None]),
+        run=st.integers(min_value=1, max_value=3),
+        width=st.sampled_from([1, 2, 3, 5, 64, None]),
     )
-    def test_synthetic_bitmaps_match_naive(
-        self, lo, lead, gaps, trail, limit_at, floor, block, width
-    ):
+    def test_synthetic_bitmaps_match_naive(self, lo, lead, gaps, trail, run, width):
         offsets = np.cumsum([lead] + gaps)
         bits = bitmap(int(offsets[-1]) + 1 + trail, offsets.tolist())
-        limit = max(2, lo + limit_at)
-        got = summarize_bits(lo, bits, limit, floor=floor, block=block, width=width)
-        assert got == naive_summary_of(lo, bits, limit)
+        got = summarize_bits(lo, bits, run=run, width=width)
+        assert got == naive_summary_of(lo, bits)
 
     @settings(max_examples=25, deadline=None)
     @given(
         lo=st.integers(min_value=0, max_value=12).flatmap(lambda e: st.integers(1, 10**e)),
         span=st.integers(min_value=1, max_value=20000),
-        limit_offset=st.integers(min_value=-100, max_value=25000),
         allow_zero=st.booleans(),
-        floor=st.sampled_from([15, 22, 23, None]),
-        block=st.sampled_from([1, 5, None]),
+        run=st.sampled_from([1, 2, None]),
+        width=st.sampled_from([64, 4096, None]),
     )
-    def test_sieve_windows_up_to_budget_match_naive(
-        self, lo, span, limit_offset, allow_zero, floor, block
-    ):
+    def test_sieve_windows_up_to_budget_match_naive(self, lo, span, allow_zero, run, width):
         hi = min(lo + span, 10**12 + 1)
         bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
-        limit = max(2, lo + limit_offset)
-        got = summarize_bits(lo, bits, limit, floor=floor, block=block)
-        assert got == naive_summary_of(lo, bits, limit)
+        got = summarize_bits(lo, bits, run=run, width=width)
+        assert got == naive_summary_of(lo, bits)
 
     @pytest.mark.parametrize("allow_zero", [True, False])
     @pytest.mark.parametrize("lo", [0, 1493, 10**8 - 3, 10**10 + 1])
     @pytest.mark.parametrize("span", [2, 3, 5, 7, 9, 15, 17, 4097, 40001])
     def test_short_ragged_and_past_limit_windows(self, lo, span, allow_zero):
         # windows as narrow as 2 values, and from 0, where the summary has no
-        # case for 0 either; windows past limit are read-ahead
+        # case for 0 either; a window past a scan's limit, its read-ahead, is
+        # summarized as any other, since the summary takes no limit
         bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
-        for limit in (max(2, lo - 1), lo + span // 2, lo + span + 1):
-            got = summarize_bits(lo, bits, limit, floor=15, block=1)
-            assert got == naive_summary(lo, lo + span, limit, allow_zero)
+        want = naive_summary(lo, lo + span, allow_zero)
+        for run in (1, 2, 3):
+            assert summarize_bits(lo, bits, run=run) == want, run
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_slices_of_a_few_bytes_keep_the_summary(self, width, allow_zero):
-        # floors 15, 23 and 31 make the screen look for runs of k = 1, 2 and
-        # 3 zero bytes, and slices of 1 to 3 bytes put slice edges inside them
+        # runs of 1, 2 and 3 zero bytes, and head chunks and screen slices of
+        # 1 to 3 values and bytes, which put slice edges inside the runs
         for lo in (1, 10**8 - 3, 10**10 + 1, 10**12 - 10**5):
             for span in (17, 4097):
                 bits = mark_segment(lo, lo + span, allow_zero=allow_zero).bits
-                for limit in (max(2, lo - 1), lo + span // 2):
-                    for floor in (15, 23, 31):
-                        whole = summarize_bits(lo, bits, limit, floor=floor, block=1)
-                        got = summarize_bits(lo, bits, limit, floor=floor, block=1, width=width)
-                        assert got == whole, (lo, span, limit, floor)
+                for run in (1, 2, 3):
+                    whole = summarize_bits(lo, bits, run=run)
+                    got = summarize_bits(lo, bits, run=run, width=width)
+                    assert got == whole, (lo, span, run)
 
     def test_full_reference_matches_naive(self):
         for lo, hi in [(1, 40000), (10**8, 10**8 + 40000)]:
             bits = mark_segment(lo, hi).bits
-            assert full_summary_of(lo, bits, lo + 20000) == naive_summary_of(lo, bits, lo + 20000)
+            assert full_summary_of(lo, bits) == naive_summary_of(lo, bits)
 
     @pytest.mark.parametrize(
         "lo, hi, limit, allow_zero",
@@ -1797,6 +1846,40 @@ class TestSummaryScreen:
     )
     def test_full_windows_match_reference(self, lo, hi, limit, allow_zero):
         # full windows up to 10^8, on a grid from 0, the read-ahead window of
-        # the 10^8 scan, and full windows higher up
+        # the 10^8 scan, and full windows higher up; a scan of limit counts
+        # the pairs of a window at or below it, and none of one past it (its
+        # records aside: the windows from 0, which no scan draws, hold s = 0)
         bits = mark_segment(lo, hi, allow_zero=allow_zero).bits
-        assert summarize_bits(lo, bits, limit) == full_summary_of(lo, bits, limit)
+        got = summarize_bits(lo, bits)
+        assert got == full_summary_of(lo, bits)
+        cp = Checkpoint(CHECKPOINT_VERSION, limit, lo, None, None, (), 0)
+        absorbed = analysis._absorb(cp, got._replace(candidates=()), [])
+        assert absorbed.pairs_scanned == (got.pair_count if hi <= limit + 1 else 0)
+
+    def test_the_longest_head_reads_in_slices(self, monkeypatch):
+        # [1, 2^24 + 1), the scan's first window, has the longest head at
+        # the scan's heights: 284001 values before its first gap of 32 or
+        # more, (284002, 284036).  The head lists its offsets at most _SLICE
+        # values at a time, and the screen reads at most _SLICE + _RUN - 1
+        # bytes at a time, so no temporary grows with the window
+        spans, reads = [], []
+        real = analysis._set_offsets
+
+        def listing(packed, p, q):
+            spans.append(q - p)
+            return real(packed, p, q)
+
+        class Screened(np.ndarray):
+            # a bitmap that notes the size of each slice of it compared with 0
+            def __eq__(self, other):
+                reads.append(self.size)
+                return np.asarray(self) == other
+
+        seg = mark_segment(1, 2**24 + 1)
+        monkeypatch.setattr(analysis, "_set_offsets", listing)
+        got = _summarize_window(seg.packed.view(Screened), 1, 2**24 + 1)
+        assert got == full_summary_of(1, seg.bits)
+        assert (284002, 34) in got.candidates
+        assert sum(spans) == 284002 and max(spans) <= analysis._SLICE < sum(spans)
+        assert max(reads) <= analysis._SLICE + analysis._RUN - 1
+        assert sum(reads) >= seg.packed.size
